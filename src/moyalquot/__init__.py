@@ -74,6 +74,7 @@ from .quot import (
     ProductContext,
     QuotCellPoint,
     SymSeries,
+    cover_star,
     is_invariant,
     permute,
     product_star,

@@ -4,14 +4,14 @@ Charts carry coordinate pairs (z, p); transitions between charts are Mobius
 maps stored as raw 2x2 matrices so that validation can report degenerate or
 non-unimodular entries instead of refusing to hold them.  Transport of
 chart functions rides on the cotangent lift of a determinant-1
-representative, and the star product is the Moyal product conjugated by the
-quadric double cover, computed per chart.
+representative, and the star product on a chart is the cover star of its
+one (z, p) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     AtlasFormatError,
@@ -22,8 +22,8 @@ from .errors import (
     VariableMismatch,
 )
 from .gaussian import GaussianRational
-from .geometry import MobiusMap, cotangent_lift, pushforward_even_pair, sigma_bindings
-from .moyal import MoyalContext, SymplecticSpace, moyal_star
+from .geometry import MobiusMap, cotangent_lift
+from .quot import cover_star
 from .series import HSeries, hs_equal
 
 Matrix2 = Tuple[Tuple[GaussianRational, GaussianRational], Tuple[GaussianRational, GaussianRational]]
@@ -202,37 +202,15 @@ def transport(atlas: ProjectiveAtlas, f: KChartFunction, target: str) -> KChartF
     return KChartFunction(target, moved)
 
 
-def _internal_xy(avoid: Sequence[str]) -> Tuple[str, str]:
-    for candidate in (("x", "y"), ("x0", "y0"), ("xx", "yy")):
-        if not set(candidate) & set(avoid):
-            return candidate
-    raise VariableMismatch(f"cannot pick cover variables distinct from {avoid}")
-
-
 def star_on_K(order: int, f: KChartFunction, g: KChartFunction) -> KChartFunction:
-    """The glued star product on one chart.
+    """The glued star product on one chart: the cover star of its one pair.
 
-    Both operands are pulled back through the quadric cover, multiplied with
-    the Moyal product on the standard plane, and pushed forward again; the
-    scalar term is the plain product and the first-order commutator matches
-    the (z, p) bracket of the form dp^dz.
+    The scalar term is the plain product and the first-order commutator
+    matches the (z, p) bracket of the form dp^dz.
     """
     if f.chart != g.chart or f.value.vars != g.value.vars:
         raise ChartMismatch(f"operands live on {f.chart} and {g.chart}")
-    zv, pv = f.value.vars
-    xv, yv = _internal_xy((zv, pv))
-    bindings = sigma_bindings((zv, pv), (xv, yv))
-
-    def pull(series: HSeries) -> HSeries:
-        return series.padded(order).map_coefficients(lambda c: c.substitute(bindings))
-
-    space = SymplecticSpace.standard((xv, yv))
-    ctx = MoyalContext(space, order)
-    product = moyal_star(ctx, pull(f.value), pull(g.value))
-    pushed = product.map_coefficients(
-        lambda c: pushforward_even_pair(c, xv, yv, zv, pv)
-    )
-    return KChartFunction(f.chart, pushed)
+    return KChartFunction(f.chart, cover_star((f.value.vars,), order, f.value, g.value))
 
 
 def chart_independence_check(

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .atlas import (
     KChartFunction,
@@ -19,7 +19,6 @@ from .atlas import (
     atlas_validate,
     load_atlas,
     standard_cp1_atlas,
-    star_on_K,
     transport,
 )
 from .errors import (
@@ -36,8 +35,9 @@ from .expr import (
     rational_document,
     series_document,
 )
-from .moyal import MoyalContext, SymplecticSpace, moyal_star, poisson_bracket
-from .quot import ProductContext, SymSeries, quot_cell_star, QuotCellPoint, quot_point_validate
+from .moyal import MoyalContext, SymplecticSpace, poisson_bracket
+from .quot import ProductContext, SymSeries, cover_star, quot_cell_star
+from .quot import QuotCellPoint, quot_point_validate
 from .suites import SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -153,53 +153,41 @@ def _emit(args, text: str, document: dict) -> None:
         print(text)
 
 
-def _cmd_star(args) -> int:
-    order = _resolve_order(args.order)
+def _space_pairs(args):
+    """(chart pairs, flat pairs) of --space; every star is their cover star."""
     if args.space == "flat2":
-        variables: Tuple[str, ...] = ("x", "y")
-        space = SymplecticSpace.standard(variables)
-        compute = lambda f, g: moyal_star(MoyalContext(space, order), f, g)
-    elif args.space == "flatN":
+        return (), (("x", "y"),)
+    if args.space == "flatN":
         if args.d < 1:
             raise UsageFailure("--d must be at least 1 for flatN")
-        variables = tuple(
-            name for k in range(1, args.d + 1) for name in (f"x{k}", f"y{k}")
-        )
-        space = SymplecticSpace.standard(variables)
-        compute = lambda f, g: moyal_star(MoyalContext(space, order), f, g)
-    elif args.space == "kchart":
-        variables = ("z", "p")
-        compute = lambda f, g: star_on_K(
-            order, KChartFunction("A", f), KChartFunction("A", g)
-        ).value
-    else:
-        ctx = ProductContext(d=args.d, r=args.r, order=order)
-        variables = ctx.vars
-        compute = lambda f, g: quot_cell_star(ctx, SymSeries(f), SymSeries(g)).value
+        return (), tuple((f"x{k}", f"y{k}") for k in range(1, args.d + 1))
+    if args.space == "kchart":
+        return (("z", "p"),), ()
+    ctx = ProductContext(d=args.d, r=args.r, order=0)
+    return ctx.chart_pairs, ctx.flat_pairs
 
+
+def _cmd_star(args) -> int:
+    order = _resolve_order(args.order)
+    chart_pairs, flat_pairs = _space_pairs(args)
+    variables = tuple(v for pair in chart_pairs + flat_pairs for v in pair)
     left = lower_expr(parse_expr(args.left, variables), variables, order)
     right = lower_expr(parse_expr(args.right, variables), variables, order)
-    result = compute(left, right)
+    if args.space == "product":
+        ctx = ProductContext(d=args.d, r=args.r, order=order)
+        result = quot_cell_star(ctx, SymSeries(left), SymSeries(right)).value
+    else:
+        result = cover_star(chart_pairs, order, left, right)
     _emit(args, str(result), series_document(result, args.space, order))
     return EXIT_OK
 
 
 def _cmd_poisson(args) -> int:
-    if args.space == "flat2":
-        variables: Tuple[str, ...] = ("x", "y")
-        space = SymplecticSpace.standard(variables)
-    elif args.space == "flatN":
-        variables = tuple(
-            name for k in range(1, args.d + 1) for name in (f"x{k}", f"y{k}")
-        )
-        space = SymplecticSpace.standard(variables)
-    elif args.space == "kchart":
-        variables = ("z", "p")
-        space = SymplecticSpace.block([("z", "p", -1)])
-    else:
-        ctx = ProductContext(d=args.d, r=args.r, order=0)
-        variables = ctx.vars
-        space = ctx.block_space()
+    chart_pairs, flat_pairs = _space_pairs(args)
+    variables = tuple(v for pair in chart_pairs + flat_pairs for v in pair)
+    space = SymplecticSpace.block(
+        [(z, p, -1) for z, p in chart_pairs] + [(u, v, 1) for u, v in flat_pairs]
+    )
     left = lower_rational(parse_expr(args.left, variables, allow_h=False), variables)
     right = lower_rational(parse_expr(args.right, variables, allow_h=False), variables)
     result = poisson_bracket(MoyalContext(space, 0), left, right)

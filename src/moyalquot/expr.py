@@ -132,12 +132,26 @@ def _tokenize(text: str) -> List[_Token]:
 # -- parser -----------------------------------------------------------------------
 
 
+# Parentheses and unary minus nest the recursive descent; past this depth the
+# input is rejected before the interpreter stack runs out.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: List[_Token], variables: Sequence[str], allow_h: bool):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
         self.variables = set(variables)
         self.allow_h = allow_h
+
+    def nested(self, parse, token: _Token) -> Node:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", token.pos)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -188,7 +202,7 @@ class _Parser:
         # canonical forms reparse to themselves
         if token.kind == "op" and token.text == "-":
             self.advance()
-            return Neg(self.factor())
+            return Neg(self.nested(self.factor, token))
         node = self.base()
         token = self.peek()
         if token.kind == "op" and token.text == "^":
@@ -231,7 +245,7 @@ class _Parser:
             return Var(token.text)
         if token.kind == "op" and token.text == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, token)
             self.expect_op(")")
             return node
         raise ExprSyntaxError("expected a value", token.pos)
@@ -256,6 +270,37 @@ def _trimmed(coeffs: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
     return out or [RationalFunction.zero(variables)]
 
 
+def _hmul(left: _HPoly, right: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
+    out = [RationalFunction.zero(variables)] * (len(left) + len(right) - 1)
+    for i, a in enumerate(left):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(right):
+            if not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return _trimmed(out, variables)
+
+
+def _binary(node: Node, left: _HPoly, right: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
+    """Combine lowered operands under the operator of an Add/Sub/Mul/Div node."""
+    if isinstance(node, Mul):
+        return _hmul(left, right, variables)
+    if isinstance(node, Div):
+        if len(right) > 1:
+            raise HInDenominator("the series parameter appeared in a denominator")
+        divisor = right[0]
+        if divisor.is_zero():
+            raise ZeroDenominator("division by zero")
+        return [a / divisor for a in left]
+    zero = RationalFunction.zero(variables)
+    size = max(len(left), len(right))
+    left += [zero] * (size - len(left))
+    right += [zero] * (size - len(right))
+    if isinstance(node, Add):
+        return _trimmed([a + b for a, b in zip(left, right)], variables)
+    return _trimmed([a - b for a, b in zip(left, right)], variables)
+
+
 def _lower(node: Node, variables: Tuple[str, ...]) -> _HPoly:
     zero = RationalFunction.zero(variables)
     if isinstance(node, Const):
@@ -268,48 +313,24 @@ def _lower(node: Node, variables: Tuple[str, ...]) -> _HPoly:
         return [zero, RationalFunction.one(variables)]
     if isinstance(node, Neg):
         return [-c for c in _lower(node.child, variables)]
-    if isinstance(node, (Add, Sub)):
-        left = _lower(node.left, variables)
-        right = _lower(node.right, variables)
-        size = max(len(left), len(right))
-        left += [zero] * (size - len(left))
-        right += [zero] * (size - len(right))
-        if isinstance(node, Add):
-            return _trimmed([a + b for a, b in zip(left, right)], variables)
-        return _trimmed([a - b for a, b in zip(left, right)], variables)
-    if isinstance(node, Mul):
-        left = _lower(node.left, variables)
-        right = _lower(node.right, variables)
-        out = [zero] * (len(left) + len(right) - 1)
-        for i, a in enumerate(left):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(right):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return _trimmed(out, variables)
-    if isinstance(node, Div):
-        left = _lower(node.left, variables)
-        right = _lower(node.right, variables)
-        if len(right) > 1:
-            raise HInDenominator("the series parameter appeared in a denominator")
-        divisor = right[0]
-        if divisor.is_zero():
-            raise ZeroDenominator("division by zero")
-        return [a / divisor for a in left]
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        # chains of one precedence lean left; lowering them in a loop keeps
+        # long flat sums and products off the stack
+        kinds = (Add, Sub) if isinstance(node, (Add, Sub)) else (Mul, Div)
+        links = []
+        while isinstance(node, kinds):
+            links.append(node)
+            node = node.left
+        value = _lower(node, variables)
+        for link in reversed(links):
+            value = _binary(link, value, _lower(link.right, variables), variables)
+        return value
     if isinstance(node, Pow):
         base = _lower(node.base, variables)
         if node.exponent >= 0:
             result: _HPoly = [RationalFunction.one(variables)]
             for _ in range(node.exponent):
-                out = [zero] * (len(result) + len(base) - 1)
-                for i, a in enumerate(result):
-                    if a.is_zero():
-                        continue
-                    for j, b in enumerate(base):
-                        if not b.is_zero():
-                            out[i + j] = out[i + j] + a * b
-                result = _trimmed(out, variables)
+                result = _hmul(result, base, variables)
             return result
         if len(base) > 1:
             raise HInDenominator("negative power of a series in h")

@@ -1,18 +1,20 @@
-"""The d-fold product star, symmetrization, and the quot-cell assembly.
+"""The cover star, the d-fold product star, symmetrization, and the quot cell.
 
-The open cell carries d cotangent-chart pairs (z_i, p_i) and d(r-1) flat
-pairs (u_j, v_j).  The product star pulls every chart pair back through its
-own copy of the quadric cover, multiplies with one Moyal product on the
-2dr-variable pullback space (where every block is standard), and pushes each
-factor forward again; the flat pairs are untouched by the cover.  The
-symmetric group acts by permuting the chart pairs, and the cell star is the
-product star restricted to invariant series, which it preserves.
+The cover star pulls every cotangent-chart pair (z, p) back through its own
+copy of the quadric cover, multiplies with one Moyal product on the space
+where every pair is standard, and pushes each chart pair forward again;
+other pairs are flat and untouched by the cover.  The chart star on T*X is
+its case of one chart pair, and the open cell carries d chart pairs
+(z_i, p_i) plus d(r-1) flat pairs (u_j, v_j).  The symmetric group acts by
+permuting the chart pairs, and the cell star is the product star restricted
+to invariant series, which it preserves.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations as all_permutations
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
@@ -55,21 +57,7 @@ class ProductContext:
 
     @property
     def vars(self) -> Tuple[str, ...]:
-        out: List[str] = []
-        for pair in self.chart_pairs + self.flat_pairs:
-            out.extend(pair)
-        return tuple(out)
-
-    @property
-    def pullback_pairs(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple((f"x{i}", f"y{i}") for i in range(1, self.d + 1))
-
-    @property
-    def pullback_vars(self) -> Tuple[str, ...]:
-        out: List[str] = []
-        for pair in self.pullback_pairs + self.flat_pairs:
-            out.extend(pair)
-        return tuple(out)
+        return tuple(v for pair in self.chart_pairs + self.flat_pairs for v in pair)
 
     def block_space(self) -> SymplecticSpace:
         """The chart-side form: dp^dz per chart pair, du^dv per flat pair."""
@@ -77,21 +65,36 @@ class ProductContext:
         blocks += [(u, v, 1) for u, v in self.flat_pairs]
         return SymplecticSpace.block(blocks)
 
-    def pullback_space(self) -> SymplecticSpace:
-        return SymplecticSpace.standard(self.pullback_vars)
 
-    def _pull_bindings(self) -> Dict[str, RationalFunction]:
-        target = self.pullback_vars
-        bindings: Dict[str, RationalFunction] = {}
-        for (zv, pv), (xv, yv) in zip(self.chart_pairs, self.pullback_pairs):
-            x = RationalFunction.variable(target, xv)
-            y = RationalFunction.variable(target, yv)
-            bindings[zv] = x / y
-            bindings[pv] = y * y * GaussianRational(-1) / 2
-        for u, v in self.flat_pairs:
-            bindings[u] = RationalFunction.variable(target, u)
-            bindings[v] = RationalFunction.variable(target, v)
-        return bindings
+def cover_star(
+    chart_pairs: Sequence[Tuple[str, str]], order: int, f: HSeries, g: HSeries
+) -> HSeries:
+    """The Moyal product conjugated by the quadric cover on each chart pair.
+
+    Each chart pair keeps its names on the cover: z -> z/p and p -> -p^2/2
+    at once.  One Moyal product runs on the standard space of f.vars, where
+    every pair, chart or flat, has bracket 1, and each chart pair is pushed
+    forward again.  With no chart pairs this is the plain Moyal product.
+    """
+    vs = f.vars
+    if chart_pairs:
+        bindings = {v: RationalFunction.variable(vs, v) for v in vs}
+        for z, p in chart_pairs:
+            bindings[z] = bindings[z] / bindings[p]
+            bindings[p] = bindings[p] * bindings[p] * Fraction(-1, 2)
+
+        def pull(series: HSeries) -> HSeries:
+            return series.padded(order).map_coefficients(lambda c: c.substitute(bindings))
+
+        f, g = pull(f), pull(g)
+    product = _moyal_star(MoyalContext(SymplecticSpace.standard(vs), order), f, g)
+
+    def push(c: RationalFunction) -> RationalFunction:
+        for z, p in chart_pairs:
+            c = pushforward_even_pair(c, z, p, z, p)
+        return c
+
+    return product.map_coefficients(push)
 
 
 def product_star(ctx: ProductContext, f: HSeries, g: HSeries) -> HSeries:
@@ -100,20 +103,7 @@ def product_star(ctx: ProductContext, f: HSeries, g: HSeries) -> HSeries:
         raise VariableMismatch(
             f"operands must live on {ctx.vars}, got {f.vars} and {g.vars}"
         )
-    bindings = ctx._pull_bindings()
-
-    def pull(series: HSeries) -> HSeries:
-        return series.padded(ctx.order).map_coefficients(lambda c: c.substitute(bindings))
-
-    mctx = MoyalContext(ctx.pullback_space(), ctx.order)
-    product = _moyal_star(mctx, pull(f), pull(g))
-
-    def push(c: RationalFunction) -> RationalFunction:
-        for (zv, pv), (xv, yv) in zip(ctx.chart_pairs, ctx.pullback_pairs):
-            c = pushforward_even_pair(c, xv, yv, zv, pv)
-        return c
-
-    return product.map_coefficients(push)
+    return cover_star(ctx.chart_pairs, ctx.order, f, g)
 
 
 def _check_permutation(ctx: ProductContext, perm: Sequence[int]) -> Tuple[int, ...]:

@@ -19,7 +19,7 @@ from .atlas import (
     standard_cp1_atlas,
     transport,
 )
-from .errors import MoyalQuotError, NotEven, UnknownSuite
+from .errors import MoyalQuotError, NotEven, UnknownSuite, UsageFailure
 from .gaussian import GaussianRational
 from .geometry import (
     EvenFunction,
@@ -68,6 +68,10 @@ class SuiteConfig:
     d: int = 2
     r: int = 2
     atlas: Optional[ProjectiveAtlas] = None
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise UsageFailure(f"samples must be at least 1, got {self.samples}")
 
     def resolved_atlas(self) -> ProjectiveAtlas:
         return self.atlas if self.atlas is not None else standard_cp1_atlas()
@@ -604,12 +608,11 @@ def run_symmetric(cfg: SuiteConfig) -> VerificationReport:
     def detects_asymmetry() -> Optional[str]:
         if ctx.d == 1:
             return None
-        z1 = HSeries.variable(vs, "z1", ctx.order)
-        z2 = HSeries.variable(vs, "z2", ctx.order)
-        if is_invariant(ctx, z1 - z2):
+        zs = [HSeries.variable(vs, z, ctx.order) for z, _ in ctx.chart_pairs]
+        if is_invariant(ctx, zs[0] - zs[1]):
             return "z1 - z2 passed the invariance check"
-        if not is_invariant(ctx, z1 + z2):
-            return "z1 + z2 failed the invariance check"
+        if not is_invariant(ctx, sum(zs[1:], zs[0])):
+            return f"{' + '.join(z for z, _ in ctx.chart_pairs)} failed the invariance check"
         return None
 
     cases = [

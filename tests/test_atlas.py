@@ -177,7 +177,7 @@ def test_star_on_k_internal_names_avoid_collision():
     f = KChartFunction("C", HSeries.variable(XY, "x", 3))
     g = KChartFunction("C", HSeries.variable(XY, "y", 3))
     result = star_on_K(3, f, g)
-    # chart named (x, y): the cover variables are renamed away internally
+    # chart named (x, y): the cover reuses the chart's own names
     x_ = RationalFunction.variable(XY, "x")
     y_ = RationalFunction.variable(XY, "y")
     assert result.value.coeffs[0] == x_ * y_

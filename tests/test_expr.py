@@ -10,6 +10,7 @@ from moyalquot.errors import (
     ZeroDenominator,
 )
 from moyalquot.expr import (
+    MAX_NESTING,
     parse_expr,
     parse_gaussian,
     parse_rational,
@@ -46,6 +47,25 @@ def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as excinfo:
         parse_expr("x +", XY)
     assert excinfo.value.offset == 3
+
+
+def test_nesting_depth_is_capped():
+    x = RationalFunction.variable(XY, "x")
+    parens = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_series(parens, XY, 0).coeffs[0] == x
+    assert parse_series("-" * MAX_NESTING + "x", XY, 0).coeffs[0] == x * (-1) ** MAX_NESTING
+    for deeper in ("(" + parens + ")", "-" * (MAX_NESTING + 1) + "x"):
+        with pytest.raises(ExprSyntaxError) as excinfo:
+            parse_expr(deeper, XY)
+        assert excinfo.value.offset == MAX_NESTING
+
+
+def test_long_flat_chains_lower_in_a_loop():
+    n = 3000
+    x = RationalFunction.variable(XY, "x")
+    assert parse_series("+".join(["x"] * n), XY, 0).coeffs[0] == x * n
+    assert parse_series("x" + "-x" * n, XY, 0).coeffs[0] == x * (1 - n)
+    assert parse_series("*".join(["x"] * 50) + "/x" * 49, XY, 0).coeffs[0] == x
 
 
 def test_unknown_identifier():

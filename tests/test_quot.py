@@ -6,12 +6,14 @@ from moyalquot.errors import (
     NotInvariant,
     VariableMismatch,
 )
+from moyalquot.geometry import EvenFunction, sigma_pullback, sigma_pushforward
 from moyalquot.gaussian import GaussianRational
 from moyalquot.polynomial import Polynomial
 from moyalquot.quot import (
     ProductContext,
     QuotCellPoint,
     SymSeries,
+    cover_star,
     is_invariant,
     permute,
     product_star,
@@ -20,11 +22,11 @@ from moyalquot.quot import (
     support_divisor,
     symmetrize,
 )
-from moyalquot.atlas import KChartFunction, star_on_K
 from moyalquot.moyal import MoyalContext, SymplecticSpace, moyal_star, poisson_bracket
 from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
 from moyalquot.series import HSeries
+from oracles import star_2d_oracle
 
 I = GaussianRational(0, 1)
 
@@ -88,28 +90,24 @@ def test_product_star_examples():
 
 
 def test_product_star_single_chart_block_matches_chart_star():
+    # an independent route: pull back onto a plane with its own names, the
+    # binomial oracle there, push forward; chart names may be any pair,
+    # including the cover's usual (x, y) in either order
     ctx = ProductContext(d=1, r=1, order=4)
+    stars = [(ctx.chart_pairs[0], lambda f, g: product_star(ctx, f, g))]
+    for pair in (("z", "p"), ("x", "y"), ("y", "x"), ("x1", "y1")):
+        stars.append((pair, lambda f, g, pair=pair: cover_star((pair,), 4, f, g)))
+    plane = ("s", "t")
     s = SampleStream("quot-single-block")
-    for _ in range(5):
-        f_small = s.polynomial(("z1", "p1"), 2)
-        g_small = s.polynomial(("z1", "p1"), 2)
-        via_product = product_star(
-            ctx,
-            HSeries.constant(RationalFunction.from_polynomial(f_small.with_variables(ctx.vars)), 4),
-            HSeries.constant(RationalFunction.from_polynomial(g_small.with_variables(ctx.vars)), 4),
-        )
-        via_chart = star_on_K(
-            4,
-            KChartFunction("A", HSeries.constant(RationalFunction.from_polynomial(f_small), 4)),
-            KChartFunction("A", HSeries.constant(RationalFunction.from_polynomial(g_small), 4)),
-        )
-        lifted = HSeries(
-            [
-                RationalFunction(c.num.with_variables(ctx.vars), c.den.with_variables(ctx.vars))
-                for c in via_chart.value.coeffs
-            ]
-        )
-        assert via_product == lifted
+    for pair, star in stars:
+        for _ in range(3):
+            f = s.rational_function(pair, 2)
+            g = RationalFunction.from_polynomial(s.polynomial(pair, 2))
+            expected = star_2d_oracle(
+                sigma_pullback(f, pair, plane).value, sigma_pullback(g, pair, plane).value, 4
+            )
+            pushed = [sigma_pushforward(EvenFunction(c), pair) for c in expected.coeffs]
+            assert star(HSeries.constant(f, 4), HSeries.constant(g, 4)) == HSeries(pushed)
 
 
 def test_product_star_single_flat_block_matches_moyal():

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from moyalquot.cli import run
 from moyalquot.suites import SuiteConfig, run_suite, SUITES
-from moyalquot.errors import UnknownSuite
+from moyalquot.errors import UnknownSuite, UsageFailure
 
 
 def run_cli(*argv, env_extra=None):
@@ -39,6 +40,19 @@ def test_all_suites_registered():
 def test_unknown_suite_raises():
     with pytest.raises(UnknownSuite):
         run_suite("nope", SuiteConfig())
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_suite_needs_a_sample(samples):
+    with pytest.raises(UsageFailure):
+        SuiteConfig(samples=samples)
+    assert run_cli("verify", "axioms", "--samples", str(samples)).returncode == 4
+
+
+def test_symmetric_suite_passes_beyond_two_chart_pairs():
+    result = run_cli("verify", "symmetric", "--seed", "1", "--samples", "2", "--d", "3", "--r", "1")
+    assert result.returncode == 0
+    assert "total: 5 passed, 0 failed" in result.stdout
 
 
 def test_reports_are_deterministic():
@@ -98,6 +112,8 @@ def test_cli_exit_codes():
     assert run_cli("star", "--space", "flat2", "1/h", "y").returncode == 2
     assert run_cli("verify", "nosuch").returncode == 4
     assert run_cli("star", "--space", "nope", "x", "y").returncode == 4
+    assert run_cli("star", "--space", "flatN", "--d", "0", "x1", "y1").returncode == 4
+    assert run_cli("poisson", "--space", "flatN", "--d", "0", "x1", "y1").returncode == 4
     bad_point = run_cli("validate-point", "--support", "0,0", "--covectors", "1,1")
     assert bad_point.returncode == 3
     non_invariant = run_cli(
@@ -178,3 +194,13 @@ def test_cli_verify_failure_exit_code(tmp_path):
     )
     assert result.returncode == 1
     assert "FAIL" in result.stdout
+
+
+def test_cli_deep_and_long_expressions(capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    assert run(["star", "--space", "flat2", deep, "y"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: nesting deeper than") and err.count("\n") == 1
+    long_sum = "+".join(["x"] * 3000)
+    assert run(["star", "--space", "flat2", "--order", "2", long_sum, "y"]) == 0
+    assert capsys.readouterr().out == "3000*x*y + 1500*i*h\n"
