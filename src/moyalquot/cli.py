@@ -1,8 +1,10 @@
 """Command-line surface: star products, brackets, transport, validation.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/lowering error,
-3 domain error, 4 usage error.  The default truncation order comes from
---order, then the MOYALQUOT_ORDER environment variable, then 6.
+3 domain error, 4 usage error, 5 internal error (any other exception,
+reported on one line).  An operand that starts with '-' must follow '--'.
+The default truncation order comes from --order, then the MOYALQUOT_ORDER
+environment variable, then 6.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -45,6 +48,7 @@ EXIT_VERIFICATION = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_USAGE = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_ORDER = 6
 DEFAULT_SAMPLES = 100
@@ -55,6 +59,29 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageFailure(message)
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _dash_hint(argv: Sequence[str], message: str) -> str:
+    """Point at '--' when argparse took an operand starting with '-' for an option."""
+    if not message.startswith(("the following arguments are required", "unrecognized")):
+        return ""
+    for token in argv:
+        if token == "--":
+            break
+        if (
+            token.startswith("-")
+            and not token.startswith("--")
+            and token not in ("-", "-h")
+            and not _NEGATIVE_NUMBER.match(token)
+        ):
+            return (
+                f" (an operand that starts with '-', such as {token!r}, must follow"
+                " '--', as in: moyalquot star -- -x y)"
+            )
+    return ""
 
 
 def _default_order() -> int:
@@ -279,12 +306,13 @@ _COMMANDS = {
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageFailure as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {exc}{_dash_hint(argv, str(exc))}", file=sys.stderr)
         return EXIT_USAGE
     except ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -292,6 +320,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as exc:
+        # the boundary of the process: one line instead of a traceback
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -1,7 +1,8 @@
 """Exception taxonomy shared by every module.
 
 The CLI maps these onto exit codes: verification failures exit 1,
-parse/lowering problems exit 2, domain errors exit 3, usage errors exit 4.
+parse/lowering problems exit 2, domain errors exit 3, usage errors exit 4;
+any other exception is an internal error and exits 5.
 """
 
 

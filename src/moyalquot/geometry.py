@@ -8,6 +8,24 @@ a symplectomorphism from the punctured plane modulo the sign involution onto
 the punctured cotangent chart with form dp^dz.  Its inverse on invariant
 functions substitutes x = z*y and replaces y^2 by -2p, which is well defined
 exactly for functions even under (x, y) |-> (-x, -y).
+
+Both directions are Laurent-monomial maps, so they act on one variable pair
+as exponent rewrites of a canonical numerator and denominator:
+
+    pull-back     z^a p^b  |->  (-1/2)^b x^a y^(2b-a),
+    push-forward  x^a y^b  |->  z^a y^(a+b),  then y^(2k) |-> (-2)^k p^k.
+
+No gcd is needed afterwards; clearing the power of y common to numerator
+and denominator is the only cancellation.  x |-> z*y is unimodular on the
+exponent lattice, an automorphism of Q(i)[x, y^+-1], so coprime inputs stay
+coprime up to powers of y, and y^2 |-> -2p keeps coprimality because a
+common factor in (z, p) would pull back to one in (z, y).  On the pull-back
+side the image of Q(i)[z, p^+-1] is the subring of Q(i)[x, y^+-1] invariant
+under (x, y) |-> (-x, -y); a common irreducible factor h of two images
+would make the invariant norm h * h(-x, -y) a common factor of their
+squares in that subring, which is a unit when the inputs are coprime up to
+powers of p, so h is a monomial.  Other variables ride along as
+coefficients.
 """
 
 from __future__ import annotations
@@ -386,7 +404,59 @@ def sigma_pullback(
     """F(z, p) |-> F(x/y, -y^2/2); the result is automatically even."""
     if F.vars != tuple(zp):
         raise VariableMismatch(f"expected a function of {tuple(zp)}, got {F.vars}")
-    return EvenFunction(F.substitute(sigma_bindings(zp, xy)))
+    return EvenFunction(sigma_pullback_pair(F, zp[0], zp[1], xy[0], xy[1]))
+
+
+def _pair_rewrite(value, old, new, level, finish) -> RationalFunction:
+    """Rewrite the exponents of one variable pair of a canonical num/den.
+
+    The pair `old` is renamed to `new`.  A term with pair exponents (a, b)
+    keeps a in the first slot; level(a, b) is its second-slot exponent before
+    the power common to numerator and denominator is cleared, and
+    finish(b, e), with e that exponent after clearing, gives the final
+    second-slot exponent and a coefficient factor (None for 1).  The map on
+    exponents is injective, so no two terms meet.
+    """
+    vs = value.vars
+    if old[0] not in vs or old[1] not in vs:
+        raise VariableMismatch(f"pair {old} is not part of {vs}")
+    i, j = vs.index(old[0]), vs.index(old[1])
+    renamed = dict(zip(old, new))
+    target = tuple(renamed.get(v, v) for v in vs)
+    if len(set(target)) != len(target):
+        raise VariableMismatch(f"renaming {old} to {new} collides in {vs}")
+    if value.is_zero():
+        return RationalFunction.zero(target)
+    polys = (value.num.terms, value.den.terms)
+    low = min(level(e[i], e[j]) for terms in polys for e in terms)
+
+    def rewrite(terms) -> Polynomial:
+        out = {}
+        for exp, coeff in terms.items():
+            e, factor = finish(exp[j], level(exp[i], exp[j]) - low)
+            key = list(exp)
+            key[j] = e
+            out[tuple(key)] = coeff if factor is None else coeff * factor
+        return Polynomial._raw(target, out)
+
+    return RationalFunction._from_coprime(*(rewrite(terms) for terms in polys))
+
+
+def sigma_pullback_pair(
+    value: RationalFunction, zvar: str, pvar: str, xvar: str, yvar: str
+) -> RationalFunction:
+    """Pull one (z, p) pair back through the cover inside any variable tuple.
+
+    z^a p^b becomes (-1/2)^b x^a y^(2b-a), with x and y in the slots of z
+    and p; the names may coincide, as in z -> z/p, p -> -p^2/2.
+    """
+
+    def finish(b: int, e: int):
+        return e, (GaussianRational(Fraction(-1, 2) ** b) if b else None)
+
+    return _pair_rewrite(
+        value, (zvar, pvar), (xvar, yvar), lambda a, b: 2 * b - a, finish
+    )
 
 
 def pushforward_even_pair(
@@ -398,24 +468,13 @@ def pushforward_even_pair(
     y^2, and y^2 is then replaced by -2p.  Raises NotEven when an odd
     exponent survives.
     """
-    vs = value.vars
-    mid_vars = tuple(zvar if v == xvar else v for v in vs)
-    bindings = {v: RationalFunction.variable(mid_vars, m) for v, m in zip(vs, mid_vars)}
-    bindings[xvar] = (
-        RationalFunction.variable(mid_vars, zvar) * RationalFunction.variable(mid_vars, yvar)
-    )
-    mixed = value.substitute(bindings)
 
-    minus_two = GaussianRational(-2)
-
-    def transform(e: int):
+    def finish(b: int, e: int):
         if e % 2:
             raise NotEven(f"odd power of {yvar} after substitution")
-        return e // 2, minus_two ** (e // 2)
+        return e // 2, (GaussianRational((-2) ** (e // 2)) if e else None)
 
-    num = mixed.num.map_exponent(yvar, pvar, transform)
-    den = mixed.den.map_exponent(yvar, pvar, transform)
-    return RationalFunction._from_coprime(num, den)
+    return _pair_rewrite(value, (xvar, yvar), (zvar, pvar), lambda a, b: a + b, finish)
 
 
 def sigma_pushforward(

@@ -277,24 +277,6 @@ class Polynomial:
             out[tuple(new)] = coeff
         return Polynomial._raw(self.vars, out)
 
-    def map_exponent(self, name: str, target: str, transform) -> "Polynomial":
-        """Replace slot `name` by `target`, sending each exponent e to
-        transform(e) = (new exponent, coefficient multiplier)."""
-        idx = self._index(name)
-        vs = tuple(target if v == name else v for v in self.vars)
-        out: Terms = {}
-        for exp, coeff in self.terms.items():
-            new_e, factor = transform(exp[idx])
-            new = list(exp)
-            new[idx] = new_e
-            key = tuple(new)
-            c = out.get(key, G_ZERO) + coeff * factor
-            if c.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c
-        return Polynomial._raw(vs, out)
-
     # -- comparison and formatting ----------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations as all_permutations
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadPermutation, InvalidPoint, NotInvariant, VariableMismatch
 from .gaussian import GaussianRational
-from .geometry import pushforward_even_pair
+from .geometry import pushforward_even_pair, sigma_pullback_pair
 from .moyal import MoyalContext, SymplecticSpace
 from .moyal import moyal_star as _moyal_star
 from .rational import RationalFunction
@@ -39,7 +38,6 @@ class ProductContext:
     d: int
     r: int
     order: int
-    chart: str = "A"
 
     def __post_init__(self):
         if self.d < 1 or self.r < 1:
@@ -78,15 +76,14 @@ def cover_star(
     """
     vs = f.vars
     if chart_pairs:
-        bindings = {v: RationalFunction.variable(vs, v) for v in vs}
-        for z, p in chart_pairs:
-            bindings[z] = bindings[z] / bindings[p]
-            bindings[p] = bindings[p] * bindings[p] * Fraction(-1, 2)
 
-        def pull(series: HSeries) -> HSeries:
-            return series.padded(order).map_coefficients(lambda c: c.substitute(bindings))
+        def pull(c: RationalFunction) -> RationalFunction:
+            for z, p in chart_pairs:
+                c = sigma_pullback_pair(c, z, p, z, p)
+            return c
 
-        f, g = pull(f), pull(g)
+        f = f.padded(order).map_coefficients(pull)
+        g = g.padded(order).map_coefficients(pull)
     product = _moyal_star(MoyalContext(SymplecticSpace.standard(vs), order), f, g)
 
     def push(c: RationalFunction) -> RationalFunction:

@@ -2,13 +2,17 @@
 
 The star oracle expands D^k through the explicit binomial formula on a
 two-variable plane, a different route than the library's multiset expansion
-over bivector entries, so agreement is meaningful.
+over bivector entries, so agreement is meaningful.  The cover oracles move
+one variable pair through the quadric cover by generic substitution, with a
+gcd at every step, where the library rewrites exponents.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
+from moyalquot.errors import NotEven
 from moyalquot.gaussian import GaussianRational
+from moyalquot.polynomial import Polynomial
 from moyalquot.rational import RationalFunction
 from moyalquot.series import HSeries
 
@@ -37,3 +41,42 @@ def star_2d_oracle(f: RationalFunction, g: RationalFunction, order: int) -> HSer
         scalar = (I * Fraction(1, 2)) ** k * Fraction(1, factorial(k))
         coeffs.append(scalar * term)
     return HSeries(coeffs)
+
+
+def pullback_pair_oracle(
+    value: RationalFunction, zvar: str, pvar: str, xvar: str, yvar: str
+) -> RationalFunction:
+    """Substitute z -> x/y, p -> -y^2/2 on one pair (x, y in the slots of z, p)."""
+    vs = value.vars
+    target = tuple({zvar: xvar, pvar: yvar}.get(v, v) for v in vs)
+    bindings = {v: RationalFunction.variable(target, t) for v, t in zip(vs, target)}
+    x, y = bindings[zvar], bindings[pvar]
+    bindings[zvar] = x / y
+    bindings[pvar] = y * y * Fraction(-1, 2)
+    return value.substitute(bindings)
+
+
+def pushforward_pair_oracle(
+    value: RationalFunction, xvar: str, yvar: str, zvar: str, pvar: str
+) -> RationalFunction:
+    """Substitute x = z*y on one pair, then replace y^2 by -2p."""
+    vs = value.vars
+    mid_vars = tuple(zvar if v == xvar else v for v in vs)
+    bindings = {v: RationalFunction.variable(mid_vars, m) for v, m in zip(vs, mid_vars)}
+    bindings[xvar] = (
+        RationalFunction.variable(mid_vars, zvar) * RationalFunction.variable(mid_vars, yvar)
+    )
+    mixed = value.substitute(bindings)
+    idx = mid_vars.index(yvar)
+    target = tuple(pvar if v == yvar else v for v in mid_vars)
+
+    def halve(p: Polynomial) -> Polynomial:
+        terms = {}
+        for exp, coeff in p.terms.items():
+            if exp[idx] % 2:
+                raise NotEven(f"odd power of {yvar} after substitution")
+            k = exp[idx] // 2
+            terms[exp[:idx] + (k,) + exp[idx + 1:]] = coeff * GaussianRational(-2) ** k
+        return Polynomial(target, terms)
+
+    return RationalFunction(halve(mixed.num), halve(mixed.den))

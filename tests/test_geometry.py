@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moyalquot.errors import (
     DegenerateMatrix,
@@ -21,11 +22,14 @@ from moyalquot.geometry import (
     pushforward_even_pair,
     sigma_bindings,
     sigma_pullback,
+    sigma_pullback_pair,
     sigma_pushforward,
 )
 from moyalquot.moyal import MoyalContext, SymplecticSpace, poisson_bracket
+from moyalquot.polynomial import Polynomial
 from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
+from oracles import pullback_pair_oracle, pushforward_pair_oracle
 
 ZP = ("z", "p")
 XY = ("x", "y")
@@ -255,3 +259,93 @@ def test_pullback_of_fiber_pole():
     )
     with pytest.raises(VariableMismatch):
         sigma_pullback(RationalFunction.one(XY), ZP, XY)
+
+
+def test_pushforward_cancels_the_common_power_of_y_before_the_parity_check():
+    # x/y maps to z*y/y: a parity check before cancelling y would reject it
+    x, y = var(XY, "x"), var(XY, "y")
+    assert sigma_pushforward(EvenFunction(x / y), ZP) == var(ZP, "z")
+    assert sigma_pushforward(EvenFunction(y / x), ZP) == 1 / var(ZP, "z")
+    with pytest.raises(NotEven):
+        pushforward_even_pair(x * x / y, "x", "y", "z", "p")
+
+
+def test_cover_maps_of_zero_take_the_new_names():
+    pushed = pushforward_even_pair(RationalFunction.zero(XY), "x", "y", "z", "p")
+    assert pushed.vars == ZP and pushed == RationalFunction.zero(ZP)
+    assert sigma_pushforward(EvenFunction(RationalFunction.zero(XY)), ZP).vars == ZP
+    pulled = sigma_pullback_pair(RationalFunction.zero(ZP), "z", "p", "x", "y")
+    assert pulled.vars == XY and pulled == RationalFunction.zero(XY)
+
+
+# -- the exponent rewrites against generic substitution -------------------------------
+
+
+_coefficients = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2))
+
+
+@st.composite
+def cover_cases(draw):
+    """A rational function on 1-3 chart pairs (z_i, p_i), maybe one flat pair
+    (u, v), and the index of the pair to move; its denominator carries a
+    power of that p_i and sometimes a factor mixing z_i and p_i."""
+    pairs = draw(st.integers(1, 3))
+    vs = tuple(v for i in range(1, pairs + 1) for v in (f"z{i}", f"p{i}"))
+    vs += ("u", "v") if draw(st.booleans()) else ()
+    exponents = st.tuples(*[st.integers(0, 2)] * len(vs))
+
+    def poly(size):
+        return Polynomial(vs, draw(st.dictionaries(exponents, _coefficients, max_size=size)))
+
+    num, den = poly(3), poly(2)
+    if den.is_zero():
+        den = Polynomial.one(vs)
+    k = draw(st.integers(1, pairs))
+    z, p = Polynomial.variable(vs, f"z{k}"), Polynomial.variable(vs, f"p{k}")
+    den = den * p ** draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        den = den * (z + p * p * draw(_coefficients.filter(lambda c: not c.is_zero())))
+    return RationalFunction(num, den), f"z{k}", f"p{k}"
+
+
+def _twist(value, first, second, a, b, c):
+    """value * first^a * second^b / second^c, keeping evenness iff a+b+c is even."""
+    vs = value.vars
+    x, y = RationalFunction.variable(vs, first), RationalFunction.variable(vs, second)
+    return value * x ** a * y ** b / y ** c
+
+
+def _push_both(value, names):
+    """Both push-forwards of one pair: (result or NotEven) from each path."""
+    outcomes = []
+    for push in (pushforward_even_pair, pushforward_pair_oracle):
+        try:
+            outcomes.append(push(value, *names))
+        except NotEven:
+            outcomes.append(NotEven)
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_cases(), st.booleans())
+def test_pullback_pair_matches_substitution(case, rename):
+    F, z, p = case
+    x, y = ("x", "y") if rename else (z, p)
+    assert sigma_pullback_pair(F, z, p, x, y) == pullback_pair_oracle(F, z, p, x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_cases(), st.booleans(), st.tuples(*[st.integers(0, 2)] * 3))
+def test_pushforward_pair_matches_substitution(case, rename, twist):
+    F, z, p = case
+    # on the cover the pair is (z, p) itself, as in cover_star, or (x, y)
+    x, y = ("x", "y") if rename else (z, p)
+    even = pullback_pair_oracle(F, z, p, x, y)
+    fast, generic = _push_both(even, (x, y, z, p))
+    assert fast == generic == F
+    fast, generic = _push_both(_twist(even, x, y, *twist), (x, y, z, p))
+    assert fast == generic
+    assert (fast is NotEven) == (sum(twist) % 2 == 1 and not F.is_zero())
+    # an arbitrary input, even or not, on the original names
+    fast, generic = _push_both(F, (z, p, z, p))
+    assert fast == generic

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from moyalquot import cli
 from moyalquot.cli import run
 from moyalquot.suites import SuiteConfig, run_suite, SUITES
 from moyalquot.errors import UnknownSuite, UsageFailure
@@ -204,3 +205,28 @@ def test_cli_deep_and_long_expressions(capsys):
     long_sum = "+".join(["x"] * 3000)
     assert run(["star", "--space", "flat2", "--order", "2", long_sum, "y"]) == 0
     assert capsys.readouterr().out == "3000*x*y + 1500*i*h\n"
+
+
+def test_cli_operand_with_leading_minus_needs_double_dash(capsys):
+    assert run(["star", "--space", "flat2", "-x", "y"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: the following arguments are required: right")
+    assert "such as '-x', must follow '--'" in err and err.count("\n") == 1
+    assert run(["star", "--space", "flat2", "--", "-x", "y"]) == 0
+    assert capsys.readouterr().out == "-x*y - (1/2)*i*h\n"
+    # no hint for a missing operand or a negative number
+    assert run(["star", "--space", "flat2", "x"]) == 4
+    assert "'--'" not in capsys.readouterr().err
+    assert run(["star", "--space", "flat2", "--order", "2", "-2", "y"]) == 0
+    assert capsys.readouterr().out == "-2*y\n"
+
+
+def test_cli_internal_error_is_one_line_exit_5(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("engine fault\non two lines")
+
+    monkeypatch.setitem(cli._COMMANDS, "star", broken)
+    assert run(["star", "x", "y"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: engine fault on two lines\n"
