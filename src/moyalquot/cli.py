@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse/lowering error,
 3 domain error, 4 usage error, 5 internal error (any other exception,
-reported on one line).  An operand that starts with '-' must follow '--'.
+reported on one line).  An operand that starts with '-' must follow '--',
+and an option value that does is joined to its option: --support=-1,2.
+--d and --r below 1 are usage errors on every command.
 The default truncation order comes from --order, then the MOYALQUOT_ORDER
 environment variable, then 6.
 """
@@ -38,8 +40,8 @@ from .expr import (
     rational_document,
     series_document,
 )
-from .moyal import MoyalContext, SymplecticSpace, poisson_bracket
-from .quot import ProductContext, SymSeries, cover_star, quot_cell_star
+from .moyal import MoyalContext, poisson_bracket
+from .quot import ProductContext, SymSeries, chart_block_space, cover_star, quot_cell_star
 from .quot import QuotCellPoint, quot_point_validate
 from .suites import SuiteConfig, run_suite
 
@@ -62,10 +64,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_MISSING_VALUE = re.compile(r"^argument (--[\w-]+): expected one argument$")
 
 
 def _dash_hint(argv: Sequence[str], message: str) -> str:
-    """Point at '--' when argparse took an operand starting with '-' for an option."""
+    """Point at '--' or '=' when argparse took a token starting with '-' for an option."""
+    missing = _MISSING_VALUE.match(message)
+    if missing:
+        option = missing.group(1)
+        for token, value in zip(argv, argv[1:]):
+            if token == option and value.startswith("-"):
+                return (
+                    f" (an option value that starts with '-' must be joined to its option"
+                    f" with '=', as in: {option}={value})"
+                )
+        return ""
     if not message.startswith(("the following arguments are required", "unrecognized")):
         return ""
     for token in argv:
@@ -82,6 +95,17 @@ def _dash_hint(argv: Sequence[str], message: str) -> str:
                 " '--', as in: moyalquot star -- -x y)"
             )
     return ""
+
+
+def _positive_int(text: str) -> int:
+    """The argparse type of --d and --r."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _default_order() -> int:
@@ -109,8 +133,8 @@ def _build_parser() -> _Parser:
                 default="flat2",
             )
         p.add_argument("--order", type=int, default=None)
-        p.add_argument("--d", type=int, default=2)
-        p.add_argument("--r", type=int, default=2)
+        p.add_argument("--d", type=_positive_int, default=2)
+        p.add_argument("--r", type=_positive_int, default=2)
         p.add_argument("--output", choices=("text", "structured"), default="text")
 
     star = sub.add_parser("star", help="star product of two expressions")
@@ -128,8 +152,8 @@ def _build_parser() -> _Parser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     verify.add_argument("--order", type=int, default=None)
-    verify.add_argument("--d", type=int, default=2)
-    verify.add_argument("--r", type=int, default=2)
+    verify.add_argument("--d", type=_positive_int, default=2)
+    verify.add_argument("--r", type=_positive_int, default=2)
     verify.add_argument("--atlas", default=None)
     verify.add_argument("--output", choices=("text", "structured"), default="text")
 
@@ -146,8 +170,8 @@ def _build_parser() -> _Parser:
     va.add_argument("--output", choices=("text", "structured"), default="text")
 
     vp = sub.add_parser("validate-point", help="validate open-cell point coordinates")
-    vp.add_argument("--d", type=int, default=None)
-    vp.add_argument("--r", type=int, default=None)
+    vp.add_argument("--d", type=_positive_int, default=None)
+    vp.add_argument("--r", type=_positive_int, default=None)
     vp.add_argument("--support", required=True, help="comma-separated entries")
     vp.add_argument("--covectors", required=True, help="comma-separated entries")
     vp.add_argument("--flat", default="", help="comma-separated pairs, flattened")
@@ -185,8 +209,6 @@ def _space_pairs(args):
     if args.space == "flat2":
         return (), (("x", "y"),)
     if args.space == "flatN":
-        if args.d < 1:
-            raise UsageFailure("--d must be at least 1 for flatN")
         return (), tuple((f"x{k}", f"y{k}") for k in range(1, args.d + 1))
     if args.space == "kchart":
         return (("z", "p"),), ()
@@ -212,9 +234,7 @@ def _cmd_star(args) -> int:
 def _cmd_poisson(args) -> int:
     chart_pairs, flat_pairs = _space_pairs(args)
     variables = tuple(v for pair in chart_pairs + flat_pairs for v in pair)
-    space = SymplecticSpace.block(
-        [(z, p, -1) for z, p in chart_pairs] + [(u, v, 1) for u, v in flat_pairs]
-    )
+    space = chart_block_space(chart_pairs, flat_pairs)
     left = lower_rational(parse_expr(args.left, variables, allow_h=False), variables)
     right = lower_rational(parse_expr(args.right, variables, allow_h=False), variables)
     result = poisson_bracket(MoyalContext(space, 0), left, right)

@@ -270,25 +270,7 @@ def _bidiff(space: SymplecticSpace, tf: _DerivTable, tg: _DerivTable, k: int) ->
 
 def poisson_bracket(ctx: MoyalContext, f: RationalFunction, g: RationalFunction) -> RationalFunction:
     """{f, g} for the context form; {x, y} = 1 on the standard plane."""
-    space = ctx.space if isinstance(ctx, MoyalContext) else ctx
-    _check_function(space, f)
-    _check_function(space, g)
-    acc = RationalFunction.zero(space.vars)
-    grads_f: Dict[int, RationalFunction] = {}
-    grads_g: Dict[int, RationalFunction] = {}
-    for a, b, value in space.pairs:
-        fa = grads_f.get(a)
-        if fa is None:
-            fa = grads_f[a] = f.derivative(space.vars[a])
-        if fa.is_zero():
-            continue
-        gb = grads_g.get(b)
-        if gb is None:
-            gb = grads_g[b] = g.derivative(space.vars[b])
-        if gb.is_zero():
-            continue
-        acc = acc + value * (fa * gb)
-    return acc
+    return bidiff_power(ctx, f, g, 1)
 
 
 def bidiff_power(ctx: MoyalContext, f: RationalFunction, g: RationalFunction, k: int) -> RationalFunction:

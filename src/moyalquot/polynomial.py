@@ -6,10 +6,13 @@ coefficients; the zero polynomial stores no terms.  The term order used for
 printing, leading-term extraction and canonical forms is graded lexicographic
 with respect to the declared variable order.
 
-The gcd is computed by iterated content / primitive-part reduction to a
-univariate Euclidean algorithm, with two fast paths that dominate in
-practice: extraction of a common monomial factor, and a direct exact-division
-test when one argument may divide the other.
+The gcd has two fast paths that dominate in practice: extraction of a
+common monomial factor, and a direct exact-division test when one argument
+may divide the other.  With one variable it runs the Euclidean algorithm;
+otherwise it splits off the content in a main variable and takes the gcd of
+the primitive parts by Brown's evaluation/interpolation algorithm, certified
+by exact division.  There is no pseudo-remainder (PRS) fallback: the
+evaluation loop always ends, since only finitely many points are unlucky.
 """
 
 from __future__ import annotations
@@ -428,17 +431,6 @@ def _shift_down(p: Polynomial, shift: Exponent) -> Polynomial:
     )
 
 
-def _shift_up(p: Polynomial, idx: int, amount: int) -> Polynomial:
-    if not amount:
-        return p
-    out: Terms = {}
-    for exp, coeff in p.terms.items():
-        new = list(exp)
-        new[idx] += amount
-        out[tuple(new)] = coeff
-    return Polynomial._raw(p.vars, out)
-
-
 def _univar_dense(p: Polynomial, idx: int) -> list:
     deg = max(exp[idx] for exp in p.terms)
     coeffs = [G_ZERO] * (deg + 1)
@@ -502,10 +494,10 @@ def _coefficients_in(p: Polynomial, idx: int) -> Dict[int, Polynomial]:
     return {e: Polynomial._raw(p.vars, t) for e, t in buckets.items()}
 
 
-def _lead_in(p: Polynomial, idx: int) -> Tuple[int, Polynomial]:
+def _lead_in(p: Polynomial, idx: int) -> Polynomial:
+    """Leading coefficient in the variable at idx."""
     coeffs = _coefficients_in(p, idx)
-    deg = max(coeffs)
-    return deg, coeffs[deg]
+    return coeffs[max(coeffs)]
 
 
 def _content_in(p: Polynomial, idx: int) -> Polynomial:
@@ -522,27 +514,6 @@ def _primitive_in(p: Polynomial, idx: int) -> Polynomial:
     if content.is_one():
         return p
     return poly_divexact(p, content)
-
-
-def _pseudo_rem(a: Polynomial, b: Polynomial, idx: int) -> Polynomial:
-    db, lb = _lead_in(b, idx)
-    r = a
-    while not r.is_zero():
-        dr, lr = _lead_in(r, idx)
-        if dr < db:
-            break
-        r = lb * r - _shift_up(lr * b, idx, dr - db)
-    return r
-
-
-def _prs_ppgcd(a: Polynomial, b: Polynomial, idx: int) -> Polynomial:
-    """Primitive PRS on inputs already primitive in the main variable."""
-    if a.degree_in(a.vars[idx]) < b.degree_in(a.vars[idx]):
-        a, b = b, a
-    while not b.is_zero():
-        r = _pseudo_rem(a, b, idx)
-        a, b = b, (r if r.is_zero() else _primitive_in(r, idx))
-    return a
 
 
 def _eval_var(p: Polynomial, idx: int, t: GaussianRational) -> Polynomial:
@@ -589,15 +560,19 @@ def _interpolate(images, vidx: int, variables: Tuple[str, ...]) -> Polynomial:
     return result
 
 
-def _modular_ppgcd(P: Polynomial, Q: Polynomial, xidx: int) -> Optional[Polynomial]:
+def _modular_ppgcd(P: Polynomial, Q: Polynomial, xidx: int) -> Polynomial:
     """Evaluation/interpolation gcd of inputs primitive in the main variable.
 
-    One evaluation variable is specialized at integer points; images are
-    gcds with one variable fewer, rescaled so their main-variable leading
-    coefficient matches the leading-coefficient gcd, and interpolated back.
-    The candidate is certified by exact division, so a None return (give up,
-    caller falls back to the pseudo-remainder sequence) is the only way this
-    can be wrong-shaped, never a wrong answer.
+    Brown's modular algorithm over Q(i) (JACM 1971): one evaluation variable
+    is specialized at the points 0, 1, -1, 2, -2, ...; images are gcds with
+    one variable fewer, rescaled so their main-variable leading coefficient
+    matches the leading-coefficient gcd, and interpolated back.  The
+    candidate is certified by exact division, so the answer is never wrong.
+    The loop ends because only finitely many points are unlucky: those where
+    a leading coefficient vanishes, or where the image gcd is more than the
+    image of the gcd, are roots of finitely many nonzero polynomials in the
+    evaluation variable.  Past them every image is right, and `bound`
+    consecutive right images interpolate a candidate that divides both.
     """
     variables = P.vars
     candidates = (_occurring(P) | _occurring(Q)) - {xidx}
@@ -608,20 +583,18 @@ def _modular_ppgcd(P: Polynomial, Q: Polynomial, xidx: int) -> Optional[Polynomi
         key=lambda i: max(P.degree_in(variables[i]), Q.degree_in(variables[i])),
     )
     vname = variables[vidx]
-    _, lc_p = _lead_in(P, xidx)
-    _, lc_q = _lead_in(Q, xidx)
+    lc_p = _lead_in(P, xidx)
+    lc_q = _lead_in(Q, xidx)
     gamma = poly_gcd(lc_p, lc_q)
     bound = (
         min(P.degree_in(vname), Q.degree_in(vname)) + max(gamma.degree_in(vname), 0) + 1
     )
     images = []
     best_degree: Optional[int] = None
-    attempts = 0
     t_int = 0
-    while attempts < bound + 32:
+    while True:
         t = GaussianRational(t_int)
         t_int = -t_int + (1 if t_int <= 0 else 0)
-        attempts += 1
         if _eval_var(lc_p, vidx, t).is_zero() or _eval_var(lc_q, vidx, t).is_zero():
             continue
         image = poly_gcd(_eval_var(P, vidx, t), _eval_var(Q, vidx, t))
@@ -634,7 +607,7 @@ def _modular_ppgcd(P: Polynomial, Q: Polynomial, xidx: int) -> Optional[Polynomi
             images = []
         if dx > best_degree:
             continue
-        _, lc_image = _lead_in(image, xidx)
+        lc_image = _lead_in(image, xidx)
         scale = poly_try_divexact(_eval_var(gamma, vidx, t), lc_image)
         if scale is None:
             continue
@@ -647,7 +620,6 @@ def _modular_ppgcd(P: Polynomial, Q: Polynomial, xidx: int) -> Optional[Polynomi
             ):
                 return candidate
             images = []
-    return None
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -686,7 +658,4 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     cg = poly_gcd(cp, cq)
     big_p = ph if cp.is_one() else poly_divexact(ph, cp)
     big_q = qh if cq.is_one() else poly_divexact(qh, cq)
-    g = _modular_ppgcd(big_p, big_q, xidx)
-    if g is None:
-        g = _prs_ppgcd(big_p, big_q, xidx)
-    return (base * cg * g).monic()
+    return (base * cg * _modular_ppgcd(big_p, big_q, xidx)).monic()

@@ -58,10 +58,16 @@ class ProductContext:
         return tuple(v for pair in self.chart_pairs + self.flat_pairs for v in pair)
 
     def block_space(self) -> SymplecticSpace:
-        """The chart-side form: dp^dz per chart pair, du^dv per flat pair."""
-        blocks = [(z, p, -1) for z, p in self.chart_pairs]
-        blocks += [(u, v, 1) for u, v in self.flat_pairs]
-        return SymplecticSpace.block(blocks)
+        return chart_block_space(self.chart_pairs, self.flat_pairs)
+
+
+def chart_block_space(
+    chart_pairs: Sequence[Tuple[str, str]], flat_pairs: Sequence[Tuple[str, str]]
+) -> SymplecticSpace:
+    """The chart-side form: dp^dz per chart pair, du^dv per flat pair."""
+    return SymplecticSpace.block(
+        [(z, p, -1) for z, p in chart_pairs] + [(u, v, 1) for u, v in flat_pairs]
+    )
 
 
 def cover_star(

@@ -1,9 +1,10 @@
 """Seeded verification suites binding all modules into reproducible reports.
 
-Each suite runs a fixed list of named cases; a case loops over its samples
-and records the first counterexample.  Reports are deterministic functions
-of (seed, size flags): cases are sorted by description before rendering, so
-the output is byte-stable.
+Each suite runs a fixed list of named cases and records the first
+counterexample of each; `_sampled` gives a case its seeded stream, its loop
+over samples and the `sample k` prefix of a failure.  Reports are
+deterministic functions of (seed, size flags): cases are sorted by
+description before rendering, so the output is byte-stable.
 """
 
 from __future__ import annotations
@@ -143,60 +144,76 @@ def _case(description: str, check: Callable[[], Optional[str]]) -> CaseResult:
     return CaseResult(description, False, counterexample)
 
 
+def _sampled(
+    description: str,
+    samples: int,
+    stream: str,
+    check: Callable[[SampleStream, int], Optional[str]],
+    before: Optional[Callable[[], Optional[str]]] = None,
+) -> CaseResult:
+    """The case `description` over samples 0 .. samples - 1 of one stream.
+
+    `check(s, k)` draws sample k from `s` and returns None when it holds,
+    else its failure detail ("" for none).  `before()` runs once, first.
+    """
+
+    def run() -> Optional[str]:
+        failure = before() if before is not None else None
+        if failure is not None:
+            return failure
+        s = SampleStream(stream)
+        for k in range(samples):
+            detail = check(s, k)
+            if detail is not None:
+                return f"sample {k}: {detail}" if detail else f"sample {k}"
+        return None
+
+    return _case(f"{description} ({samples} samples)", run)
+
+
+def _constant(p: Polynomial, order: int) -> HSeries:
+    return HSeries.constant(RationalFunction.from_polynomial(p), order)
+
+
 # -- axioms ----------------------------------------------------------------------
 
 
 def run_axioms(cfg: SuiteConfig) -> VerificationReport:
     vs = ("x", "y")
-    space = SymplecticSpace.standard(vs)
-    ctx = MoyalContext(space, min(cfg.order, 4))
+    ctx = MoyalContext(SymplecticSpace.standard(vs), min(cfg.order, 4))
+    one = HSeries.one(vs, ctx.order)
 
-    def stream(label: str) -> SampleStream:
-        return SampleStream(f"{cfg.seed}:axioms:{label}")
+    def draw(s: SampleStream) -> HSeries:
+        return s.series(vs, ctx.order, max_degree=4, h_terms=3)
 
-    def pairs(label: str):
-        s = stream(label)
-        for k in range(cfg.samples):
-            f = s.series(vs, ctx.order, max_degree=4, h_terms=3)
-            g = s.series(vs, ctx.order, max_degree=4, h_terms=3)
-            yield k, f, g
-
-    def scalar_term() -> Optional[str]:
-        for k, f, g in pairs("scalar"):
-            product = moyal_star(ctx, f, g)
-            if product.coeffs[0] != f.coeffs[0] * g.coeffs[0]:
-                return f"sample {k}: f0 = {f.coeffs[0]}, g0 = {g.coeffs[0]}"
+    def scalar_term(s: SampleStream, k: int) -> Optional[str]:
+        f, g = draw(s), draw(s)
+        if moyal_star(ctx, f, g).coeffs[0] != f.coeffs[0] * g.coeffs[0]:
+            return f"f0 = {f.coeffs[0]}, g0 = {g.coeffs[0]}"
         return None
 
-    def unit_law() -> Optional[str]:
-        one = HSeries.one(vs, ctx.order)
-        s = stream("unit")
-        for k in range(cfg.samples):
-            f = s.series(vs, ctx.order, max_degree=4, h_terms=3)
-            if moyal_star(ctx, one, f) != f or moyal_star(ctx, f, one) != f:
-                return f"sample {k}: f = {f}"
-        return None
+    def unit_law(s: SampleStream, k: int) -> Optional[str]:
+        f = draw(s)
+        return None if moyal_star(ctx, one, f) == f == moyal_star(ctx, f, one) else f"f = {f}"
 
-    def commutator_term() -> Optional[str]:
-        for k, f, g in pairs("commutator"):
-            comm = star_commutator(ctx, f, g)
-            if not comm.coeffs[0].is_zero():
-                return f"sample {k}: scalar term {comm.coeffs[0]}"
-            expected = I * poisson_bracket(ctx, f.coeffs[0], g.coeffs[0])
-            if comm.coeffs[1] != expected:
-                return f"sample {k}: h-term {comm.coeffs[1]} != {expected}"
+    def commutator_term(s: SampleStream, k: int) -> Optional[str]:
+        f, g = draw(s), draw(s)
+        comm = star_commutator(ctx, f, g)
+        if not comm.coeffs[0].is_zero():
+            return f"scalar term {comm.coeffs[0]}"
+        expected = I * poisson_bracket(ctx, f.coeffs[0], g.coeffs[0])
+        if comm.coeffs[1] != expected:
+            return f"h-term {comm.coeffs[1]} != {expected}"
         return None
 
     cases = [
-        _case(
-            f"scalar term of the product equals the pointwise product ({cfg.samples} samples)",
-            scalar_term,
-        ),
-        _case(f"unit law holds on both sides ({cfg.samples} samples)", unit_law),
-        _case(
-            f"commutator h-term is i times the bracket of the scalar terms ({cfg.samples} samples)",
-            commutator_term,
-        ),
+        _sampled(description, cfg.samples, f"{cfg.seed}:axioms:{label}", check)
+        for label, check, description in (
+            ("scalar", scalar_term, "scalar term of the product equals the pointwise product"),
+            ("unit", unit_law, "unit law holds on both sides"),
+            ("commutator", commutator_term,
+             "commutator h-term is i times the bracket of the scalar terms"),
+        )
     ]
     return _report("axioms", cfg, cases)
 
@@ -205,53 +222,52 @@ def run_axioms(cfg: SuiteConfig) -> VerificationReport:
 
 
 def run_poisson(cfg: SuiteConfig) -> VerificationReport:
-    plane = SymplecticSpace.standard(("x", "y"))
-    block = SymplecticSpace.standard(("x1", "y1", "x2", "y2"))
-    cases: List[CaseResult] = []
-
-    for space, label, monomial_den in ((plane, "plane", False), (block, "block", True)):
+    def cases_on(space: SymplecticSpace, label: str, monomial_den: bool) -> List[CaseResult]:
         ctx = MoyalContext(space, 0)
 
-        def triples(case: str):
-            s = SampleStream(f"{cfg.seed}:poisson:{label}:{case}")
-            for k in range(cfg.samples):
-                f = s.rational_function(space.vars, 2, 1, monomial_den=monomial_den)
-                g = s.rational_function(space.vars, 2, 1, monomial_den=monomial_den)
-                h = s.rational_function(space.vars, 2, 1, monomial_den=monomial_den)
-                yield k, f, g, h
+        def bracket(f: RationalFunction, g: RationalFunction) -> RationalFunction:
+            return poisson_bracket(ctx, f, g)
 
-        def antisymmetry(ts=triples) -> Optional[str]:
-            for k, f, g, _ in ts("antisymmetry"):
-                if poisson_bracket(ctx, f, g) != -poisson_bracket(ctx, g, f):
-                    return f"sample {k}: f = {f}, g = {g}"
+        def triple(s: SampleStream) -> List[RationalFunction]:
+            return [
+                s.rational_function(space.vars, 2, 1, monomial_den=monomial_den)
+                for _ in range(3)
+            ]
+
+        def antisymmetry(s: SampleStream, k: int) -> Optional[str]:
+            f, g, _ = triple(s)
+            return None if bracket(f, g) == -bracket(g, f) else f"f = {f}, g = {g}"
+
+        def leibniz(s: SampleStream, k: int) -> Optional[str]:
+            f, g, h = triple(s)
+            if bracket(f, g * h) != bracket(f, g) * h + g * bracket(f, h):
+                return f"f = {f}, g = {g}, h = {h}"
             return None
 
-        def leibniz(ts=triples, c=ctx) -> Optional[str]:
-            for k, f, g, h in ts("leibniz"):
-                lhs = poisson_bracket(c, f, g * h)
-                rhs = poisson_bracket(c, f, g) * h + g * poisson_bracket(c, f, h)
-                if lhs != rhs:
-                    return f"sample {k}: f = {f}, g = {g}, h = {h}"
-            return None
+        def jacobi(s: SampleStream, k: int) -> Optional[str]:
+            f, g, h = triple(s)
+            total = (
+                bracket(f, bracket(g, h))
+                + bracket(g, bracket(h, f))
+                + bracket(h, bracket(f, g))
+            )
+            return None if total.is_zero() else f"f = {f}, g = {g}, h = {h}"
 
-        def jacobi(ts=triples, c=ctx) -> Optional[str]:
-            for k, f, g, h in ts("jacobi"):
-                total = (
-                    poisson_bracket(c, f, poisson_bracket(c, g, h))
-                    + poisson_bracket(c, g, poisson_bracket(c, h, f))
-                    + poisson_bracket(c, h, poisson_bracket(c, f, g))
-                )
-                if not total.is_zero():
-                    return f"sample {k}: f = {f}, g = {g}, h = {h}"
-            return None
+        return [
+            _sampled(
+                f"{law} on the {label} space",
+                cfg.samples, f"{cfg.seed}:poisson:{label}:{case}", check,
+            )
+            for law, case, check in (
+                ("antisymmetry", "antisymmetry", antisymmetry),
+                ("Leibniz rule", "leibniz", leibniz),
+                ("Jacobi identity", "jacobi", jacobi),
+            )
+        ]
 
-        cases.append(
-            _case(f"antisymmetry on the {label} space ({cfg.samples} samples)", antisymmetry)
-        )
-        cases.append(_case(f"Leibniz rule on the {label} space ({cfg.samples} samples)", leibniz))
-        cases.append(
-            _case(f"Jacobi identity on the {label} space ({cfg.samples} samples)", jacobi)
-        )
+    plane = SymplecticSpace.standard(("x", "y"))
+    block = SymplecticSpace.standard(("x1", "y1", "x2", "y2"))
+    cases = cases_on(plane, "plane", False) + cases_on(block, "block", True)
     return _report("poisson", cfg, cases)
 
 
@@ -262,48 +278,32 @@ def run_associativity(cfg: SuiteConfig) -> VerificationReport:
     vs = ("x", "y")
     space = SymplecticSpace.standard(vs)
 
-    def polynomial_case() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:associativity:poly")
-        for k in range(cfg.samples):
-            f = s.polynomial(vs, 3)
-            g = s.polynomial(vs, 3)
-            h = s.polynomial(vs, 3)
-            order = max(
-                f.total_degree(), 0
-            ) + max(g.total_degree(), 0) + max(h.total_degree(), 0)
-            ctx = MoyalContext(space, order)
-            fs = HSeries.constant(RationalFunction.from_polynomial(f), order)
-            gs = HSeries.constant(RationalFunction.from_polynomial(g), order)
-            hs = HSeries.constant(RationalFunction.from_polynomial(h), order)
-            left = moyal_star(ctx, moyal_star(ctx, fs, gs), hs)
-            right = moyal_star(ctx, fs, moyal_star(ctx, gs, hs))
-            if left != right:
-                return f"sample {k}: f = {f}, g = {g}, h = {h}"
+    def polynomial_case(s: SampleStream, k: int) -> Optional[str]:
+        f, g, h = (s.polynomial(vs, 3) for _ in range(3))
+        order = sum(max(p.total_degree(), 0) for p in (f, g, h))
+        ctx = MoyalContext(space, order)
+        fs, gs, hs = (_constant(p, order) for p in (f, g, h))
+        left = moyal_star(ctx, moyal_star(ctx, fs, gs), hs)
+        if left != moyal_star(ctx, fs, moyal_star(ctx, gs, hs)):
+            return f"f = {f}, g = {g}, h = {h}"
         return None
 
-    rational_samples = max(1, cfg.samples // 4)
-
-    def rational_case() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:associativity:rational")
+    def rational_case(s: SampleStream, k: int) -> Optional[str]:
         ctx = MoyalContext(space, cfg.order)
-        for k in range(rational_samples):
-            f = HSeries.constant(s.rational_function(vs, 2, 1), cfg.order)
-            g = HSeries.constant(s.rational_function(vs, 2, 1), cfg.order)
-            h = HSeries.constant(s.rational_function(vs, 2, 1), cfg.order)
-            left = moyal_star(ctx, moyal_star(ctx, f, g), h)
-            right = moyal_star(ctx, f, moyal_star(ctx, g, h))
-            if not hs_equal(left, right, cfg.order):
-                return f"sample {k}: f = {f.coeffs[0]}, g = {g.coeffs[0]}, h = {h.coeffs[0]}"
+        f, g, h = (HSeries.constant(s.rational_function(vs, 2, 1), cfg.order) for _ in range(3))
+        left = moyal_star(ctx, moyal_star(ctx, f, g), h)
+        if not hs_equal(left, moyal_star(ctx, f, moyal_star(ctx, g, h)), cfg.order):
+            return f"f = {f.coeffs[0]}, g = {g.coeffs[0]}, h = {h.coeffs[0]}"
         return None
 
     cases = [
-        _case(
-            f"polynomial triples associate exactly at full order ({cfg.samples} samples)",
-            polynomial_case,
+        _sampled(
+            "polynomial triples associate exactly at full order",
+            cfg.samples, f"{cfg.seed}:associativity:poly", polynomial_case,
         ),
-        _case(
-            f"rational triples associate through order {cfg.order} ({rational_samples} samples)",
-            rational_case,
+        _sampled(
+            f"rational triples associate through order {cfg.order}",
+            max(1, cfg.samples // 4), f"{cfg.seed}:associativity:rational", rational_case,
         ),
     ]
     return _report("associativity", cfg, cases)
@@ -313,35 +313,27 @@ def run_associativity(cfg: SuiteConfig) -> VerificationReport:
 
 
 def run_equivariance(cfg: SuiteConfig) -> VerificationReport:
-    def check_on(space: SymplecticSpace, label: str, samples: int) -> Optional[str]:
+    def shear_case(space: SymplecticSpace, label: str, where: str, samples: int) -> CaseResult:
         ctx = MoyalContext(space, 4)
-        s = SampleStream(f"{cfg.seed}:equivariance:{label}")
-        for k in range(samples):
+
+        def check(s: SampleStream, k: int) -> Optional[str]:
             G = s.symplectic(space)
-            f = HSeries.constant(
-                RationalFunction.from_polynomial(s.polynomial(space.vars, 3)), ctx.order
-            )
-            g = HSeries.constant(
-                RationalFunction.from_polynomial(s.polynomial(space.vars, 3)), ctx.order
-            )
+            f, g = (_constant(s.polynomial(space.vars, 3), ctx.order) for _ in range(2))
             lhs = moyal_star(ctx, apply_symplectic(ctx, G, f), apply_symplectic(ctx, G, g))
-            rhs = apply_symplectic(ctx, G, moyal_star(ctx, f, g))
-            if lhs != rhs:
-                return f"sample {k}: G = {G.matrix}, f = {f.coeffs[0]}, g = {g.coeffs[0]}"
-        return None
+            if lhs != apply_symplectic(ctx, G, moyal_star(ctx, f, g)):
+                return f"G = {G.matrix}, f = {f.coeffs[0]}, g = {g.coeffs[0]}"
+            return None
+
+        return _sampled(
+            f"shear products act equivariantly on {where}",
+            samples, f"{cfg.seed}:equivariance:{label}", check,
+        )
 
     plane = SymplecticSpace.standard(("x", "y"))
     block = SymplecticSpace.standard(("x1", "y1", "x2", "y2"))
-    block_samples = max(1, cfg.samples // 2)
     cases = [
-        _case(
-            f"shear products act equivariantly on the plane ({cfg.samples} samples)",
-            lambda: check_on(plane, "plane", cfg.samples),
-        ),
-        _case(
-            f"shear products act equivariantly on the block space ({block_samples} samples)",
-            lambda: check_on(block, "block", block_samples),
-        ),
+        shear_case(plane, "plane", "the plane", cfg.samples),
+        shear_case(block, "block", "the block space", max(1, cfg.samples // 2)),
     ]
     return _report("equivariance", cfg, cases)
 
@@ -362,72 +354,64 @@ def run_lemma1(cfg: SuiteConfig) -> VerificationReport:
             return f"pullback has extra components: {pulled}"
         return None
 
-    def equivariance() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:lemma1:equivariance")
-        x = RationalFunction.variable(XY, "x")
-        y = RationalFunction.variable(XY, "y")
-        sb = sigma_bindings(ZP, XY)
-        for k in range(cfg.samples):
-            matrix = s.mobius_det1_matrix()
-            (a, b), (c, d) = matrix
-            lift_z, lift_p = cotangent_lift(MobiusMap(matrix), ZP)
-            lhs = (lift_z.substitute(sb), lift_p.substitute(sb))
-            linear = {"x": x * a + y * b, "y": x * c + y * d}
-            rhs = (sb["z"].substitute(linear), sb["p"].substitute(linear))
-            if lhs != rhs:
-                return f"sample {k}: matrix = {matrix}"
+    x, y = (RationalFunction.variable(XY, v) for v in XY)
+    sb = sigma_bindings(ZP, XY)
+
+    def equivariance(s: SampleStream, k: int) -> Optional[str]:
+        matrix = s.mobius_det1_matrix()
+        (a, b), (c, d) = matrix
+        lift_z, lift_p = cotangent_lift(MobiusMap(matrix), ZP)
+        lhs = (lift_z.substitute(sb), lift_p.substitute(sb))
+        linear = {"x": x * a + y * b, "y": x * c + y * d}
+        if lhs != (sb["z"].substitute(linear), sb["p"].substitute(linear)):
+            return f"matrix = {matrix}"
         return None
 
-    def round_trip() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:lemma1:roundtrip")
-        for k in range(cfg.samples):
-            F = s.rational_function(ZP, 2, 1)
-            if sigma_pushforward(sigma_pullback(F, ZP, XY), ZP) != F:
-                return f"sample {k}: F = {F}"
-            num = s.even_polynomial(XY, 4)
-            den = s.even_polynomial(XY, 2)
-            if den.is_zero():
-                den = Polynomial.one(XY)
-            E = EvenFunction(RationalFunction(num, den))
-            if sigma_pullback(sigma_pushforward(E, ZP), ZP, XY) != E:
-                return f"sample {k}: E = {E.value}"
+    def round_trip(s: SampleStream, k: int) -> Optional[str]:
+        F = s.rational_function(ZP, 2, 1)
+        if sigma_pushforward(sigma_pullback(F, ZP, XY), ZP) != F:
+            return f"F = {F}"
+        num = s.even_polynomial(XY, 4)
+        den = s.even_polynomial(XY, 2)
+        if den.is_zero():
+            den = Polynomial.one(XY)
+        E = EvenFunction(RationalFunction(num, den))
+        if sigma_pullback(sigma_pushforward(E, ZP), ZP, XY) != E:
+            return f"E = {E.value}"
         return None
 
-    def bracket_compatibility() -> Optional[str]:
-        chart_space = SymplecticSpace.block([("z", "p", -1)])
-        chart_ctx = MoyalContext(chart_space, 0)
-        plane_ctx = MoyalContext(SymplecticSpace.standard(XY), 0)
-        z = RationalFunction.variable(ZP, "z")
-        p = RationalFunction.variable(ZP, "p")
-        if poisson_bracket(chart_ctx, z, p) != RationalFunction.constant(ZP, -1):
-            return "{z, p} != -1"
-        s = SampleStream(f"{cfg.seed}:lemma1:bracket")
-        for k in range(cfg.samples):
-            F = s.rational_function(ZP, 2, 1)
-            G = s.rational_function(ZP, 2, 1)
-            chart_side = poisson_bracket(chart_ctx, F, G)
-            plane_side = poisson_bracket(
-                plane_ctx,
-                sigma_pullback(F, ZP, XY).value,
-                sigma_pullback(G, ZP, XY).value,
-            )
-            if chart_side != sigma_pushforward(EvenFunction(plane_side), ZP):
-                return f"sample {k}: F = {F}, G = {G}"
+    chart_ctx = MoyalContext(SymplecticSpace.block([("z", "p", -1)]), 0)
+    plane_ctx = MoyalContext(SymplecticSpace.standard(XY), 0)
+
+    def unit_bracket() -> Optional[str]:
+        z, p = (RationalFunction.variable(ZP, v) for v in ZP)
+        unit = poisson_bracket(chart_ctx, z, p) == RationalFunction.constant(ZP, -1)
+        return None if unit else "{z, p} != -1"
+
+    def bracket_compatibility(s: SampleStream, k: int) -> Optional[str]:
+        F = s.rational_function(ZP, 2, 1)
+        G = s.rational_function(ZP, 2, 1)
+        chart_side = poisson_bracket(chart_ctx, F, G)
+        plane_side = poisson_bracket(
+            plane_ctx,
+            sigma_pullback(F, ZP, XY).value,
+            sigma_pullback(G, ZP, XY).value,
+        )
+        if chart_side != sigma_pushforward(EvenFunction(plane_side), ZP):
+            return f"F = {F}, G = {G}"
         return None
 
     cases = [
         _case("pullback of the Liouville form is the standard area form", form_identity),
-        _case(
-            f"cover map intertwines the linear and lifted actions ({cfg.samples} samples)",
-            equivariance,
-        ),
-        _case(
-            f"pushforward and pullback invert each other ({cfg.samples} samples)", round_trip
-        ),
-        _case(
-            f"chart bracket matches the transported plane bracket ({cfg.samples} samples)",
-            bracket_compatibility,
-        ),
+    ] + [
+        _sampled(description, cfg.samples, f"{cfg.seed}:lemma1:{label}", check, before)
+        for label, check, before, description in (
+            ("equivariance", equivariance, None,
+             "cover map intertwines the linear and lifted actions"),
+            ("roundtrip", round_trip, None, "pushforward and pullback invert each other"),
+            ("bracket", bracket_compatibility, unit_bracket,
+             "chart bracket matches the transported plane bracket"),
+        )
     ]
     return _report("lemma1", cfg, cases)
 
@@ -447,42 +431,33 @@ def run_cocycle(cfg: SuiteConfig) -> VerificationReport:
         key for key in atlas.transitions if (key[1], key[0]) in atlas.transitions
     )
 
-    def independence() -> Optional[str]:
-        if not pairs:
-            return "atlas declares no two-way transitions"
-        s = SampleStream(f"{cfg.seed}:cocycle:independence")
-        for k in range(cfg.samples):
-            src, dst = pairs[k % len(pairs)]
-            vs = atlas.chart_vars(src)
-            f = KChartFunction(src, HSeries.constant(
-                RationalFunction.from_polynomial(s.polynomial(vs, 2)), order))
-            g = KChartFunction(src, HSeries.constant(
-                RationalFunction.from_polynomial(s.polynomial(vs, 2)), order))
-            if not chart_independence_check(atlas, f, g, dst, order):
-                return f"sample {k}: {src}->{dst}, f = {f.value.coeffs[0]}, g = {g.value.coeffs[0]}"
+    def two_way() -> Optional[str]:
+        return None if pairs else "atlas declares no two-way transitions"
+
+    def draw(s: SampleStream, src: str) -> KChartFunction:
+        return KChartFunction(src, _constant(s.polynomial(atlas.chart_vars(src), 2), order))
+
+    def independence(s: SampleStream, k: int) -> Optional[str]:
+        src, dst = pairs[k % len(pairs)]
+        f, g = draw(s, src), draw(s, src)
+        if not chart_independence_check(atlas, f, g, dst, order):
+            return f"{src}->{dst}, f = {f.value.coeffs[0]}, g = {g.value.coeffs[0]}"
         return None
 
-    def round_trip() -> Optional[str]:
-        if not pairs:
-            return "atlas declares no two-way transitions"
-        s = SampleStream(f"{cfg.seed}:cocycle:roundtrip")
-        for k in range(cfg.samples):
-            src, dst = pairs[k % len(pairs)]
-            vs = atlas.chart_vars(src)
-            f = KChartFunction(src, HSeries.constant(
-                RationalFunction.from_polynomial(s.polynomial(vs, 2)), order))
-            back = transport(atlas, transport(atlas, f, dst), src)
-            if back.value != f.value:
-                return f"sample {k}: {src}->{dst}->{src}, f = {f.value.coeffs[0]}"
-        return None
+    def round_trip(s: SampleStream, k: int) -> Optional[str]:
+        src, dst = pairs[k % len(pairs)]
+        f = draw(s, src)
+        back = transport(atlas, transport(atlas, f, dst), src)
+        return None if back.value == f.value else f"{src}->{dst}->{src}, f = {f.value.coeffs[0]}"
 
     cases = [
         _case("atlas validates cleanly", validity),
-        _case(
-            f"transport commutes with the glued star product ({cfg.samples} samples)",
-            independence,
-        ),
-        _case(f"transport round trips are the identity ({cfg.samples} samples)", round_trip),
+    ] + [
+        _sampled(description, cfg.samples, f"{cfg.seed}:cocycle:{label}", check, two_way)
+        for label, check, description in (
+            ("independence", independence, "transport commutes with the glued star product"),
+            ("roundtrip", round_trip, "transport round trips are the identity"),
+        )
     ]
     return _report("cocycle", cfg, cases)
 
@@ -492,49 +467,33 @@ def run_cocycle(cfg: SuiteConfig) -> VerificationReport:
 
 def run_evenness(cfg: SuiteConfig) -> VerificationReport:
     XY = ("x", "y")
-    space = SymplecticSpace.standard(XY)
-    ctx = MoyalContext(space, 4)
+    ctx = MoyalContext(SymplecticSpace.standard(XY), 4)
 
-    def closure() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:evenness:closure")
-        for k in range(cfg.samples):
-            f = HSeries.constant(
-                RationalFunction.from_polynomial(s.even_polynomial(XY, 4)), ctx.order
-            )
-            g = HSeries.constant(
-                RationalFunction.from_polynomial(s.even_polynomial(XY, 4)), ctx.order
-            )
-            product = moyal_star(ctx, f, g)
-            for power, coeff in enumerate(product.coeffs):
-                if not is_even(coeff):
-                    return f"sample {k}: h^{power} term {coeff} is odd"
+    def even_product(s: SampleStream) -> HSeries:
+        f, g = (_constant(s.even_polynomial(XY, 4), ctx.order) for _ in range(2))
+        return moyal_star(ctx, f, g)
+
+    def closure(s: SampleStream, k: int) -> Optional[str]:
+        for power, coeff in enumerate(even_product(s).coeffs):
+            if not is_even(coeff):
+                return f"h^{power} term {coeff} is odd"
         return None
 
-    def pushforward_total() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:evenness:pushforward")
-        for k in range(cfg.samples):
-            f = HSeries.constant(
-                RationalFunction.from_polynomial(s.even_polynomial(XY, 4)), ctx.order
-            )
-            g = HSeries.constant(
-                RationalFunction.from_polynomial(s.even_polynomial(XY, 4)), ctx.order
-            )
-            product = moyal_star(ctx, f, g)
-            try:
-                for coeff in product.coeffs:
-                    pushforward_even_pair(coeff, "x", "y", "z", "p")
-            except NotEven as exc:
-                return f"sample {k}: {exc}"
+    def pushforward_total(s: SampleStream, k: int) -> Optional[str]:
+        product = even_product(s)
+        try:
+            for coeff in product.coeffs:
+                pushforward_even_pair(coeff, "x", "y", "z", "p")
+        except NotEven as exc:
+            return str(exc)
         return None
 
     cases = [
-        _case(
-            f"star of even pairs has even coefficients ({cfg.samples} samples)", closure
-        ),
-        _case(
-            f"every coefficient pushes forward to the chart ({cfg.samples} samples)",
-            pushforward_total,
-        ),
+        _sampled(description, cfg.samples, f"{cfg.seed}:evenness:{label}", check)
+        for label, check, description in (
+            ("closure", closure, "star of even pairs has even coefficients"),
+            ("pushforward", pushforward_total, "every coefficient pushes forward to the chart"),
+        )
     ]
     return _report("evenness", cfg, cases)
 
@@ -547,62 +506,47 @@ def run_symmetric(cfg: SuiteConfig) -> VerificationReport:
     vs = ctx.vars
 
     def random_series(s: SampleStream) -> HSeries:
-        return HSeries.constant(
-            RationalFunction.from_polynomial(s.polynomial(vs, 3)), ctx.order
+        return _constant(s.polynomial(vs, 3), ctx.order)
+
+    def idempotent(s: SampleStream, k: int) -> Optional[str]:
+        f = random_series(s)
+        once = symmetrize(ctx, f).value
+        return None if once == symmetrize(ctx, once).value else f"f = {f.coeffs[0]}"
+
+    def invariant_output(s: SampleStream, k: int) -> Optional[str]:
+        f = random_series(s)
+        return None if is_invariant(ctx, symmetrize(ctx, f).value) else f"f = {f.coeffs[0]}"
+
+    def composition(s: SampleStream, k: int) -> Optional[str]:
+        f = random_series(s)
+        sigma = s.permutation(ctx.d)
+        tau = s.permutation(ctx.d)
+        combined = tuple(sigma[tau[i - 1] - 1] for i in range(1, ctx.d + 1))
+        if permute(ctx, sigma, permute(ctx, tau, f)) != permute(ctx, combined, f):
+            return f"sigma = {sigma}, tau = {tau}"
+        return None
+
+    def divisor_invariance(s: SampleStream, k: int) -> Optional[str]:
+        support = []
+        while len(support) < ctx.d:
+            value = s.gaussian()
+            if value not in support:
+                support.append(value)
+        covectors = []
+        while len(covectors) < ctx.d:
+            value = s.gaussian()
+            if not value.is_zero():
+                covectors.append(value)
+        flat = tuple((s.gaussian(), s.gaussian()) for _ in range(ctx.d * (ctx.r - 1)))
+        pt = QuotCellPoint(tuple(support), tuple(covectors), flat)
+        perm = s.permutation(ctx.d)
+        shuffled = QuotCellPoint(
+            tuple(support[perm[i] - 1] for i in range(ctx.d)),
+            tuple(covectors[perm[i] - 1] for i in range(ctx.d)),
+            flat,
         )
-
-    def idempotent() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:symmetric:idempotent")
-        for k in range(cfg.samples):
-            f = random_series(s)
-            once = symmetrize(ctx, f)
-            twice = symmetrize(ctx, once.value)
-            if once.value != twice.value:
-                return f"sample {k}: f = {f.coeffs[0]}"
-        return None
-
-    def invariant_output() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:symmetric:invariant")
-        for k in range(cfg.samples):
-            f = random_series(s)
-            if not is_invariant(ctx, symmetrize(ctx, f).value):
-                return f"sample {k}: f = {f.coeffs[0]}"
-        return None
-
-    def composition() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:symmetric:composition")
-        for k in range(cfg.samples):
-            f = random_series(s)
-            sigma = s.permutation(ctx.d)
-            tau = s.permutation(ctx.d)
-            combined = tuple(sigma[tau[i - 1] - 1] for i in range(1, ctx.d + 1))
-            if permute(ctx, sigma, permute(ctx, tau, f)) != permute(ctx, combined, f):
-                return f"sample {k}: sigma = {sigma}, tau = {tau}"
-        return None
-
-    def divisor_invariance() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:symmetric:divisor")
-        for k in range(cfg.samples):
-            support = []
-            while len(support) < ctx.d:
-                value = s.gaussian()
-                if value not in support:
-                    support.append(value)
-            covectors = []
-            while len(covectors) < ctx.d:
-                value = s.gaussian()
-                if not value.is_zero():
-                    covectors.append(value)
-            flat = tuple((s.gaussian(), s.gaussian()) for _ in range(ctx.d * (ctx.r - 1)))
-            pt = QuotCellPoint(tuple(support), tuple(covectors), flat)
-            perm = s.permutation(ctx.d)
-            shuffled = QuotCellPoint(
-                tuple(support[perm[i] - 1] for i in range(ctx.d)),
-                tuple(covectors[perm[i] - 1] for i in range(ctx.d)),
-                flat,
-            )
-            if support_divisor(pt) != support_divisor(shuffled):
-                return f"sample {k}: support = {[str(v) for v in support]}"
+        if support_divisor(pt) != support_divisor(shuffled):
+            return f"support = {[str(v) for v in support]}"
         return None
 
     def detects_asymmetry() -> Optional[str]:
@@ -616,15 +560,14 @@ def run_symmetric(cfg: SuiteConfig) -> VerificationReport:
         return None
 
     cases = [
-        _case(f"symmetrization is idempotent ({cfg.samples} samples)", idempotent),
-        _case(
-            f"symmetrized series pass the invariance check ({cfg.samples} samples)",
-            invariant_output,
-        ),
-        _case(f"permutation action composes ({cfg.samples} samples)", composition),
-        _case(f"support divisor ignores ordering ({cfg.samples} samples)", divisor_invariance),
-        _case("asymmetric series are detected", detects_asymmetry),
-    ]
+        _sampled(description, cfg.samples, f"{cfg.seed}:symmetric:{label}", check)
+        for label, check, description in (
+            ("idempotent", idempotent, "symmetrization is idempotent"),
+            ("invariant", invariant_output, "symmetrized series pass the invariance check"),
+            ("composition", composition, "permutation action composes"),
+            ("divisor", divisor_invariance, "support divisor ignores ordering"),
+        )
+    ] + [_case("asymmetric series are detected", detects_asymmetry)]
     return _report("symmetric", cfg, cases)
 
 
@@ -636,116 +579,72 @@ def run_theorem1(cfg: SuiteConfig) -> VerificationReport:
     ctx = ProductContext(d=cfg.d, r=cfg.r, order=order)
     vs = ctx.vars
     block_ctx = MoyalContext(ctx.block_space(), order)
+    one = SymSeries(HSeries.one(vs, order))
 
-    def invariant_series(s: SampleStream, degree: int = 2) -> SymSeries:
+    def star(f: SymSeries, g: SymSeries) -> SymSeries:
+        return quot_cell_star(ctx, f, g)
+
+    def invariant_series(s: SampleStream) -> SymSeries:
         while True:
-            candidate = symmetrize(
-                ctx,
-                HSeries.constant(
-                    RationalFunction.from_polynomial(s.polynomial(vs, degree)), order
-                ),
-            )
+            candidate = symmetrize(ctx, _constant(s.polynomial(vs, 2), order))
             if not candidate.value.is_zero():
                 return candidate
 
-    def closure() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:theorem1:closure")
-        for k in range(cfg.samples):
-            f = invariant_series(s)
-            g = invariant_series(s)
-            result = quot_cell_star(ctx, f, g)
-            if not is_invariant(ctx, result.value):
-                return f"sample {k}: f = {f.value.coeffs[0]}, g = {g.value.coeffs[0]}"
+    def closure(s: SampleStream, k: int) -> Optional[str]:
+        f, g = invariant_series(s), invariant_series(s)
+        if not is_invariant(ctx, star(f, g).value):
+            return f"f = {f.value.coeffs[0]}, g = {g.value.coeffs[0]}"
         return None
 
-    def scalar_term() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:theorem1:scalar")
-        for k in range(cfg.samples):
-            f = invariant_series(s)
-            g = invariant_series(s)
-            product = quot_cell_star(ctx, f, g)
-            if product.value.coeffs[0] != f.value.coeffs[0] * g.value.coeffs[0]:
-                return f"sample {k}"
+    def scalar_term(s: SampleStream, k: int) -> Optional[str]:
+        f, g = invariant_series(s), invariant_series(s)
+        product = star(f, g).value.coeffs[0]
+        return None if product == f.value.coeffs[0] * g.value.coeffs[0] else ""
+
+    def unit_law(s: SampleStream, k: int) -> Optional[str]:
+        f = invariant_series(s)
+        if star(one, f).value != f.value or star(f, one).value != f.value:
+            return f"f = {f.value.coeffs[0]}"
         return None
 
-    def unit_law() -> Optional[str]:
-        one = SymSeries(HSeries.one(vs, order))
-        s = SampleStream(f"{cfg.seed}:theorem1:unit")
-        for k in range(cfg.samples):
-            f = invariant_series(s)
-            if (
-                quot_cell_star(ctx, one, f).value != f.value
-                or quot_cell_star(ctx, f, one).value != f.value
-            ):
-                return f"sample {k}: f = {f.value.coeffs[0]}"
+    def commutator(s: SampleStream, k: int) -> Optional[str]:
+        f, g = invariant_series(s), invariant_series(s)
+        comm = star(f, g).value - star(g, f).value
+        if not comm.coeffs[0].is_zero():
+            return f"scalar term {comm.coeffs[0]}"
+        expected = I * poisson_bracket(block_ctx, f.value.coeffs[0], g.value.coeffs[0])
+        if comm.coeffs[1] != expected:
+            return f"h-term {comm.coeffs[1]} != {expected}"
         return None
 
-    def commutator() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:theorem1:commutator")
-        for k in range(cfg.samples):
-            f = invariant_series(s)
-            g = invariant_series(s)
-            comm = quot_cell_star(ctx, f, g).value - quot_cell_star(ctx, g, f).value
-            if not comm.coeffs[0].is_zero():
-                return f"sample {k}: scalar term {comm.coeffs[0]}"
-            expected = I * poisson_bracket(block_ctx, f.value.coeffs[0], g.value.coeffs[0])
-            if comm.coeffs[1] != expected:
-                return f"sample {k}: h-term {comm.coeffs[1]} != {expected}"
-        return None
+    def associativity(s: SampleStream, k: int) -> Optional[str]:
+        f, g, h = (invariant_series(s) for _ in range(3))
+        left = star(star(f, g), h).value
+        return None if hs_equal(left, star(f, star(g, h)).value, order) else ""
 
-    assoc_samples = min(20, cfg.samples)
-
-    def associativity() -> Optional[str]:
-        s = SampleStream(f"{cfg.seed}:theorem1:associativity")
-        for k in range(assoc_samples):
-            f = invariant_series(s)
-            g = invariant_series(s)
-            h = invariant_series(s)
-            left = quot_cell_star(ctx, quot_cell_star(ctx, f, g), h)
-            right = quot_cell_star(ctx, f, quot_cell_star(ctx, g, h))
-            if not hs_equal(left.value, right.value, order):
-                return f"sample {k}"
-        return None
-
-    def cross_factor() -> Optional[str]:
+    def cross_factor(s: SampleStream, k: int) -> Optional[str]:
         if ctx.d < 2:
             return None
-        s = SampleStream(f"{cfg.seed}:theorem1:cross")
-        sub1 = ("z1", "p1")
-        sub2 = ("z2", "p2")
-        for k in range(cfg.samples):
-            f_small = s.polynomial(sub1, 2).with_variables(vs)
-            g_small = s.polynomial(sub2, 2).with_variables(vs)
-            f = HSeries.constant(RationalFunction.from_polynomial(f_small), order)
-            g = HSeries.constant(RationalFunction.from_polynomial(g_small), order)
-            fg = product_star(ctx, f, g)
-            gf = product_star(ctx, g, f)
-            plain = HSeries.constant(
-                RationalFunction.from_polynomial(f_small * g_small), order
-            )
-            if fg != plain or gf != plain:
-                return f"sample {k}: f = {f_small}, g = {g_small}"
+        f_small = s.polynomial(("z1", "p1"), 2).with_variables(vs)
+        g_small = s.polynomial(("z2", "p2"), 2).with_variables(vs)
+        f, g = _constant(f_small, order), _constant(g_small, order)
+        plain = _constant(f_small * g_small, order)
+        if product_star(ctx, f, g) != plain or product_star(ctx, g, f) != plain:
+            return f"f = {f_small}, g = {g_small}"
         return None
 
     cases = [
-        _case(
-            f"cell star of invariant pairs stays invariant ({cfg.samples} samples)", closure
-        ),
-        _case(
-            f"scalar term equals the pointwise product ({cfg.samples} samples)", scalar_term
-        ),
-        _case(f"unit law holds on both sides ({cfg.samples} samples)", unit_law),
-        _case(
-            f"commutator h-term matches the block bracket ({cfg.samples} samples)", commutator
-        ),
-        _case(
-            f"cell star associates through order {order} ({assoc_samples} samples)",
-            associativity,
-        ),
-        _case(
-            f"operands on disjoint factors commute exactly ({cfg.samples} samples)",
-            cross_factor,
-        ),
+        _sampled(description, samples, f"{cfg.seed}:theorem1:{label}", check)
+        for label, check, samples, description in (
+            ("closure", closure, cfg.samples, "cell star of invariant pairs stays invariant"),
+            ("scalar", scalar_term, cfg.samples, "scalar term equals the pointwise product"),
+            ("unit", unit_law, cfg.samples, "unit law holds on both sides"),
+            ("commutator", commutator, cfg.samples,
+             "commutator h-term matches the block bracket"),
+            ("associativity", associativity, min(20, cfg.samples),
+             f"cell star associates through order {order}"),
+            ("cross", cross_factor, cfg.samples, "operands on disjoint factors commute exactly"),
+        )
     ]
     return _report("theorem1", cfg, cases)
 

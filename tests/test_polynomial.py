@@ -99,6 +99,21 @@ def test_gcd_examples():
     assert poly_gcd(2 * (x + y), 2 * x + 2 * y) == x + y
 
 
+def test_gcd_past_unlucky_evaluation_points():
+    x = Polynomial.variable(V, "x")
+    y = Polynomial.variable(V, "y")
+    one = Polynomial.one(V)
+    # y^3 - y vanishes at 0, 1 and -1, the first evaluation points
+    p, q = x + y**3 - y, x - y**3 + y
+    assert poly_gcd(p, q) == one
+    assert poly_gcd((x * y + 2) * p, (x * y + 2) * q) == x * y + 2
+    # the images at the 40 roots of w all have degree 1 in x
+    w = one
+    for t in range(-20, 20):
+        w = w * (y - t)
+    assert poly_gcd(x - y, x - y - w) == one
+
+
 @settings(max_examples=60, deadline=None)
 @given(nonzero_polynomials, nonzero_polynomials, nonzero_polynomials)
 def test_gcd_common_factor(p, q, r):

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from moyalquot import cli
+from moyalquot import cli, suites
 from moyalquot.cli import run
 from moyalquot.suites import SuiteConfig, run_suite, SUITES
 from moyalquot.errors import UnknownSuite, UsageFailure
+from moyalquot.rational import RationalFunction
+from moyalquot.series import HSeries
 
 
 def run_cli(*argv, env_extra=None):
@@ -115,6 +118,8 @@ def test_cli_exit_codes():
     assert run_cli("star", "--space", "nope", "x", "y").returncode == 4
     assert run_cli("star", "--space", "flatN", "--d", "0", "x1", "y1").returncode == 4
     assert run_cli("poisson", "--space", "flatN", "--d", "0", "x1", "y1").returncode == 4
+    assert run_cli("star", "--space", "product", "--d", "0", "z1", "p1").returncode == 4
+    assert run_cli("verify", "theorem1", "--d", "0").returncode == 4
     bad_point = run_cli("validate-point", "--support", "0,0", "--covectors", "1,1")
     assert bad_point.returncode == 3
     non_invariant = run_cli(
@@ -219,6 +224,12 @@ def test_cli_operand_with_leading_minus_needs_double_dash(capsys):
     assert "'--'" not in capsys.readouterr().err
     assert run(["star", "--space", "flat2", "--order", "2", "-2", "y"]) == 0
     assert capsys.readouterr().out == "-2*y\n"
+    # an option value that starts with '-' is joined to its option with '='
+    assert run(["validate-point", "--support", "-1,2", "--covectors", "1,1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --support: expected one argument")
+    assert "with '=', as in: --support=-1,2)" in err and err.count("\n") == 1
+    assert run(["validate-point", "--support=-1,2", "--covectors", "1,1"]) == 0
 
 
 def test_cli_internal_error_is_one_line_exit_5(monkeypatch, capsys):
@@ -230,3 +241,59 @@ def test_cli_internal_error_is_one_line_exit_5(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: engine fault on two lines\n"
+
+
+VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify"
+_GOLDEN_ARGS = ("--seed", "1", "--samples", "3")
+VERIFY_GOLDEN_CASES = [
+    (f"{suite}_seed1_samples3", ["verify", suite, *_GOLDEN_ARGS]) for suite in sorted(SUITES)
+] + [
+    (f"{suite}_seed1_samples3_d3_r1", ["verify", suite, *_GOLDEN_ARGS, "--d", "3", "--r", "1"])
+    for suite in ("theorem1", "symmetric")
+] + [
+    (
+        "cocycle_bad_atlas",
+        ["verify", "cocycle", *_GOLDEN_ARGS, "--atlas", str(VERIFY_GOLDEN / "bad.atlas")],
+    ),
+]
+
+
+@pytest.mark.parametrize("name,argv", VERIFY_GOLDEN_CASES, ids=[n for n, _ in VERIFY_GOLDEN_CASES])
+def test_cli_verify_reports_match_golden(name, argv, capsys):
+    expected = (VERIFY_GOLDEN / f"{name}.txt").read_text()
+    code = run(argv)
+    assert capsys.readouterr().out == expected
+    assert code == (1 if "FAIL" in expected else 0)
+
+
+def test_planted_moyal_fault_fails_with_exact_counterexamples(monkeypatch):
+    real = suites.moyal_star
+
+    def shifted(ctx, f, g):
+        # adds the first variable to the h-term of every product
+        coeffs = list(real(ctx, f, g).coeffs)
+        if len(coeffs) > 1:
+            coeffs[1] = coeffs[1] + RationalFunction.variable(coeffs[1].vars, coeffs[1].vars[0])
+        return HSeries(coeffs)
+
+    monkeypatch.setattr(suites, "moyal_star", shifted)
+    cfg = SuiteConfig(seed=1, samples=3)
+    failures = [
+        line
+        for name in ("axioms", "associativity", "evenness")
+        for line in run_suite(name, cfg).render_text().splitlines()
+        if line.startswith("FAIL")
+    ]
+    assert failures == [
+        "FAIL unit law holds on both sides (3 samples): sample 0: "
+        "f = 2*x^2*y^2 - 2*x^3 + (1 + i)*y^3 + 1 + h - x^2*y*h^2",
+        "FAIL polynomial triples associate exactly at full order (3 samples): sample 0: "
+        "f = (1/2)*x*y^2 + i*y^2, g = 2*x^2*y - (1/2)*x - 2, "
+        "h = -2*x^2 + 3*x*y + (1 + i)*x + (1 + i)",
+        "FAIL rational triples associate through order 6 (1 samples): sample 0: "
+        "f = -(2/3)*y^2 - (1/6)*x, g = (x^2 - 1/3)/(y + 1), h = ((1/2)*x + 1)/(x + (1/2)*i)",
+        "FAIL every coefficient pushes forward to the chart (3 samples): sample 0: "
+        "odd power of y after substitution",
+        "FAIL star of even pairs has even coefficients (3 samples): sample 0: "
+        "h^1 term x^2 + (2 + (3/2)*i)*x*y - (3/2)*i*y^2 + x is odd",
+    ]
