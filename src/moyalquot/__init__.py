@@ -1,17 +1,17 @@
 """moyalquot: exact Moyal-Weyl star products over Gaussian-rational coefficients.
 
 The package provides exact multivariate rational-function arithmetic, star
-products on constant symplectic spaces, their transport to cotangent charts
-of the projective line through the quadric double cover, gluing across
-Mobius-transition atlases, and the symmetrized product on quot-cell
-coordinates, together with a CLI and seeded verification suites.
+products on constant symplectic spaces given in Darboux pairs, their
+transport to cotangent charts of the projective line through the quadric
+double cover, gluing across Mobius-transition atlases, and the symmetrized
+product on quot-cell coordinates, together with a CLI and seeded
+verification suites.
 """
 
 from .errors import (
     BadPermutation,
     ChartMismatch,
     DegenerateMatrix,
-    DegreeTooHigh,
     DomainError,
     ExprSyntaxError,
     HInDenominator,
@@ -35,27 +35,23 @@ from .errors import (
 )
 from .gaussian import GaussianRational
 from .polynomial import Polynomial, poly_divexact, poly_gcd
-from .rational import RationalFunction, rf_derivative, rf_normalize, rf_substitute
-from .series import HSeries, hs_equal, hs_mul
+from .rational import RationalFunction, rf_normalize
+from .series import HSeries, hs_equal
 from .moyal import (
     LinearSymplectic,
     MoyalContext,
     SymplecticSpace,
     apply_symplectic,
     bidiff_power,
-    block_sum,
     moyal_star,
     poisson_bracket,
     star_commutator,
 )
 from .geometry import (
-    ChartForm,
     EvenFunction,
     MobiusMap,
     cotangent_lift,
-    exterior_derivative,
     liouville_symplectic,
-    pullback_form,
     sigma_pullback,
     sigma_pushforward,
 )

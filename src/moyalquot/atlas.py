@@ -11,7 +11,7 @@ one (z, p) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import (
     AtlasFormatError,
@@ -85,20 +85,6 @@ class ProjectiveAtlas:
                 f"transition {src}->{dst} has determinant {det}, expected 1"
             )
         return MobiusMap(matrix)
-
-
-def normalize_unimodular(matrix) -> Optional[Matrix2]:
-    """Rescale to determinant 1 over Q(i), or None when impossible."""
-    m = _coerce_matrix2(matrix)
-    det = _det2(m)
-    if det.is_zero():
-        return None
-    if det.is_one():
-        return m
-    root = det.inverse().sqrt()
-    if root is None:
-        return None
-    return tuple(tuple(v * root for v in row) for row in m)
 
 
 def standard_cp1_atlas() -> ProjectiveAtlas:
@@ -273,12 +259,12 @@ def parse_atlas(text: str) -> ProjectiveAtlas:
             matrix: Matrix2 = ((a, b), (c, d))
             det = _det2(matrix)
             if not det.is_zero() and not det.is_one():
-                normalized = normalize_unimodular(matrix)
-                if normalized is None:
+                unit = MobiusMap(matrix).unimodular()
+                if unit is None:
                     raise AtlasFormatError(
                         f"line {lineno}: determinant {det} admits no Q(i) rescaling to 1"
                     )
-                matrix = normalized
+                matrix = unit.matrix
             transitions[key] = matrix
         else:
             raise AtlasFormatError(f"line {lineno}: unknown directive {fields[0]!r}")

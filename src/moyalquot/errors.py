@@ -52,10 +52,6 @@ class NotSymplectic(DomainError):
     """A matrix or form fails the symplectic condition."""
 
 
-class DegreeTooHigh(DomainError):
-    """Form degree outside the supported range."""
-
-
 class NotEven(DomainError):
     """Function is not invariant under the sign involution."""
 

@@ -135,6 +135,8 @@ def _tokenize(text: str) -> List[_Token]:
 # Parentheses and unary minus nest the recursive descent; past this depth the
 # input is rejected before the interpreter stack runs out.
 MAX_NESTING = 100
+# Lowering x^e takes |e| multiplications, so larger exponents are rejected.
+MAX_EXPONENT = 1000
 
 
 class _Parser:
@@ -211,7 +213,7 @@ class _Parser:
         return node
 
     def integer(self) -> int:
-        token = self.peek()
+        token = start = self.peek()
         negative = False
         if token.kind == "op" and token.text == "-":
             self.advance()
@@ -220,7 +222,12 @@ class _Parser:
         if token.kind != "int":
             raise ExprSyntaxError("expected an integer exponent", token.pos)
         self.advance()
-        value = int(token.text)
+        digits = token.text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ExprSyntaxError(
+                f"exponent larger than {MAX_EXPONENT} in absolute value", start.pos
+            )
+        value = int(digits)
         return -value if negative else value
 
     def base(self) -> Node:

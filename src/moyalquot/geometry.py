@@ -1,4 +1,4 @@
-"""Chart-level geometry: exterior forms, Mobius maps, and the quadric cover.
+"""Chart-level geometry: the Liouville form, Mobius maps, and the quadric cover.
 
 The central coordinate change is the double cover
 
@@ -31,198 +31,26 @@ coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import (
-    DegenerateMatrix,
-    DegreeTooHigh,
-    NotEven,
-    SubstitutionPole,
-    VariableMismatch,
-)
+from .errors import DegenerateMatrix, NotEven, SubstitutionPole, VariableMismatch
 from .gaussian import GaussianRational
+from .moyal import SymplecticSpace
 from .polynomial import Polynomial
 from .rational import RationalFunction
 
 Matrix2 = Tuple[Tuple[GaussianRational, GaussianRational], Tuple[GaussianRational, GaussianRational]]
 
 
-# -- exterior forms ------------------------------------------------------------
+# -- the Liouville form ---------------------------------------------------------
+
+# dp^dz on a cotangent chart (z, p) is d(p dz): omega(z, p) = -1.
+LIOUVILLE_SCALE = -1
 
 
-class ChartForm:
-    """A 0-, 1- or 2-form with rational-function coefficients.
-
-    Only strictly increasing index tuples are stored, so antisymmetry is
-    built into the representation.
-    """
-
-    __slots__ = ("vars", "degree", "coeffs")
-
-    def __init__(
-        self,
-        variables: Sequence[str],
-        degree: int,
-        coeffs: Mapping[Tuple[int, ...], RationalFunction],
-    ):
-        vs = tuple(variables)
-        if degree not in (0, 1, 2):
-            raise DegreeTooHigh(f"unsupported form degree {degree}")
-        cleaned: Dict[Tuple[int, ...], RationalFunction] = {}
-        for key, value in coeffs.items():
-            key = tuple(key)
-            if len(key) != degree:
-                raise ValueError(f"index tuple {key} does not match degree {degree}")
-            if any(i < 0 or i >= len(vs) for i in key):
-                raise ValueError(f"index out of range in {key}")
-            if list(key) != sorted(set(key)):
-                raise ValueError(f"indices must be strictly increasing, got {key}")
-            if value.vars != vs:
-                raise VariableMismatch("coefficient variables do not match the chart")
-            if not value.is_zero():
-                cleaned[key] = value
-        self.vars = vs
-        self.degree = degree
-        self.coeffs = cleaned
-
-    @classmethod
-    def function(cls, value: RationalFunction) -> "ChartForm":
-        return cls(value.vars, 0, {(): value})
-
-    @classmethod
-    def one_form(cls, variables: Sequence[str], parts: Mapping[str, RationalFunction]) -> "ChartForm":
-        vs = tuple(variables)
-        return cls(vs, 1, {(vs.index(name),): value for name, value in parts.items()})
-
-    @classmethod
-    def zero(cls, variables: Sequence[str], degree: int) -> "ChartForm":
-        return cls(variables, degree, {})
-
-    def coefficient(self, *names: str) -> RationalFunction:
-        key = tuple(self.vars.index(n) for n in names)
-        return self.coeffs.get(key, RationalFunction.zero(self.vars))
-
-    def __add__(self, other: "ChartForm") -> "ChartForm":
-        if self.vars != other.vars or self.degree != other.degree:
-            raise VariableMismatch("forms are not compatible")
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            cur = out.get(key)
-            out[key] = value if cur is None else cur + value
-        return ChartForm(self.vars, self.degree, out)
-
-    def __neg__(self) -> "ChartForm":
-        return ChartForm(self.vars, self.degree, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "ChartForm") -> "ChartForm":
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChartForm):
-            return NotImplemented
-        return (
-            self.vars == other.vars
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.vars, self.degree, frozenset(self.coeffs.items())))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for key in sorted(self.coeffs):
-            value = self.coeffs[key]
-            basis = "^".join(f"d{self.vars[i]}" for i in key)
-            pieces.append(f"({value})" + (f"*{basis}" if basis else ""))
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"ChartForm({self})"
-
-
-def exterior_derivative(w: ChartForm) -> ChartForm:
-    if w.degree == 0:
-        f = w.coeffs.get((), RationalFunction.zero(w.vars))
-        parts = {}
-        for idx, name in enumerate(w.vars):
-            d = f.derivative(name)
-            if not d.is_zero():
-                parts[(idx,)] = d
-        return ChartForm(w.vars, 1, parts)
-    if w.degree == 1:
-        parts: Dict[Tuple[int, ...], RationalFunction] = {}
-        for (j,), fj in w.coeffs.items():
-            for i in range(len(w.vars)):
-                if i == j:
-                    continue
-                d = fj.derivative(w.vars[i])
-                if d.is_zero():
-                    continue
-                key, sign = ((i, j), 1) if i < j else ((j, i), -1)
-                cur = parts.get(key, RationalFunction.zero(w.vars))
-                parts[key] = cur + (d if sign > 0 else -d)
-        return ChartForm(w.vars, 2, parts)
-    raise DegreeTooHigh("three-forms are not representable here")
-
-
-def pullback_form(w: ChartForm, bindings: Mapping[str, RationalFunction]) -> ChartForm:
-    """Standard pullback along the map whose components are `bindings`."""
-    if set(bindings) != set(w.vars):
-        raise VariableMismatch(
-            f"bindings {sorted(bindings)} do not cover form variables {w.vars}"
-        )
-    target: Optional[Tuple[str, ...]] = None
-    for value in bindings.values():
-        if target is None:
-            target = value.vars
-        elif value.vars != target:
-            raise VariableMismatch("binding values do not share one variable set")
-    assert target is not None
-
-    grads: Dict[str, Tuple[RationalFunction, ...]] = {
-        name: tuple(value.derivative(t) for t in target)
-        for name, value in bindings.items()
-    }
-
-    if w.degree == 0:
-        return ChartForm.function(w.coeffs.get((), RationalFunction.zero(w.vars)).substitute(bindings))
-
-    if w.degree == 1:
-        parts: Dict[Tuple[int, ...], RationalFunction] = {}
-        for (j,), fj in w.coeffs.items():
-            fsub = fj.substitute(bindings)
-            for u, dphi in enumerate(grads[w.vars[j]]):
-                if dphi.is_zero():
-                    continue
-                cur = parts.get((u,), RationalFunction.zero(target))
-                parts[(u,)] = cur + fsub * dphi
-        return ChartForm(target, 1, parts)
-
-    parts = {}
-    for (i, j), f in w.coeffs.items():
-        fsub = f.substitute(bindings)
-        gi = grads[w.vars[i]]
-        gj = grads[w.vars[j]]
-        for u in range(len(target)):
-            for v in range(u + 1, len(target)):
-                wedge = gi[u] * gj[v] - gi[v] * gj[u]
-                if wedge.is_zero():
-                    continue
-                cur = parts.get((u, v), RationalFunction.zero(target))
-                parts[(u, v)] = cur + fsub * wedge
-    return ChartForm(target, 2, parts)
-
-
-def liouville_symplectic(zp: Sequence[str] = ("z", "p")) -> ChartForm:
-    """dp^dz on the cotangent chart (z, p); equals d(p*dz)."""
-    vs = tuple(zp)
-    return ChartForm(vs, 2, {(0, 1): RationalFunction.constant(vs, -1)})
+def liouville_symplectic(zp: Sequence[str] = ("z", "p")) -> SymplecticSpace:
+    """The cotangent chart (z, p) with its Liouville form dp^dz."""
+    return SymplecticSpace.block([(zp[0], zp[1], LIOUVILLE_SCALE)])
 
 
 # -- Mobius maps ----------------------------------------------------------------

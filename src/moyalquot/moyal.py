@@ -1,11 +1,11 @@
-"""Constant symplectic spaces, Poisson brackets, and the Moyal-Weyl product.
+"""Symplectic spaces in Darboux pairs, Poisson brackets, and the Moyal-Weyl product.
 
-The bracket convention is pinned by the normalization {x, y} = +1 on the
-standard two-dimensional space with form dx^dy: writing pi for the stored
-inverse of the form matrix (pi . omega = identity), the bracket contracts the
-transposed bivector,
+A space is a tuple of Darboux pairs (q, p, s): the form has omega(q, p) = s
+and vanishes between variables of different pairs, so {q, p} = 1/s.  The
+normalization is {x, y} = +1 on the standard plane with form dx^dy.  The
+bracket contracts the bivector entries (q, p, 1/s) and (p, q, -1/s),
 
-    {f, g} = sum_ab pi[b][a] (d_a f)(d_b g),
+    {f, g} = sum over pairs of ((d_q f)(d_p g) - (d_p f)(d_q g)) / s,
 
 which on the standard space is f_x g_y - f_y g_x.  The bidifferential
 operator D underlying the star product applies the same contraction to the
@@ -57,90 +57,66 @@ def mat_identity(n: int) -> Matrix:
     )
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse; raises NotSymplectic when singular."""
-    n = len(a)
-    work = [list(row) + list(ident_row) for row, ident_row in zip(a, mat_identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            raise NotSymplectic("form matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if factor.is_zero():
-                continue
-            work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+def form_pullback(m, omega: Matrix):
+    """m^T omega m: the constant form omega pulled back along the Jacobian m.
+
+    The entries of m may be scalars or rational functions.
+    """
+    return mat_mul(mat_mul(mat_transpose(m), omega), m)
 
 
 class SymplecticSpace:
-    """A variable tuple with a constant antisymmetric invertible form."""
+    """Variables in Darboux pairs (q1, p1, q2, p2, ...) with omega(q_k, p_k) = s_k."""
 
-    __slots__ = ("vars", "omega", "pi", "bivector", "pairs")
+    __slots__ = ("vars", "scales", "brackets")
 
-    def __init__(self, variables: Sequence[str], omega: Sequence[Sequence[object]]):
+    def __init__(self, variables: Sequence[str], scales: Sequence[object]):
         vs = tuple(variables)
-        if len(vs) % 2 or not vs:
+        if not vs or len(vs) != 2 * len(scales):
             raise NotSymplectic(f"need an even positive number of variables, got {len(vs)}")
         if len(set(vs)) != len(vs):
             raise NameCollision(f"duplicate variable names in {vs}")
-        form = as_matrix(omega)
-        n = len(vs)
-        if len(form) != n or any(len(row) != n for row in form):
-            raise NotSymplectic("form matrix shape does not match the variables")
-        for i in range(n):
-            for j in range(n):
-                if form[i][j] != -form[j][i]:
-                    raise NotSymplectic("form matrix is not antisymmetric")
         self.vars = vs
-        self.omega = form
-        self.pi = mat_inverse(form)
-        self.bivector = mat_transpose(self.pi)
-        self.pairs = tuple(
-            (a, b, self.bivector[a][b])
-            for a in range(n)
-            for b in range(n)
-            if not self.bivector[a][b].is_zero()
-        )
+        self.scales = tuple(GaussianRational.coerce(s) for s in scales)
+        if any(s.is_zero() for s in self.scales):
+            raise NotSymplectic("a Darboux pair has omega(q, p) = 0")
+        # the nonzero bivector entries (a, b, {x_a, x_b}), two per pair
+        brackets = []
+        for k, s in enumerate(self.scales):
+            inv = s.inverse()
+            brackets += [(2 * k, 2 * k + 1, inv), (2 * k + 1, 2 * k, -inv)]
+        self.brackets = tuple(brackets)
 
     @classmethod
     def block(cls, pairs: Sequence[Tuple[str, str, object]]) -> "SymplecticSpace":
-        """Block-diagonal space from (var1, var2, omega(e1, e2)) triples."""
-        names: List[str] = []
-        for v1, v2, _ in pairs:
-            names.extend((v1, v2))
-        n = len(names)
-        rows = [[G_ZERO] * n for _ in range(n)]
-        for k, (_, _, sign) in enumerate(pairs):
-            s = GaussianRational.coerce(sign)
-            rows[2 * k][2 * k + 1] = s
-            rows[2 * k + 1][2 * k] = -s
-        return cls(names, rows)
+        """The space of Darboux pairs (q, p, omega(q, p))."""
+        return cls([v for q, p, _ in pairs for v in (q, p)], [s for _, _, s in pairs])
 
     @classmethod
     def standard(cls, variables: Sequence[str]) -> "SymplecticSpace":
         """Interleaved (q1, p1, q2, p2, ...) with omega(q_k, p_k) = 1."""
-        vs = tuple(variables)
-        if len(vs) % 2:
-            raise NotSymplectic("standard space needs an even number of variables")
-        return cls.block([(vs[2 * k], vs[2 * k + 1], 1) for k in range(len(vs) // 2)])
+        return cls(variables, [1] * (len(variables) // 2))
 
     @property
     def dim(self) -> int:
         return len(self.vars)
 
+    @property
+    def omega(self) -> Matrix:
+        """The form matrix, block-diagonal in the pairs."""
+        rows = [[G_ZERO] * self.dim for _ in range(self.dim)]
+        for k, s in enumerate(self.scales):
+            rows[2 * k][2 * k + 1] = s
+            rows[2 * k + 1][2 * k] = -s
+        return tuple(map(tuple, rows))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticSpace):
             return NotImplemented
-        return self.vars == other.vars and self.omega == other.omega
+        return self.vars == other.vars and self.scales == other.scales
 
     def __hash__(self):
-        return hash((self.vars, self.omega))
+        return hash((self.vars, self.scales))
 
     def __repr__(self) -> str:
         return f"SymplecticSpace({self.vars!r})"
@@ -170,31 +146,14 @@ class LinearSymplectic:
         m = as_matrix(matrix)
         if len(m) != space.dim or any(len(row) != space.dim for row in m):
             raise NotSymplectic("matrix shape does not match the space")
-        if mat_mul(mat_mul(mat_transpose(m), space.omega), m) != space.omega:
+        omega = space.omega
+        if form_pullback(m, omega) != omega:
             raise NotSymplectic("matrix does not preserve the symplectic form")
         self.matrix = m
         self.space = space
 
-    def compose(self, other: "LinearSymplectic") -> "LinearSymplectic":
-        if self.space != other.space:
-            raise NotSymplectic("composing maps of different spaces")
-        return LinearSymplectic(mat_mul(self.matrix, other.matrix), self.space)
-
     def __repr__(self) -> str:
         return f"LinearSymplectic({self.matrix!r})"
-
-
-def block_sum(a: SymplecticSpace, b: SymplecticSpace) -> SymplecticSpace:
-    """Product space: concatenated variables, block-diagonal form."""
-    if set(a.vars) & set(b.vars):
-        raise NameCollision(f"shared names {sorted(set(a.vars) & set(b.vars))}")
-    na, nb = a.dim, b.dim
-    rows = []
-    for i in range(na):
-        rows.append(list(a.omega[i]) + [G_ZERO] * nb)
-    for i in range(nb):
-        rows.append([G_ZERO] * na + list(b.omega[i]))
-    return SymplecticSpace(a.vars + b.vars, rows)
 
 
 class _DerivTable:
@@ -247,13 +206,13 @@ def _bidiff(space: SymplecticSpace, tf: _DerivTable, tg: _DerivTable, k: int) ->
         return RationalFunction.zero(space.vars)
     n = space.dim
     acc = RationalFunction.zero(space.vars)
-    for combo in combinations_with_replacement(range(len(space.pairs)), k):
+    for combo in combinations_with_replacement(range(len(space.brackets)), k):
         alpha = [0] * n
         beta = [0] * n
         coeff = G_ONE
         mult = factorial(k)
         for idx, count in Counter(combo).items():
-            a, b, value = space.pairs[idx]
+            a, b, value = space.brackets[idx]
             alpha[a] += count
             beta[b] += count
             coeff = coeff * (value ** count)
@@ -277,7 +236,7 @@ def bidiff_power(ctx: MoyalContext, f: RationalFunction, g: RationalFunction, k:
     """The k-th power of the bidifferential operator, restricted to the diagonal."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    space = ctx.space if isinstance(ctx, MoyalContext) else ctx
+    space = ctx.space
     _check_function(space, f)
     _check_function(space, g)
     return _bidiff(space, _DerivTable(space.vars, f), _DerivTable(space.vars, g), k)
@@ -333,7 +292,7 @@ def star_commutator(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
 
 def apply_symplectic(ctx: MoyalContext, G: LinearSymplectic, f: HSeries) -> HSeries:
     """Coefficient-wise pullback of f along the linear map."""
-    space = ctx.space if isinstance(ctx, MoyalContext) else ctx
+    space = ctx.space
     if G.space != space:
         raise NotSymplectic("map was validated against a different space")
     if f.vars != space.vars:

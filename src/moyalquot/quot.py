@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadPermutation, InvalidPoint, NotInvariant, VariableMismatch
 from .gaussian import GaussianRational
-from .geometry import pushforward_even_pair, sigma_pullback_pair
+from .geometry import LIOUVILLE_SCALE, pushforward_even_pair, sigma_pullback_pair
 from .moyal import MoyalContext, SymplecticSpace
 from .moyal import moyal_star as _moyal_star
 from .rational import RationalFunction
@@ -66,7 +66,7 @@ def chart_block_space(
 ) -> SymplecticSpace:
     """The chart-side form: dp^dz per chart pair, du^dv per flat pair."""
     return SymplecticSpace.block(
-        [(z, p, -1) for z, p in chart_pairs] + [(u, v, 1) for u, v in flat_pairs]
+        [(z, p, LIOUVILLE_SCALE) for z, p in chart_pairs] + [(u, v, 1) for u, v in flat_pairs]
     )
 
 

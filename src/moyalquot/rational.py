@@ -276,11 +276,3 @@ def rf_normalize(num: Polynomial, den: Polynomial) -> RationalFunction:
         num = poly_divexact(num, g)
         den = poly_divexact(den, g)
     return RationalFunction._from_coprime(num, den)
-
-
-def rf_derivative(f: RationalFunction, name: str) -> RationalFunction:
-    return f.derivative(name)
-
-
-def rf_substitute(f: RationalFunction, bindings: Mapping[str, RationalFunction]) -> RationalFunction:
-    return f.substitute(bindings)

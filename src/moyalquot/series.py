@@ -192,10 +192,6 @@ def _series_term_text(coeff: RationalFunction, power: int) -> Tuple[str, str]:
     return sign, frac if not h else f"{frac}*{h}"
 
 
-def hs_mul(a: HSeries, b: HSeries) -> HSeries:
-    return a * b
-
-
 def hs_equal(a: HSeries, b: HSeries, upto: int) -> bool:
     """Exact coefficient equality through order `upto`."""
     if upto > a.order or upto > b.order:

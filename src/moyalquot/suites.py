@@ -28,7 +28,6 @@ from .geometry import (
     liouville_symplectic,
     MobiusMap,
     cotangent_lift,
-    pullback_form,
     pushforward_even_pair,
     sigma_bindings,
     sigma_pullback,
@@ -38,6 +37,7 @@ from .moyal import (
     MoyalContext,
     SymplecticSpace,
     apply_symplectic,
+    form_pullback,
     moyal_star,
     poisson_bracket,
     star_commutator,
@@ -183,8 +183,11 @@ def run_axioms(cfg: SuiteConfig) -> VerificationReport:
     ctx = MoyalContext(SymplecticSpace.standard(vs), min(cfg.order, 4))
     one = HSeries.one(vs, ctx.order)
 
-    def draw(s: SampleStream) -> HSeries:
-        return s.series(vs, ctx.order, max_degree=4, h_terms=3)
+    # the commutator's h-term needs order 1 at least
+    comm_ctx = MoyalContext(ctx.space, max(ctx.order, 1))
+
+    def draw(s: SampleStream, order: int = ctx.order) -> HSeries:
+        return s.series(vs, order, max_degree=4, h_terms=3)
 
     def scalar_term(s: SampleStream, k: int) -> Optional[str]:
         f, g = draw(s), draw(s)
@@ -197,8 +200,8 @@ def run_axioms(cfg: SuiteConfig) -> VerificationReport:
         return None if moyal_star(ctx, one, f) == f == moyal_star(ctx, f, one) else f"f = {f}"
 
     def commutator_term(s: SampleStream, k: int) -> Optional[str]:
-        f, g = draw(s), draw(s)
-        comm = star_commutator(ctx, f, g)
+        f, g = draw(s, comm_ctx.order), draw(s, comm_ctx.order)
+        comm = star_commutator(comm_ctx, f, g)
         if not comm.coeffs[0].is_zero():
             return f"scalar term {comm.coeffs[0]}"
         expected = I * poisson_bracket(ctx, f.coeffs[0], g.coeffs[0])
@@ -345,17 +348,18 @@ def run_lemma1(cfg: SuiteConfig) -> VerificationReport:
     ZP = ("z", "p")
     XY = ("x", "y")
 
-    def form_identity() -> Optional[str]:
-        pulled = pullback_form(liouville_symplectic(ZP), sigma_bindings(ZP, XY))
-        area = pulled.coefficient("x", "y")
-        if pulled.degree != 2 or area != RationalFunction.one(XY):
-            return f"pullback is {pulled}"
-        if len(pulled.coeffs) != 1:
-            return f"pullback has extra components: {pulled}"
-        return None
-
     x, y = (RationalFunction.variable(XY, v) for v in XY)
     sb = sigma_bindings(ZP, XY)
+    chart_ctx = MoyalContext(liouville_symplectic(ZP), 0)
+    plane_ctx = MoyalContext(SymplecticSpace.standard(XY), 0)
+
+    def form_identity() -> Optional[str]:
+        jacobian = [[sb[v].derivative(t) for t in XY] for v in ZP]
+        pulled = form_pullback(jacobian, chart_ctx.space.omega)
+        if pulled != plane_ctx.space.omega:
+            rows = "; ".join(", ".join(str(e) for e in row) for row in pulled)
+            return f"pullback form matrix is [{rows}]"
+        return None
 
     def equivariance(s: SampleStream, k: int) -> Optional[str]:
         matrix = s.mobius_det1_matrix()
@@ -379,9 +383,6 @@ def run_lemma1(cfg: SuiteConfig) -> VerificationReport:
         if sigma_pullback(sigma_pushforward(E, ZP), ZP, XY) != E:
             return f"E = {E.value}"
         return None
-
-    chart_ctx = MoyalContext(SymplecticSpace.block([("z", "p", -1)]), 0)
-    plane_ctx = MoyalContext(SymplecticSpace.standard(XY), 0)
 
     def unit_bracket() -> Optional[str]:
         z, p = (RationalFunction.variable(ZP, v) for v in ZP)
@@ -579,14 +580,16 @@ def run_theorem1(cfg: SuiteConfig) -> VerificationReport:
     ctx = ProductContext(d=cfg.d, r=cfg.r, order=order)
     vs = ctx.vars
     block_ctx = MoyalContext(ctx.block_space(), order)
+    # the commutator's h-term needs order 1 at least
+    comm_ctx = ProductContext(d=cfg.d, r=cfg.r, order=max(order, 1))
     one = SymSeries(HSeries.one(vs, order))
 
     def star(f: SymSeries, g: SymSeries) -> SymSeries:
         return quot_cell_star(ctx, f, g)
 
-    def invariant_series(s: SampleStream) -> SymSeries:
+    def invariant_series(s: SampleStream, n: int = order) -> SymSeries:
         while True:
-            candidate = symmetrize(ctx, _constant(s.polynomial(vs, 2), order))
+            candidate = symmetrize(ctx, _constant(s.polynomial(vs, 2), n))
             if not candidate.value.is_zero():
                 return candidate
 
@@ -608,8 +611,8 @@ def run_theorem1(cfg: SuiteConfig) -> VerificationReport:
         return None
 
     def commutator(s: SampleStream, k: int) -> Optional[str]:
-        f, g = invariant_series(s), invariant_series(s)
-        comm = star(f, g).value - star(g, f).value
+        f, g = (invariant_series(s, comm_ctx.order) for _ in range(2))
+        comm = quot_cell_star(comm_ctx, f, g).value - quot_cell_star(comm_ctx, g, f).value
         if not comm.coeffs[0].is_zero():
             return f"scalar term {comm.coeffs[0]}"
         expected = I * poisson_bracket(block_ctx, f.value.coeffs[0], g.value.coeffs[0])

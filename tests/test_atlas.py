@@ -6,7 +6,6 @@ from moyalquot.atlas import (
     atlas_validate,
     chart_independence_check,
     load_atlas,
-    normalize_unimodular,
     parse_atlas,
     standard_cp1_atlas,
     star_on_K,
@@ -89,12 +88,6 @@ def test_non_unit_determinant_reported():
     )
     report = atlas_validate(atlas)
     assert any("NonUnitDeterminant" in issue for issue in report.issues)
-
-
-def test_normalize_unimodular():
-    assert normalize_unimodular(((2, 0), (0, 2))) is not None
-    assert normalize_unimodular(((2, 0), (0, 1))) is None
-    assert normalize_unimodular(((1, 1), (1, 1))) is None
 
 
 # -- transport -----------------------------------------------------------------------
@@ -185,9 +178,10 @@ def test_star_on_k_internal_names_avoid_collision():
 
 
 def test_star_on_k_axioms_against_chart_bracket():
-    from moyalquot.moyal import MoyalContext, SymplecticSpace, poisson_bracket
+    from moyalquot.geometry import liouville_symplectic
+    from moyalquot.moyal import MoyalContext, poisson_bracket
 
-    chart_ctx = MoyalContext(SymplecticSpace.block([("z", "p", -1)]), 0)
+    chart_ctx = MoyalContext(liouville_symplectic(("z", "p")), 0)
     s = SampleStream("atlas-axioms")
     for _ in range(15):
         f = chart_fn("f", {s.exponent(2, 3): s.coefficient(), s.exponent(2, 2): s.coefficient()})
@@ -286,6 +280,9 @@ def test_parse_atlas_normalizes_determinant():
     matrix = atlas.transitions[("A", "B")]
     det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     assert det.is_one()
+    # determinant 4 is rescaled by its inverse square root 1/2
+    atlas = parse_atlas("chart A z p\nchart B w q\ntransition A B 2 0 0 2\n")
+    assert atlas.transitions[("A", "B")] == ((1, 0), (0, 1))
 
 
 def test_parse_atlas_rejects_unnormalizable():

@@ -10,6 +10,7 @@ from moyalquot.errors import (
     ZeroDenominator,
 )
 from moyalquot.expr import (
+    MAX_EXPONENT,
     MAX_NESTING,
     parse_expr,
     parse_gaussian,
@@ -58,6 +59,20 @@ def test_nesting_depth_is_capped():
         with pytest.raises(ExprSyntaxError) as excinfo:
             parse_expr(deeper, XY)
         assert excinfo.value.offset == MAX_NESTING
+
+
+def test_exponent_is_capped():
+    x = RationalFunction.variable(XY, "x")
+    assert parse_series(f"x^{MAX_EXPONENT}", XY, 0).coeffs[0] == x ** MAX_EXPONENT
+    assert parse_series(f"x^-{MAX_EXPONENT}", XY, 0).coeffs[0] == x ** -MAX_EXPONENT
+    for text, offset in (
+        (f"x^{MAX_EXPONENT + 1}", 2),
+        (f"y + x^-{MAX_EXPONENT + 1}", 6),
+        ("x^" + "9" * 5000, 2),
+    ):
+        with pytest.raises(ExprSyntaxError) as excinfo:
+            parse_expr(text, XY)
+        assert excinfo.value.offset == offset
 
 
 def test_long_flat_chains_lower_in_a_loop():

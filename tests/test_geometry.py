@@ -3,29 +3,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moyalquot.errors import (
-    DegenerateMatrix,
-    DegreeTooHigh,
-    NotEven,
-    VariableMismatch,
-)
+from moyalquot.errors import DegenerateMatrix, NotEven, VariableMismatch
 from moyalquot.gaussian import GaussianRational
 from moyalquot.geometry import (
-    ChartForm,
     EvenFunction,
     MobiusMap,
     cotangent_lift,
-    exterior_derivative,
     is_even,
     liouville_symplectic,
-    pullback_form,
     pushforward_even_pair,
     sigma_bindings,
     sigma_pullback,
     sigma_pullback_pair,
     sigma_pushforward,
 )
-from moyalquot.moyal import MoyalContext, SymplecticSpace, poisson_bracket
+from moyalquot.moyal import MoyalContext, SymplecticSpace, form_pullback, poisson_bracket
 from moyalquot.polynomial import Polynomial
 from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
@@ -40,58 +32,36 @@ def var(vs, name):
     return RationalFunction.variable(vs, name)
 
 
-# -- exterior calculus -------------------------------------------------------
+def jacobian(components, variables):
+    """Rows d(component)/d(variable) of the map given by its components."""
+    return [[c.derivative(v) for v in variables] for c in components]
 
 
-def test_exterior_derivative_function():
-    p = var(ZP, "p")
-    w = exterior_derivative(ChartForm.function(p * var(ZP, "z")))
-    assert w.coefficient("z") == p
-    assert w.coefficient("p") == var(ZP, "z")
-
-
-def test_exterior_derivative_one_form():
-    x, y = var(XY, "x"), var(XY, "y")
-    w = ChartForm.one_form(XY, {"y": x, "x": -y})
-    dw = exterior_derivative(w)
-    assert dw.coefficient("x", "y") == RationalFunction.constant(XY, 2)
-
-
-def test_d_squared_zero():
-    f = var(XY, "x") ** 2 * var(XY, "y")
-    assert exterior_derivative(exterior_derivative(ChartForm.function(f))).is_zero()
-
-
-def test_degree_two_rejected():
-    with pytest.raises(DegreeTooHigh):
-        exterior_derivative(liouville_symplectic(ZP))
+# -- the Liouville form ------------------------------------------------------------
 
 
 def test_pullback_examples():
     # the double cover pulls dp^dz back to dx^dy
-    pulled = pullback_form(liouville_symplectic(ZP), sigma_bindings(ZP, XY))
-    assert pulled.coefficient("x", "y") == RationalFunction.one(XY)
-    assert len(pulled.coeffs) == 1
-
-    ident = {"z": var(ZP, "z"), "p": var(ZP, "p")}
-    form = liouville_symplectic(ZP)
-    assert pullback_form(form, ident) == form
-
-    W = ("w",)
-    dz = ChartForm.one_form(("z",), {"z": RationalFunction.one(("z",))})
-    pulled_dz = pullback_form(dz, {"z": RationalFunction.one(W) / var(W, "w")})
-    expected = -RationalFunction.one(W) / (var(W, "w") ** 2)
-    assert pulled_dz.coefficient("w") == expected
+    sb = sigma_bindings(ZP, XY)
+    chart = liouville_symplectic(ZP).omega
+    plane = SymplecticSpace.standard(XY).omega
+    assert form_pullback(jacobian((sb["z"], sb["p"]), XY), chart) == plane
+    # the identity map pulls the form back to itself
+    ident = jacobian((var(ZP, "z"), var(ZP, "p")), ZP)
+    assert form_pullback(ident, chart) == chart
 
 
 def test_liouville_is_d_of_tautological_form():
-    taut = ChartForm.one_form(ZP, {"z": var(ZP, "p")})
-    assert exterior_derivative(taut) == liouville_symplectic(ZP)
+    # d(theta_z dz + theta_p dp) = (d_z theta_p - d_p theta_z) dz^dp with theta = p dz
+    theta_z, theta_p = var(ZP, "p"), RationalFunction.zero(ZP)
+    d_theta = theta_p.derivative("z") - theta_z.derivative("p")
+    assert d_theta == liouville_symplectic(ZP).omega[0][1]
 
 
 def test_liouville_translation_invariant():
-    bindings = dict(zip(ZP, cotangent_lift(MobiusMap([[1, 1], [0, 1]]), ZP)))
-    assert pullback_form(liouville_symplectic(ZP), bindings) == liouville_symplectic(ZP)
+    lift = cotangent_lift(MobiusMap([[1, 1], [0, 1]]), ZP)
+    chart = liouville_symplectic(ZP).omega
+    assert form_pullback(jacobian(lift, ZP), chart) == chart
 
 
 # -- Mobius maps ----------------------------------------------------------------
@@ -156,12 +126,15 @@ def test_lift_scale_invariance_and_homomorphism():
 
 
 def test_lift_preserves_tautological_form():
+    # (Z, P)^* (p dz) = P dZ = P Z_z dz + P Z_p dp must equal p dz
     s = SampleStream("geometry-liouville")
-    taut = ChartForm.one_form(ZP, {"z": var(ZP, "p")})
+    chart = liouville_symplectic(ZP).omega
     for _ in range(10):
         m = MobiusMap(s.mobius_det1_matrix())
-        bindings = dict(zip(ZP, cotangent_lift(m, ZP)))
-        assert pullback_form(taut, bindings) == taut
+        big_z, big_p = cotangent_lift(m, ZP)
+        assert big_p * big_z.derivative("z") == var(ZP, "p")
+        assert (big_p * big_z.derivative("p")).is_zero()
+        assert form_pullback(jacobian((big_z, big_p), ZP), chart) == chart
 
 
 # -- the double cover ---------------------------------------------------------------
@@ -219,7 +192,7 @@ def test_sigma_equivariance_random_matrices():
 
 
 def test_bracket_compatibility():
-    chart_ctx = MoyalContext(SymplecticSpace.block([("z", "p", -1)]), 0)
+    chart_ctx = MoyalContext(liouville_symplectic(ZP), 0)
     plane_ctx = MoyalContext(SymplecticSpace.standard(XY), 0)
     z, p = var(ZP, "z"), var(ZP, "p")
     assert poisson_bracket(chart_ctx, z, p) == RationalFunction.constant(ZP, -1)

@@ -20,7 +20,7 @@ from moyalquot.moyal import (
     SymplecticSpace,
     apply_symplectic,
     bidiff_power,
-    block_sum,
+    form_pullback,
     moyal_star,
     poisson_bracket,
     star_commutator,
@@ -43,20 +43,26 @@ def const(p: Polynomial, order: int) -> HSeries:
 
 def test_standard_space_form():
     space = SymplecticSpace.standard(XY)
-    assert space.omega[0][1] == 1 and space.omega[1][0] == -1
-    # pi is the stored inverse
-    from moyalquot.moyal import mat_mul, mat_identity
-
-    assert mat_mul(space.pi, space.omega) == mat_identity(2)
+    assert space.omega == ((0, 1), (-1, 0))
+    assert space.brackets == ((0, 1, 1), (1, 0, -1))
+    # a Darboux pair with omega(q, p) = s has bracket 1/s
+    scaled = SymplecticSpace.block([("x", "y", 2), ("u", "v", I)])
+    assert scaled.omega[2][3] == I and scaled.omega[3][2] == -I
+    half = GaussianRational(1) / 2
+    assert scaled.brackets == ((0, 1, half), (1, 0, -half), (2, 3, -I), (3, 2, I))
 
 
 def test_space_rejects_bad_forms():
     with pytest.raises(NotSymplectic):
-        SymplecticSpace(XY, [[0, 1], [1, 0]])  # not antisymmetric
+        SymplecticSpace.block([])  # empty
     with pytest.raises(NotSymplectic):
-        SymplecticSpace(XY, [[0, 0], [0, 0]])  # degenerate
+        SymplecticSpace.standard(("x",))  # odd dimension
     with pytest.raises(NotSymplectic):
-        SymplecticSpace(("x",), [[0]])  # odd dimension
+        SymplecticSpace.standard(("x", "y", "u"))
+    with pytest.raises(NotSymplectic):
+        SymplecticSpace.block([("x", "y", 0)])  # degenerate
+    with pytest.raises(NameCollision):
+        SymplecticSpace.block([("x", "x", 1)])
 
 
 def test_poisson_examples():
@@ -136,9 +142,8 @@ def test_commutator_examples():
 
 
 def test_block_sum_brackets():
-    a = SymplecticSpace.standard(XY)
-    b = SymplecticSpace.standard(("u", "v"))
-    big = block_sum(a, b)
+    # the block sum of the (x, y) and (u, v) planes
+    big = SymplecticSpace.block([("x", "y", 1), ("u", "v", 1)])
     ctx = MoyalContext(big, 2)
     vs = big.vars
     x, y, u, v = (RationalFunction.variable(vs, n) for n in vs)
@@ -147,13 +152,11 @@ def test_block_sum_brackets():
     for f, g in ((x, u), (x, v), (y, u), (y, v)):
         assert poisson_bracket(ctx, f, g).is_zero()
     with pytest.raises(NameCollision):
-        block_sum(a, a)
+        SymplecticSpace.block([("x", "y", 1), ("x", "y", 1)])
 
 
 def test_block_sum_star_factorizes():
-    a = SymplecticSpace.standard(XY)
-    b = SymplecticSpace.standard(("u", "v"))
-    big = block_sum(a, b)
+    big = SymplecticSpace.block([("x", "y", 1), ("u", "v", 1)])
     ctx = MoyalContext(big, 4)
     vs = big.vars
     x2u = Polynomial.variable(vs, "x") ** 2 * Polynomial.variable(vs, "u")
@@ -195,6 +198,10 @@ def test_apply_symplectic_examples():
     assert apply_symplectic(ctx, rot, f) == const(Polynomial.variable(XY, "y"), 2)
     with pytest.raises(NotSymplectic):
         LinearSymplectic([[2, 0], [0, 2]], space)
+    # on the chart form dp^dz the same maps are symplectic, and scaling by 2 is not
+    chart = SymplecticSpace.block([("x", "y", -1)])
+    assert form_pullback(rot.matrix, chart.omega) == chart.omega
+    assert form_pullback(((2, 0), (0, 2)), chart.omega) == ((0, -4), (4, 0))
 
 
 def test_equivariance_random_shears():

@@ -1,4 +1,4 @@
-from moyalquot.moyal import SymplecticSpace, mat_mul, mat_transpose
+from moyalquot.moyal import SymplecticSpace, form_pullback
 from moyalquot.sampling import SampleStream
 
 
@@ -43,7 +43,7 @@ def test_symplectic_samples_preserve_form():
         s = SampleStream(f"symplectic-{dim}")
         for _ in range(20):
             g = s.symplectic(space)
-            assert mat_mul(mat_mul(mat_transpose(g.matrix), space.omega), g.matrix) == space.omega
+            assert form_pullback(g.matrix, space.omega) == space.omega
 
 
 def test_rational_function_monomial_denominator():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,22 @@ def test_cli_deep_and_long_expressions(capsys):
     long_sum = "+".join(["x"] * 3000)
     assert run(["star", "--space", "flat2", "--order", "2", long_sum, "y"]) == 0
     assert capsys.readouterr().out == "3000*x*y + 1500*i*h\n"
+
+
+def test_cli_huge_exponent_is_a_parse_error(capsys):
+    started = time.perf_counter()
+    assert run(["star", "--space", "flat2", "x^200000", "y"]) == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert err == "parse error: exponent larger than 1000 in absolute value (offset 2)\n"
+
+
+@pytest.mark.parametrize("suite", ["axioms", "theorem1"])
+def test_cli_verify_at_order_zero(suite, capsys):
+    assert run(["verify", suite, "--order", "0", "--samples", "3", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "internal error" not in captured.err
+    assert "PASS commutator h-term" in captured.out
 
 
 def test_cli_operand_with_leading_minus_needs_double_dash(capsys):
