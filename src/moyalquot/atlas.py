@@ -1,16 +1,17 @@
 """Projective atlases and the glued star product on cotangent charts.
 
 Charts carry coordinate pairs (z, p); transitions between charts are Mobius
-maps stored as raw 2x2 matrices so that validation can report degenerate or
-non-unimodular entries instead of refusing to hold them.  Transport of
-chart functions rides on the cotangent lift of a determinant-1
-representative, and the star product on a chart is the cover star of its
-one (z, p) pair.
+maps stored as the 2x2 matrices written, so that validation can report
+degenerate ones instead of refusing to hold them.  A transition is a
+projective class: every nonzero multiple of its matrix is the same map, and
+the cotangent lift that transports chart functions does not depend on the
+scaling.  The star product on a chart is the cover star of its one (z, p)
+pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .errors import (
@@ -18,7 +19,6 @@ from .errors import (
     ChartMismatch,
     DegenerateMatrix,
     MissingTransition,
-    NotSymplectic,
     VariableMismatch,
 )
 from .gaussian import GaussianRational
@@ -30,10 +30,6 @@ Matrix2 = Tuple[Tuple[GaussianRational, GaussianRational], Tuple[GaussianRationa
 TransitionKey = Tuple[str, str]
 
 
-def _det2(m: Matrix2) -> GaussianRational:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
 def _coerce_matrix2(rows) -> Matrix2:
     out = tuple(tuple(GaussianRational.coerce(v) for v in row) for row in rows)
     if len(out) != 2 or any(len(r) != 2 for r in out):
@@ -43,17 +39,10 @@ def _coerce_matrix2(rows) -> Matrix2:
 
 @dataclass(frozen=True)
 class ProjectiveAtlas:
-    """Charts with coordinate pairs plus Mobius transition data.
-
-    `witnesses` optionally designates an overlap point per transition for
-    sanity evaluation during validation.
-    """
+    """Charts with coordinate pairs plus Mobius transition data."""
 
     charts: Dict[str, Tuple[str, str]]
     transitions: Dict[TransitionKey, Matrix2]
-    witnesses: Dict[TransitionKey, Tuple[GaussianRational, GaussianRational]] = field(
-        default_factory=dict
-    )
 
     def __post_init__(self):
         for cid, pair in self.charts.items():
@@ -77,25 +66,18 @@ class ProjectiveAtlas:
 
     def transition_map(self, src: str, dst: str) -> MobiusMap:
         matrix = self.transition_matrix(src, dst)
-        det = _det2(matrix)
-        if det.is_zero():
+        if MobiusMap.det_of(matrix).is_zero():
             raise DegenerateMatrix(f"transition {src}->{dst} is degenerate")
-        if not det.is_one():
-            raise NotSymplectic(
-                f"transition {src}->{dst} has determinant {det}, expected 1"
-            )
         return MobiusMap(matrix)
 
 
 def standard_cp1_atlas() -> ProjectiveAtlas:
     """The two-chart atlas of the projective line with transition w = 1/z."""
     i = GaussianRational(0, 1)
-    one = GaussianRational(1)
     flip: Matrix2 = ((GaussianRational(0), i), (i, GaussianRational(0)))
     return ProjectiveAtlas(
         charts={"A": ("z", "p"), "B": ("w", "q")},
         transitions={("A", "B"): flip, ("B", "A"): flip},
-        witnesses={("A", "B"): (one, one), ("B", "A"): (one, one)},
     )
 
 
@@ -119,19 +101,14 @@ class AtlasReport:
 
 
 def atlas_validate(atlas: ProjectiveAtlas) -> AtlasReport:
-    """Check determinants, cocycle identities, and witness sanity."""
+    """Check that no transition is degenerate and the cocycle identities hold."""
     issues: List[str] = []
     usable: Dict[TransitionKey, MobiusMap] = {}
     for key in sorted(atlas.transitions):
         matrix = atlas.transitions[key]
-        det = _det2(matrix)
-        if det.is_zero():
+        if MobiusMap.det_of(matrix).is_zero():
             issues.append(f"DegenerateMatrix: transition {key[0]}->{key[1]} has determinant 0")
             continue
-        if not det.is_one():
-            issues.append(
-                f"NonUnitDeterminant: transition {key[0]}->{key[1]} has determinant {det}"
-            )
         usable[key] = MobiusMap(matrix)
 
     for (src, dst), fwd in sorted(usable.items()):
@@ -145,17 +122,6 @@ def atlas_validate(atlas: ProjectiveAtlas) -> AtlasReport:
                 continue
             if not t_bc.compose(t_ab).proj_eq(usable[(a, c)]):
                 issues.append(f"CocycleFailure: {a}->{b}->{c} differs from {a}->{c}")
-
-    for key, point in sorted(atlas.witnesses.items()):
-        m = usable.get(key)
-        if m is None:
-            continue
-        try:
-            m.apply_point(point[0])
-        except Exception:
-            issues.append(
-                f"WitnessPole: overlap witness {point[0]} of {key[0]}->{key[1]} maps to infinity"
-            )
     return AtlasReport(tuple(issues))
 
 
@@ -223,7 +189,8 @@ def parse_atlas(text: str) -> ProjectiveAtlas:
     Lines: `chart <id> <zvar> <pvar>` and
     `transition <from> <to> <a> <b> <c> <d>` with Gaussian-rational entries
     like `1`, `-1/2`, `i`, `2/3*i`, `1+2*i`; `#` starts a comment.
-    Transitions are rescaled to determinant 1 when a Q(i) rescaling exists.
+    Transitions are kept as written: a matrix and its nonzero multiples are
+    one Mobius map.  Degenerate ones are held, for validation to report.
     """
     from .expr import parse_gaussian
 
@@ -256,23 +223,11 @@ def parse_atlas(text: str) -> ProjectiveAtlas:
             key = (src, dst)
             if key in transitions:
                 raise AtlasFormatError(f"line {lineno}: duplicate transition {src}->{dst}")
-            matrix: Matrix2 = ((a, b), (c, d))
-            det = _det2(matrix)
-            if not det.is_zero() and not det.is_one():
-                unit = MobiusMap(matrix).unimodular()
-                if unit is None:
-                    raise AtlasFormatError(
-                        f"line {lineno}: determinant {det} admits no Q(i) rescaling to 1"
-                    )
-                matrix = unit.matrix
-            transitions[key] = matrix
+            transitions[key] = ((a, b), (c, d))
         else:
             raise AtlasFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if not charts:
         raise AtlasFormatError("atlas declares no charts")
-    for (src, dst) in transitions:
-        if src not in charts or dst not in charts:
-            raise AtlasFormatError(f"transition {src}->{dst} references unknown charts")
     return ProjectiveAtlas(charts=charts, transitions=transitions)
 
 

@@ -125,20 +125,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="moyalquot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, space=True):
-        if space:
-            p.add_argument(
-                "--space",
-                choices=("flat2", "flatN", "kchart", "product"),
-                default="flat2",
-            )
-        p.add_argument("--order", type=int, default=None)
+    def add_common(p):
+        p.add_argument(
+            "--space",
+            choices=("flat2", "flatN", "kchart", "product"),
+            default="flat2",
+        )
         p.add_argument("--d", type=_positive_int, default=2)
         p.add_argument("--r", type=_positive_int, default=2)
         p.add_argument("--output", choices=("text", "structured"), default="text")
 
     star = sub.add_parser("star", help="star product of two expressions")
     add_common(star)
+    star.add_argument("--order", type=int, default=None)
     star.add_argument("left")
     star.add_argument("right")
 

@@ -234,7 +234,13 @@ class _Parser:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return Const(GaussianRational(int(token.text)))
+            try:
+                return Const(GaussianRational(int(token.text)))
+            except ValueError:
+                # isdigit() also passes what int() refuses: too many digits, superscripts
+                raise ExprSyntaxError(
+                    f"cannot read the {len(token.text)}-digit integer literal", token.pos
+                ) from None
         if token.kind == "ident":
             self.advance()
             if token.text == "i":

@@ -9,21 +9,10 @@ of a pair of Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd
 from typing import Optional, Union
 
 Rationalish = Union[int, Fraction]
-
-
-def _fraction_sqrt(value: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative Fraction, or None if irrational."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
 
 
 class GaussianRational:
@@ -100,9 +89,6 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self.a == 1 and self.b == 0 and self.den == 1
 
-    def is_real(self) -> bool:
-        return self.b == 0
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -151,13 +137,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self.a, -self.b, self.den)
-
-    def norm(self) -> Fraction:
-        """The rational a^2 + b^2 of the represented value."""
-        return Fraction(self.a * self.a + self.b * self.b, self.den * self.den)
-
     def inverse(self) -> "GaussianRational":
         n = self.a * self.a + self.b * self.b
         if not n:
@@ -190,27 +169,6 @@ class GaussianRational:
             base = base * base
             e >>= 1
         return result
-
-    def sqrt(self) -> Optional["GaussianRational"]:
-        """An exact square root in Q(i), or None when none exists."""
-        if self.is_zero():
-            return ZERO
-        if self.is_real():
-            r = _fraction_sqrt(self.re)
-            if r is not None:
-                return GaussianRational(r)
-            r = _fraction_sqrt(-self.re)
-            return None if r is None else GaussianRational(0, r)
-        s = _fraction_sqrt(self.norm())
-        if s is None:
-            return None
-        u2 = (self.re + s) / 2
-        u = _fraction_sqrt(u2)
-        if u is None or not u:
-            return None
-        v = self.im / (2 * u)
-        root = GaussianRational(u, v)
-        return root if root * root == self else None
 
     # -- comparison ------------------------------------------------------
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import DegenerateMatrix, NotEven, SubstitutionPole, VariableMismatch
+from .errors import DegenerateMatrix, NotEven, VariableMismatch
 from .gaussian import GaussianRational
 from .moyal import SymplecticSpace
 from .polynomial import Polynomial
@@ -57,7 +57,11 @@ def liouville_symplectic(zp: Sequence[str] = ("z", "p")) -> SymplecticSpace:
 
 
 class MobiusMap:
-    """A projective-linear map of the line, stored as an invertible 2x2 matrix."""
+    """A projective-linear map of the line, stored as an invertible 2x2 matrix.
+
+    Every nonzero multiple of the matrix is the same map: equality is
+    projective, and the cotangent lift does not depend on the scaling.
+    """
 
     __slots__ = ("matrix",)
 
@@ -65,12 +69,12 @@ class MobiusMap:
         rows = tuple(tuple(GaussianRational.coerce(v) for v in row) for row in matrix)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("a Mobius map needs a 2x2 matrix")
-        if self._det_of(rows).is_zero():
+        if self.det_of(rows).is_zero():
             raise DegenerateMatrix("matrix determinant is zero")
         self.matrix: Matrix2 = rows
 
     @staticmethod
-    def _det_of(rows) -> GaussianRational:
+    def det_of(rows) -> GaussianRational:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
 
     @classmethod
@@ -79,27 +83,13 @@ class MobiusMap:
 
     @property
     def det(self) -> GaussianRational:
-        return self._det_of(self.matrix)
+        return self.det_of(self.matrix)
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """self after other, i.e. z -> self(other(z))."""
         (a, b), (c, d) = self.matrix
         (e, f), (g, h) = other.matrix
         return MobiusMap(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
-
-    def inverse(self) -> "MobiusMap":
-        (a, b), (c, d) = self.matrix
-        return MobiusMap(((d, -b), (-c, a)))
-
-    def scaled(self, factor) -> "MobiusMap":
-        s = GaussianRational.coerce(factor)
-        (a, b), (c, d) = self.matrix
-        return MobiusMap(((a * s, b * s), (c * s, d * s)))
-
-    def unimodular(self) -> Optional["MobiusMap"]:
-        """A determinant-1 rescaling over Q(i), or None when no square root exists."""
-        root = self.det.inverse().sqrt()
-        return None if root is None else self.scaled(root)
 
     def proj_eq(self, other: "MobiusMap") -> bool:
         """Projective equality: the matrices are proportional."""
@@ -113,25 +103,6 @@ class MobiusMap:
 
     def is_identity_projective(self) -> bool:
         return self.proj_eq(MobiusMap.identity())
-
-    def apply_rf(self, value: RationalFunction, name: str) -> RationalFunction:
-        """Compose value with z -> (a z + b)/(c z + d) in the variable `name`."""
-        vs = value.vars
-        (a, b), (c, d) = self.matrix
-        zv = RationalFunction.variable(vs, name)
-        den = zv * c + d
-        if den.is_zero():
-            raise SubstitutionPole("image lies outside the chart")
-        bindings = {n: RationalFunction.variable(vs, n) for n in vs}
-        bindings[name] = (zv * a + b) / den
-        return value.substitute(bindings)
-
-    def apply_point(self, point: GaussianRational) -> GaussianRational:
-        (a, b), (c, d) = self.matrix
-        den = c * point + d
-        if den.is_zero():
-            raise SubstitutionPole(f"point {point} maps to infinity")
-        return (a * point + b) / den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MobiusMap):

@@ -239,19 +239,6 @@ class Polynomial:
                 out[key] = c
         return Polynomial._raw(self.vars, out)
 
-    def evaluate(self, point: Mapping[str, GaussianRational]) -> GaussianRational:
-        for name in self.vars:
-            if name not in point:
-                raise UnknownVariable(f"no value supplied for {name!r}")
-        total = G_ZERO
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for name, e in zip(self.vars, exp):
-                if e:
-                    term = term * (GaussianRational.coerce(point[name]) ** e)
-            total = total + term
-        return total
-
     # -- variable plumbing -----------------------------------------------------
 
     def with_variables(self, variables: Sequence[str]) -> "Polynomial":

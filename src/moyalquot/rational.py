@@ -207,12 +207,6 @@ class RationalFunction:
             raise SubstitutionPole("denominator is identically zero after composition")
         return num_val / den_val
 
-    def evaluate(self, point: Mapping[str, GaussianRational]) -> GaussianRational:
-        den = self.den.evaluate(point)
-        if den.is_zero():
-            raise SubstitutionPole(f"pole at {dict(point)}")
-        return self.num.evaluate(point) / den
-
     # -- comparison and formatting ---------------------------------------------------
 
     def __eq__(self, other) -> bool:

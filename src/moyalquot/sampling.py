@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .gaussian import GaussianRational
 from .moyal import LinearSymplectic, SymplecticSpace, mat_mul, mat_identity
@@ -145,11 +145,10 @@ class SampleStream:
 
     # -- group elements -----------------------------------------------------------
 
-    def mobius_det1_matrix(self, factors: Optional[int] = None):
+    def mobius_det1_matrix(self):
         """Product of elementary shears in SL(2, Q(i))."""
-        count = factors if factors is not None else self.rng.randint(2, 4)
         m = mat_identity(2)
-        for _ in range(count):
+        for _ in range(self.rng.randint(2, 4)):
             t = self.shear_parameter()
             if self.rng.random() < 0.5:
                 shear = ((GaussianRational(1), t), (GaussianRational(0), GaussianRational(1)))
@@ -158,21 +157,20 @@ class SampleStream:
             m = mat_mul(m, shear)
         return m
 
-    def symplectic(self, space: SymplecticSpace, factors: Optional[int] = None) -> LinearSymplectic:
+    def symplectic(self, space: SymplecticSpace) -> LinearSymplectic:
         """A random element of Sp for the 2- or 4-dimensional standard space."""
         if space.dim == 2:
-            return LinearSymplectic(self.mobius_det1_matrix(factors), space)
+            return LinearSymplectic(self.mobius_det1_matrix(), space)
         if space.dim == 4:
-            return LinearSymplectic(self._symplectic4_matrix(factors), space)
+            return LinearSymplectic(self._symplectic4_matrix(), space)
         raise ValueError("samples are implemented for dimensions 2 and 4")
 
-    def _symplectic4_matrix(self, factors: Optional[int]):
+    def _symplectic4_matrix(self):
         # Build in the (x1, x2, y1, y2) basis where the form is [[0, I], [-I, 0]]:
         # [[I, S], [0, I]] and [[I, 0], [S, I]] are symplectic for symmetric S.
-        count = factors if factors is not None else self.rng.randint(2, 4)
         zero, one = GaussianRational(0), GaussianRational(1)
         m = mat_identity(4)
-        for _ in range(count):
+        for _ in range(self.rng.randint(2, 4)):
             s00, s01, s11 = (self.shear_parameter() for _ in range(3))
             if self.rng.random() < 0.5:
                 gen = (

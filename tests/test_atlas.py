@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moyalquot.atlas import (
     KChartFunction,
@@ -14,8 +15,8 @@ from moyalquot.atlas import (
 from moyalquot.errors import (
     AtlasFormatError,
     ChartMismatch,
+    DegenerateMatrix,
     MissingTransition,
-    NotSymplectic,
 )
 from moyalquot.gaussian import GaussianRational
 from moyalquot.polynomial import Polynomial
@@ -78,16 +79,20 @@ def test_cocycle_failure_reported():
     assert any("CocycleFailure" in issue for issue in report.issues)
 
 
-def test_non_unit_determinant_reported():
+def _scaling_atlas():
+    """w = 2z and back: determinant 2, which has no square root in Q(i)."""
     two = GaussianRational(2)
     zero = GaussianRational(0)
     one = GaussianRational(1)
-    atlas = ProjectiveAtlas(
+    return ProjectiveAtlas(
         charts={"A": ("z", "p"), "B": ("w", "q")},
-        transitions={("A", "B"): ((two, zero), (zero, one))},
+        transitions={("A", "B"): ((two, zero), (zero, one)),
+                     ("B", "A"): ((one, zero), (zero, two))},
     )
-    report = atlas_validate(atlas)
-    assert any("NonUnitDeterminant" in issue for issue in report.issues)
+
+
+def test_any_nonzero_determinant_is_valid():
+    assert atlas_validate(_scaling_atlas()).valid
 
 
 # -- transport -----------------------------------------------------------------------
@@ -116,15 +121,21 @@ def test_transport_missing_transition():
         transport(atlas, zf(), "B")
 
 
-def test_transport_requires_unimodular():
-    two = GaussianRational(2)
-    zero = GaussianRational(0)
+def test_transport_along_a_scaling():
+    # z = w/2, and p dz = q dw gives p = 2q
+    atlas = _scaling_atlas()
+    WQ = ("w", "q")
+    assert transport(atlas, zf(), "B").value.coeffs[0] == RationalFunction.variable(WQ, "w") / 2
+    assert transport(atlas, pf(), "B").value.coeffs[0] == RationalFunction.variable(WQ, "q") * 2
+
+
+def test_transport_refuses_degenerate_transition():
     one = GaussianRational(1)
     atlas = ProjectiveAtlas(
         charts={"A": ("z", "p"), "B": ("w", "q")},
-        transitions={("B", "A"): ((two, zero), (zero, one))},
+        transitions={("B", "A"): ((one, one), (one, one))},
     )
-    with pytest.raises(NotSymplectic):
+    with pytest.raises(DegenerateMatrix):
         transport(atlas, zf(), "B")
 
 
@@ -256,6 +267,38 @@ def test_chart_independence_examples():
         assert chart_independence_check(atlas, f, g, "B", 4)
 
 
+_ENTRIES = (0, 1, -1, 2, 3, I, 2 * I, 1 + I, GaussianRational(1, 2) / 3)
+
+
+@st.composite
+def projective_atlases(draw):
+    """Two charts glued by a nondegenerate matrix and its adjugate."""
+    entries = st.sampled_from(_ENTRIES).map(GaussianRational.coerce)
+    a, b, c, d = draw(st.tuples(entries, entries, entries, entries).filter(
+        lambda m: m[0] * m[3] != m[1] * m[2]))
+    return ProjectiveAtlas(
+        charts={"A": ("z", "p"), "B": ("w", "q")},
+        transitions={("A", "B"): ((a, b), (c, d)), ("B", "A"): ((d, -b), (-c, a))},
+    )
+
+
+_chart_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.sampled_from(_ENTRIES[1:]),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(projective_atlases(), _chart_polys, _chart_polys)
+def test_projective_transitions_glue_exactly(atlas, f_terms, g_terms):
+    # determinants such as 2 or 1 + i have no square root in Q(i)
+    f, g = chart_fn("f", f_terms, order=3), chart_fn("g", g_terms, order=3)
+    assert chart_independence_check(atlas, f, g, "B", 3)
+    assert transport(atlas, transport(atlas, f, "B"), "A").value == f.value
+
+
 # -- file format ------------------------------------------------------------------------
 
 
@@ -275,19 +318,19 @@ def test_parse_atlas_round_trip():
     assert atlas_validate(atlas).valid
 
 
-def test_parse_atlas_normalizes_determinant():
-    atlas = parse_atlas("chart A z p\nchart B w q\ntransition A B 2 0 0 1/2\n")
-    matrix = atlas.transitions[("A", "B")]
-    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    assert det.is_one()
-    # determinant 4 is rescaled by its inverse square root 1/2
-    atlas = parse_atlas("chart A z p\nchart B w q\ntransition A B 2 0 0 2\n")
-    assert atlas.transitions[("A", "B")] == ((1, 0), (0, 1))
+def test_parse_atlas_keeps_matrices_as_written():
+    for entries, matrix in (("2 0 0 1", ((2, 0), (0, 1))), ("2 0 0 2", ((2, 0), (0, 2)))):
+        atlas = parse_atlas(f"chart A z p\nchart B w q\ntransition A B {entries}\n")
+        assert atlas.transitions[("A", "B")] == matrix
+        assert atlas_validate(atlas).valid
 
 
-def test_parse_atlas_rejects_unnormalizable():
-    with pytest.raises(AtlasFormatError):
-        parse_atlas("chart A z p\nchart B w q\ntransition A B 2 0 0 1\n")
+def test_parse_atlas_holds_degenerate_transitions():
+    atlas = parse_atlas("chart A z p\nchart B w q\ntransition A B 1 1 1 1\n")
+    assert atlas.transitions[("A", "B")] == ((1, 1), (1, 1))
+    assert atlas_validate(atlas).issues == (
+        "DegenerateMatrix: transition A->B has determinant 0",
+    )
 
 
 def test_parse_atlas_errors():

@@ -62,22 +62,3 @@ def test_ring_axioms(a, b, c):
 def test_field_inverse(a):
     if not a.is_zero():
         assert a * a.inverse() == 1
-
-
-@given(gaussians)
-def test_norm_is_multiplicative_with_conjugate(a):
-    assert a * a.conjugate() == GaussianRational(a.norm())
-
-
-@given(gaussians)
-def test_sqrt_squares_back(a):
-    square = a * a
-    root = square.sqrt()
-    assert root is not None
-    assert root * root == square
-
-
-def test_sqrt_missing():
-    assert GaussianRational(2).sqrt() is None
-    assert GaussianRational(-4).sqrt() == GaussianRational(0, 2)
-    assert GaussianRational(0, 2).sqrt() == GaussianRational(1, 1)

@@ -72,29 +72,31 @@ def test_mobius_rejects_degenerate():
         MobiusMap([[1, 2], [2, 4]])
 
 
+def scaled(matrix, factor):
+    return [[v * factor for v in row] for row in matrix]
+
+
 def test_projective_equality():
     m = MobiusMap([[1, 2], [3, 4]])
-    assert m == m.scaled(GaussianRational(0, 5))
+    assert m == MobiusMap([[5 * I, 10 * I], [15 * I, 20 * I]])
+    assert m == MobiusMap(scaled(m.matrix, GaussianRational(Fraction(1, 3), 2)))
     assert m != MobiusMap([[1, 2], [3, 5]])
+    assert m != MobiusMap([[2, 4], [3, 4]])
 
 
 def test_compose_and_inverse():
     a = MobiusMap([[1, 1], [0, 1]])
     b = MobiusMap([[1, 0], [2, 1]])
-    assert a.compose(a.inverse()).is_identity_projective()
-    z = var(("z",), "z")
-    # apply_rf is a pullback, so composing maps reverses application order
-    left = a.compose(b).apply_rf(z, "z")
-    right = b.apply_rf(a.apply_rf(z, "z"), "z")
-    assert left == right
-
-
-def test_unimodular_rescaling():
-    m = MobiusMap([[2, 0], [0, 2]])
-    unit = m.unimodular()
-    assert unit is not None and unit.det.is_one()
-    no_root = MobiusMap([[2, 0], [0, 1]])
-    assert no_root.unimodular() is None
+    # the adjugate times any nonzero scalar is an inverse
+    assert a.compose(MobiusMap([[3, -3], [0, 3]])).is_identity_projective()
+    assert MobiusMap([[-2 * I, 2 * I], [0, -2 * I]]).compose(a).is_identity_projective()
+    assert not a.compose(b).is_identity_projective()
+    # z -> a(b(z)) = (3z + 1)/(2z + 1), also from scaled factors
+    assert a.compose(b) == MobiusMap([[3, 1], [2, 1]])
+    assert MobiusMap(scaled(a.matrix, 2)).compose(MobiusMap(scaled(b.matrix, I))) == a.compose(b)
+    # the chart map of a composite is the composite of the chart maps
+    inner = dict(zip(ZP, cotangent_lift(b, ZP)))
+    assert cotangent_lift(a.compose(b), ZP)[0] == cotangent_lift(a, ZP)[0].substitute(inner)
 
 
 # -- cotangent lift ----------------------------------------------------------------
@@ -115,9 +117,12 @@ def test_lift_examples():
 def test_lift_scale_invariance_and_homomorphism():
     s = SampleStream("geometry-lift")
     for _ in range(20):
-        m1 = MobiusMap(s.mobius_det1_matrix())
+        unit = MobiusMap(s.mobius_det1_matrix())
+        # determinants (3 + 2i)^2 and 2: neither of these maps is unimodular
+        big = MobiusMap(scaled(unit.matrix, GaussianRational(3, 2)))
+        assert cotangent_lift(big, ZP) == cotangent_lift(unit, ZP)
+        m1 = MobiusMap([[2 * v for v in unit.matrix[0]], list(unit.matrix[1])])
         m2 = MobiusMap(s.mobius_det1_matrix())
-        assert cotangent_lift(m1.scaled(GaussianRational(3, 2)), ZP) == cotangent_lift(m1, ZP)
         composed = cotangent_lift(m1.compose(m2), ZP)
         outer = cotangent_lift(m1, ZP)
         inner = dict(zip(ZP, cotangent_lift(m2, ZP)))

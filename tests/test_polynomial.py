@@ -69,12 +69,6 @@ def test_derivative_power_rule():
         p.derivative("w")
 
 
-def test_evaluate():
-    p = build({(1, 1, 0): 1, (0, 0, 0): 3})
-    value = p.evaluate({"x": GaussianRational(2), "y": GaussianRational(0, 1), "z": GaussianRational(0)})
-    assert value == GaussianRational(3, 2)
-
-
 def test_with_variables_embedding():
     small = Polynomial(("x",), {(2,): 5})
     wide = small.with_variables(V)

@@ -221,6 +221,20 @@ def test_cli_huge_exponent_is_a_parse_error(capsys):
     assert err == "parse error: exponent larger than 1000 in absolute value (offset 2)\n"
 
 
+def test_cli_long_integer_literal_is_a_parse_error(capsys):
+    # int() refuses decimal strings past the interpreter's digit limit
+    literal = "1" + "9" * 5000
+    assert run(["star", "--space", "flat2", f"x + {literal}", "y"]) == 2
+    err = capsys.readouterr().err
+    assert err == "parse error: cannot read the 5001-digit integer literal (offset 4)\n"
+
+
+def test_cli_poisson_takes_no_order(capsys):
+    assert run(["poisson", "--order", "3", "x", "y"]) == 4
+    assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --order")
+    assert run(["poisson", "x", "y"]) == 0
+
+
 @pytest.mark.parametrize("suite", ["axioms", "theorem1"])
 def test_cli_verify_at_order_zero(suite, capsys):
     assert run(["verify", suite, "--order", "0", "--samples", "3", "--seed", "1"]) == 0
@@ -271,6 +285,12 @@ VERIFY_GOLDEN_CASES = [
     (
         "cocycle_bad_atlas",
         ["verify", "cocycle", *_GOLDEN_ARGS, "--atlas", str(VERIFY_GOLDEN / "bad.atlas")],
+    ),
+    (
+        # six samples visit every transition of the three-chart atlas once
+        "cocycle_projective_atlas",
+        ["verify", "cocycle", "--seed", "1", "--samples", "6",
+         "--atlas", str(VERIFY_GOLDEN / "projective.atlas")],
     ),
 ]
 
