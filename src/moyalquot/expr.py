@@ -6,6 +6,7 @@ Grammar (whitespace insensitive, no implicit multiplication):
     term   := factor (('*'|'/') factor)*
     factor := '-' factor | base ('^' integer)?
     base   := integer | 'i' | 'h' | identifier | '(' expr ')'
+    integer := one or more ASCII digits 0-9
 
 `i` is the imaginary unit and `h` the series parameter; `h` is only legal
 where a series is expected, never in a denominator or negative power.
@@ -97,6 +98,8 @@ class _Token:
 
 
 _OPS = set("+-*/^()")
+# ASCII only: str.isdigit() also passes superscripts, which int() refuses
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -108,9 +111,9 @@ def _tokenize(text: str) -> List[_Token]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(_Token("int", text[start:pos], start))
             continue
@@ -237,7 +240,7 @@ class _Parser:
             try:
                 return Const(GaussianRational(int(token.text)))
             except ValueError:
-                # isdigit() also passes what int() refuses: too many digits, superscripts
+                # int() refuses a literal past the interpreter's digit limit
                 raise ExprSyntaxError(
                     f"cannot read the {len(token.text)}-digit integer literal", token.pos
                 ) from None

@@ -14,6 +14,20 @@ two tensor slots, and
     f * g = sum_k (i h / 2)^k / k!  D^k(f, g)
 
 extended h-bilinearly to series and truncated at the context order.
+
+When every coefficient of both operands, up to the context order, has a
+monomial denominator (a Laurent polynomial, as on the quadric cover), the
+product takes a closed form instead of derivatives.  The pair operators
+commute, so the star of two monomials is a product over the pairs, and on
+one pair (q, p, s), with [a]_n = a (a-1) ... (a-n+1) and any signs of a..d,
+
+    q^a p^b * q^c p^d = sum_k (i h / 2)^k / k!  s^-k  q^(a+c-k) p^(b+d-k)
+                        * sum_j C(k, j) (-1)^j [a]_(k-j) [b]_j [c]_j [d]_(k-j).
+
+Shifting each variable's exponents up by its most negative one gives the
+canonical form with no gcd: the denominator is a monic monomial, and some
+term attains each minimum, so no variable divides the numerator.  Other
+operands take iterated derivatives of rational functions.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
@@ -251,6 +265,76 @@ def _star_scalars(order: int) -> List[GaussianRational]:
     return out
 
 
+def _laurent_terms(c: RationalFunction) -> List[Tuple[Tuple[int, ...], GaussianRational]]:
+    """The terms of c over its monomial, monic denominator, as Laurent exponents."""
+    (shift,) = c.den.terms
+    return [(tuple(e - s for e, s in zip(exp, shift)), v) for exp, v in c.num.terms.items()]
+
+
+def _falling(a: int, n: int) -> List[int]:
+    """[a]_0, ..., [a]_n with [a]_k = a (a - 1) ... (a - k + 1)."""
+    out = [1]
+    for t in range(n):
+        out.append(out[-1] * (a - t))
+    return out
+
+
+def _from_laurent(variables: Tuple[str, ...], terms) -> RationalFunction:
+    """Canonical form of a Laurent polynomial: shift every exponent to >= 0."""
+    terms = {e: c for e, c in terms.items() if not c.is_zero()}
+    if not terms:
+        return RationalFunction.zero(variables)
+    shift = tuple(max(0, -min(column)) for column in zip(*terms))
+    num = {tuple(e + s for e, s in zip(exp, shift)): c for exp, c in terms.items()}
+    den = Polynomial._raw(variables, {shift: G_ONE})
+    return RationalFunction._trusted(Polynomial._raw(variables, num), den)
+
+
+def _laurent_star(ctx: MoyalContext, fs, gs) -> HSeries:
+    """The star of Laurent operands as a product of per-pair monomial series."""
+    space, n = ctx.space, ctx.order
+    scalars = _star_scalars(n)
+    # (i/2)^k / k! * s^-k for every pair and k
+    pair_scalars = [[scalars[k] * s.inverse() ** k for k in range(n + 1)] for s in space.scales]
+    cache: Dict[Tuple[int, ...], List[Tuple[int, GaussianRational]]] = {}
+
+    def pair_series(t: int, a: int, b: int, c: int, d: int):
+        """Nonzero (k, coefficient) of q^a p^b * q^c p^d on pair t, for k <= n."""
+        key = (t, a, b, c, d)
+        if key not in cache:
+            fa, fb, fc, fd = (_falling(e, n) for e in (a, b, c, d))
+            totals = [
+                sum(
+                    (-1) ** j * comb(k, j) * fa[k - j] * fb[j] * fc[j] * fd[k - j]
+                    for j in range(k + 1)
+                )
+                for k in range(n + 1)
+            ]
+            cache[key] = [(k, pair_scalars[t][k] * v) for k, v in enumerate(totals) if v]
+        return cache[key]
+
+    out: List[Dict[Tuple[int, ...], GaussianRational]] = [{} for _ in range(n + 1)]
+    for i, fi in enumerate(fs):
+        for j, gj in enumerate(gs[: n + 1 - i]):
+            budget = n - i - j
+            for ea, ca in fi:
+                for eb, cb in gj:
+                    # (h-power, exponent, coefficient) over the pairs so far
+                    states = [(0, (), ca * cb)]
+                    for t in range(len(space.scales)):
+                        a, b, c, d = ea[2 * t], ea[2 * t + 1], eb[2 * t], eb[2 * t + 1]
+                        states = [
+                            (h + k, e + (a + c - k, b + d - k), coeff * value)
+                            for h, e, coeff in states
+                            for k, value in pair_series(t, a, b, c, d)
+                            if h + k <= budget
+                        ]
+                    for h, e, coeff in states:
+                        bucket = out[i + j + h]
+                        bucket[e] = bucket[e] + coeff if e in bucket else coeff
+    return HSeries(tuple(_from_laurent(space.vars, terms) for terms in out))
+
+
 def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
     """Moyal-Weyl star product truncated at the context order."""
     space = ctx.space
@@ -261,6 +345,10 @@ def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
             f"operand orders {f.order}, {g.order} below context order {ctx.order}"
         )
     n = ctx.order
+    used = f.coeffs[: n + 1] + g.coeffs[: n + 1]
+    if all(len(c.den.terms) == 1 for c in used):
+        laurent = [_laurent_terms(c) for c in used]
+        return _laurent_star(ctx, laurent[: n + 1], laurent[n + 1:])
     scalars = _star_scalars(n)
     tables_f: Dict[int, _DerivTable] = {}
     tables_g: Dict[int, _DerivTable] = {}

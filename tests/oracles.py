@@ -2,7 +2,9 @@
 
 The star oracle expands D^k through the explicit binomial formula on a
 two-variable plane, a different route than the library's multiset expansion
-over bivector entries, so agreement is meaningful.  The cover oracles move
+over bivector entries, so agreement is meaningful.  The bidiff oracle sums
+the library's general derivative path term by term on any space, the route
+moyal_star leaves for Laurent operands.  The cover oracles move
 one variable pair through the quadric cover by generic substitution, with a
 gcd at every step, where the library rewrites exponents.
 """
@@ -12,6 +14,7 @@ from math import comb, factorial
 
 from moyalquot.errors import NotEven
 from moyalquot.gaussian import GaussianRational
+from moyalquot.moyal import MoyalContext, bidiff_power
 from moyalquot.polynomial import Polynomial
 from moyalquot.rational import RationalFunction
 from moyalquot.series import HSeries
@@ -40,6 +43,20 @@ def star_2d_oracle(f: RationalFunction, g: RationalFunction, order: int) -> HSer
             term = term + (comb(k, j) * sign) * (df * dg)
         scalar = (I * Fraction(1, 2)) ** k * Fraction(1, factorial(k))
         coeffs.append(scalar * term)
+    return HSeries(coeffs)
+
+
+def star_by_bidiff_oracle(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
+    """sum over i + j + k = m of (i/2)^k / k! * D^k(f_i, g_j), always through _bidiff."""
+    coeffs = []
+    for m in range(ctx.order + 1):
+        term = RationalFunction.zero(ctx.space.vars)
+        for i in range(m + 1):
+            for j in range(m - i + 1):
+                k = m - i - j
+                scalar = (I * Fraction(1, 2)) ** k * Fraction(1, factorial(k))
+                term = term + scalar * bidiff_power(ctx, f.coeffs[i], g.coeffs[j], k)
+        coeffs.append(term)
     return HSeries(coeffs)
 
 

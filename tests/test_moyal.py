@@ -2,8 +2,12 @@
 of the two-dimensional product (see oracles.py), which is independent of the
 implementation's multiset expansion over bivector entries."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from moyalquot import cli, moyal, suites
 from moyalquot.errors import (
     NameCollision,
     NotSymplectic,
@@ -25,9 +29,10 @@ from moyalquot.moyal import (
     poisson_bracket,
     star_commutator,
 )
+from moyalquot.quot import ProductContext, quot_cell_star, symmetrize
 from moyalquot.sampling import SampleStream
 
-from oracles import star_2d_oracle
+from oracles import star_2d_oracle, star_by_bidiff_oracle
 
 XY = ("x", "y")
 I = GaussianRational(0, 1)
@@ -246,3 +251,102 @@ def test_variable_mismatch_rejected():
     other = HSeries.one(("u", "v"), 2)
     with pytest.raises(VariableMismatch):
         moyal_star(ctx, other, other)
+
+
+# -- the Laurent-monomial kernel ------------------------------------------------------
+
+SCALES = (1, -1, 2, I, GaussianRational(Fraction(1, 3), 2))
+COEFFS = (0, 1, -1, 3, I, GaussianRational(Fraction(-1, 2), 3))
+
+
+def laurent(vs, terms) -> RationalFunction:
+    """sum of c * x^e over `terms`, exponents of any sign."""
+    shift = tuple(max([0] + [-e[v] for e in terms]) for v in range(len(vs)))
+    num = {tuple(a + s for a, s in zip(e, shift)): c for e, c in terms.items()}
+    return RationalFunction(Polynomial(vs, num), Polynomial.monomial(vs, shift))
+
+
+@st.composite
+def laurent_star_cases(draw):
+    pairs = draw(st.integers(1, 3))
+    space = SymplecticSpace.block(
+        [(f"q{t}", f"p{t}", draw(st.sampled_from(SCALES))) for t in range(pairs)]
+    )
+    order = draw(st.integers(0, 6 if pairs < 3 else 4))  # keeps the oracle quick
+    vs = space.vars
+    exponent = st.tuples(*[st.integers(-2, 3)] * len(vs))
+    coefficient = st.dictionaries(exponent, st.sampled_from(COEFFS), max_size=2)
+
+    def series(length):
+        return HSeries([laurent(vs, draw(coefficient)) for _ in range(length)])
+
+    # the left operand may carry more orders than the context
+    f = series(order + 1 + draw(st.integers(0, 2)))
+    return MoyalContext(space, order), f, series(order + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_star_cases())
+def test_laurent_kernel_matches_bidiff(case):
+    ctx, f, g = case
+    assert moyal_star(ctx, f, g) == star_by_bidiff_oracle(ctx, f, g)
+
+
+def test_star_takes_bidiff_for_a_non_laurent_coefficient(monkeypatch):
+    space = SymplecticSpace.block([("x", "y", 2), ("u", "v", I)])
+    ctx = MoyalContext(space, 3)
+    vs = space.vars
+    x, y, u, v = (RationalFunction.variable(vs, n) for n in vs)
+    zero = RationalFunction.zero(vs)
+    f = HSeries([x * u / y, y ** -2, zero, u, 1 / (x + v)])
+    g = HSeries([y * v / x, x ** 2, zero, v / u])
+    rational = HSeries(f.coeffs[:2] + (1 / (x + v),) + f.coeffs[3:])
+    real = RationalFunction.derivative
+    taken = []
+
+    def counted(self, name):
+        taken.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(RationalFunction, "derivative", counted)
+    laurent_product = moyal_star(ctx, f, g)  # 1/(x + v) is past the order
+    assert not taken
+    rational_product = moyal_star(ctx, rational, g)
+    assert taken
+    assert laurent_product == star_by_bidiff_oracle(ctx, f, g)
+    assert rational_product == star_by_bidiff_oracle(ctx, rational, g)
+
+
+def test_cell_star_takes_no_derivative(monkeypatch, capsys):
+    # a derivative may run only in the suites' reference bracket
+    real = RationalFunction.derivative
+    reference = []
+
+    def guarded(self, name):
+        if not reference:
+            raise AssertionError("derivative taken outside the reference bracket")
+        return real(self, name)
+
+    def reference_bracket(ctx, f, g):
+        reference.append(True)
+        try:
+            return moyal.poisson_bracket(ctx, f, g)
+        finally:
+            reference.pop()
+
+    monkeypatch.setattr(RationalFunction, "derivative", guarded)
+    monkeypatch.setattr(suites, "poisson_bracket", reference_bracket)
+
+    ctx = ProductContext(d=2, r=2, order=4)
+    s = SampleStream("laurent-dispatch")
+    f, g = (symmetrize(ctx, const(s.polynomial(ctx.vars, 2), 4)) for _ in range(2))
+    assert quot_cell_star(ctx, f, g).value.coeffs[0] == f.value.coeffs[0] * g.value.coeffs[0]
+    assert cli.run(["verify", "theorem1", "--seed", "1", "--samples", "3"]) == 0
+    assert "total: 6 passed, 0 failed" in capsys.readouterr().out
+
+    # rational operands still take the general path
+    flat = plane_ctx(2)
+    x2y2 = Polynomial.variable(XY, "x") ** 2 + Polynomial.variable(XY, "y") ** 2
+    inverse = HSeries.constant(RationalFunction.from_polynomial(x2y2).reciprocal(), 2)
+    with pytest.raises(AssertionError, match="derivative taken"):
+        moyal_star(flat, inverse, inverse)

@@ -229,6 +229,17 @@ def test_cli_long_integer_literal_is_a_parse_error(capsys):
     assert err == "parse error: cannot read the 5001-digit integer literal (offset 4)\n"
 
 
+def test_cli_superscript_digit_is_a_parse_error(capsys):
+    # only ASCII 0-9 are digits; str.isdigit() also accepts superscripts
+    assert run(["star", "x^\u00b2", "y"]) == 2
+    assert capsys.readouterr().err == "parse error: unexpected character '\u00b2' (offset 2)\n"
+    assert run(["star", "x*\u00b2", "y"]) == 2
+    assert capsys.readouterr().err == "parse error: unexpected character '\u00b2' (offset 2)\n"
+    # other decimal digits, here ARABIC-INDIC DIGIT THREE, are refused as well
+    assert run(["star", "x^\u0663", "y"]) == 2
+    assert capsys.readouterr().err == "parse error: unexpected character '\u0663' (offset 2)\n"
+
+
 def test_cli_poisson_takes_no_order(capsys):
     assert run(["poisson", "--order", "3", "x", "y"]) == 4
     assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --order")
