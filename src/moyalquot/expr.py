@@ -10,14 +10,17 @@ Grammar (whitespace insensitive, no implicit multiplication):
 
 `i` is the imaginary unit and `h` the series parameter; `h` is only legal
 where a series is expected, never in a denominator or negative power.
-Lowering is exact: h-powers beyond the context order are an error rather
-than being truncated away.
+Parsing checks the whole text and yields a postfix program; lowering runs
+that program on a stack of exact polynomials in h, so every syntax error is
+reported before any value is computed.  Lowering is exact: h-powers beyond
+the context order are an error rather than being truncated away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from itertools import zip_longest
+from typing import List, Sequence, Tuple
 
 from .errors import (
     ExprSyntaxError,
@@ -29,62 +32,6 @@ from .errors import (
 from .gaussian import GaussianRational
 from .rational import RationalFunction
 from .series import HSeries
-
-
-# -- AST ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    value: GaussianRational
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class HParam:
-    pass
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: "Node"
-
-
-Node = Union[Const, Var, HParam, Add, Sub, Mul, Div, Pow, Neg]
 
 
 # -- tokenizer --------------------------------------------------------------------
@@ -142,6 +89,12 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 
 
+# An instruction is (op, arg): ("const", GaussianRational), ("var", name),
+# ("h", None), ("neg", None), ("^", exponent), or a binary operator
+# ("+", None), ("-", None), ("*", None), ("/", None) on the top two values.
+Program = Tuple[Tuple[str, object], ...]
+
+
 class _Parser:
     def __init__(self, tokens: List[_Token], variables: Sequence[str], allow_h: bool):
         self.tokens = tokens
@@ -149,14 +102,14 @@ class _Parser:
         self.depth = 0
         self.variables = set(variables)
         self.allow_h = allow_h
+        self.program: List[Tuple[str, object]] = []
 
-    def nested(self, parse, token: _Token) -> Node:
+    def nested(self, parse, token: _Token) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", token.pos)
-        node = parse()
+        parse()
         self.depth -= 1
-        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -166,54 +119,43 @@ class _Parser:
         self.index += 1
         return token
 
-    def expect_op(self, text: str):
-        token = self.peek()
-        if token.kind != "op" or token.text != text:
-            raise ExprSyntaxError(f"expected {text!r}", token.pos)
-        return self.advance()
-
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> Program:
+        self.expr()
         tail = self.peek()
         if tail.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tail.text!r}", tail.pos)
-        return node
+        return tuple(self.program)
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
+    def chain(self, operators: str, operand) -> None:
+        """operand (op operand)*, each op emitted after its right operand."""
+        operand()
+        token = self.peek()
+        while token.kind == "op" and token.text in operators:
+            self.advance()
+            operand()
+            self.program.append((token.text, None))
             token = self.peek()
-            if token.kind == "op" and token.text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if token.text == "+" else Sub(node, rhs)
-            else:
-                return node
 
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            token = self.peek()
-            if token.kind == "op" and token.text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if token.text == "*" else Div(node, rhs)
-            else:
-                return node
+    def expr(self) -> None:
+        self.chain("+-", self.term)
 
-    def factor(self) -> Node:
+    def term(self) -> None:
+        self.chain("*/", self.factor)
+
+    def factor(self) -> None:
         token = self.peek()
         # unary minus binds below '^': -x^2 reads as -(x^2), so printed
         # canonical forms reparse to themselves
         if token.kind == "op" and token.text == "-":
             self.advance()
-            return Neg(self.nested(self.factor, token))
-        node = self.base()
+            self.nested(self.factor, token)
+            self.program.append(("neg", None))
+            return
+        self.base()
         token = self.peek()
         if token.kind == "op" and token.text == "^":
             self.advance()
-            node = Pow(node, self.integer())
-        return node
+            self.program.append(("^", self.integer()))
 
     def integer(self) -> int:
         token = start = self.peek()
@@ -233,42 +175,39 @@ class _Parser:
         value = int(digits)
         return -value if negative else value
 
-    def base(self) -> Node:
-        token = self.peek()
+    def base(self) -> None:
+        token = self.advance()
         if token.kind == "int":
-            self.advance()
             try:
-                return Const(GaussianRational(int(token.text)))
+                self.program.append(("const", GaussianRational(int(token.text))))
             except ValueError:
                 # int() refuses a literal past the interpreter's digit limit
                 raise ExprSyntaxError(
                     f"cannot read the {len(token.text)}-digit integer literal", token.pos
                 ) from None
-        if token.kind == "ident":
-            self.advance()
-            if token.text == "i":
-                return Const(GaussianRational(0, 1))
-            if token.text == "h":
-                if not self.allow_h:
-                    raise UnknownIdentifier(
-                        f"'h' is not allowed here (offset {token.pos})"
-                    )
-                return HParam()
+        elif token.kind == "ident" and token.text == "i":
+            self.program.append(("const", GaussianRational(0, 1)))
+        elif token.kind == "ident" and token.text == "h":
+            if not self.allow_h:
+                raise UnknownIdentifier(f"'h' is not allowed here (offset {token.pos})")
+            self.program.append(("h", None))
+        elif token.kind == "ident":
             if token.text not in self.variables:
                 raise UnknownIdentifier(
                     f"unknown identifier {token.text!r} (offset {token.pos})"
                 )
-            return Var(token.text)
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            node = self.nested(self.expr, token)
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError("expected a value", token.pos)
+            self.program.append(("var", token.text))
+        elif token.kind == "op" and token.text == "(":
+            self.nested(self.expr, token)
+            close = self.advance()
+            if close.kind != "op" or close.text != ")":
+                raise ExprSyntaxError("expected ')'", close.pos)
+        else:
+            raise ExprSyntaxError("expected a value", token.pos)
 
 
-def parse_expr(text: str, variables: Sequence[str], allow_h: bool = True) -> Node:
-    """Parse expression text over the allowed variables."""
+def parse_expr(text: str, variables: Sequence[str], allow_h: bool = True) -> Program:
+    """Parse expression text over the allowed variables into a postfix program."""
     return _Parser(_tokenize(text), variables, allow_h).parse()
 
 
@@ -297,69 +236,62 @@ def _hmul(left: _HPoly, right: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
     return _trimmed(out, variables)
 
 
-def _binary(node: Node, left: _HPoly, right: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
-    """Combine lowered operands under the operator of an Add/Sub/Mul/Div node."""
-    if isinstance(node, Mul):
+def _binary(op: str, left: _HPoly, right: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
+    """Combine two lowered operands under one of + - * /."""
+    if op == "*":
         return _hmul(left, right, variables)
-    if isinstance(node, Div):
+    if op == "/":
         if len(right) > 1:
             raise HInDenominator("the series parameter appeared in a denominator")
         divisor = right[0]
         if divisor.is_zero():
             raise ZeroDenominator("division by zero")
         return [a / divisor for a in left]
-    zero = RationalFunction.zero(variables)
-    size = max(len(left), len(right))
-    left += [zero] * (size - len(left))
-    right += [zero] * (size - len(right))
-    if isinstance(node, Add):
-        return _trimmed([a + b for a, b in zip(left, right)], variables)
-    return _trimmed([a - b for a, b in zip(left, right)], variables)
+    pairs = zip_longest(left, right, fillvalue=RationalFunction.zero(variables))
+    if op == "+":
+        return _trimmed([a + b for a, b in pairs], variables)
+    return _trimmed([a - b for a, b in pairs], variables)
 
 
-def _lower(node: Node, variables: Tuple[str, ...]) -> _HPoly:
-    zero = RationalFunction.zero(variables)
-    if isinstance(node, Const):
-        return [RationalFunction.constant(variables, node.value)]
-    if isinstance(node, Var):
-        if node.name not in variables:
-            raise UnknownIdentifier(f"unknown identifier {node.name!r}")
-        return [RationalFunction.variable(variables, node.name)]
-    if isinstance(node, HParam):
-        return [zero, RationalFunction.one(variables)]
-    if isinstance(node, Neg):
-        return [-c for c in _lower(node.child, variables)]
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        # chains of one precedence lean left; lowering them in a loop keeps
-        # long flat sums and products off the stack
-        kinds = (Add, Sub) if isinstance(node, (Add, Sub)) else (Mul, Div)
-        links = []
-        while isinstance(node, kinds):
-            links.append(node)
-            node = node.left
-        value = _lower(node, variables)
-        for link in reversed(links):
-            value = _binary(link, value, _lower(link.right, variables), variables)
-        return value
-    if isinstance(node, Pow):
-        base = _lower(node.base, variables)
-        if node.exponent >= 0:
-            result: _HPoly = [RationalFunction.one(variables)]
-            for _ in range(node.exponent):
-                result = _hmul(result, base, variables)
-            return result
-        if len(base) > 1:
-            raise HInDenominator("negative power of a series in h")
-        if base[0].is_zero():
-            raise ZeroDenominator("negative power of zero")
-        return [base[0] ** node.exponent]
-    raise TypeError(f"unknown node {node!r}")
+def _power(base: _HPoly, exponent: int, variables: Tuple[str, ...]) -> _HPoly:
+    if exponent >= 0:
+        result: _HPoly = [RationalFunction.one(variables)]
+        for _ in range(exponent):
+            result = _hmul(result, base, variables)
+        return result
+    if len(base) > 1:
+        raise HInDenominator("negative power of a series in h")
+    if base[0].is_zero():
+        raise ZeroDenominator("negative power of zero")
+    return [base[0] ** exponent]
 
 
-def lower_expr(node: Node, variables: Sequence[str], order: int) -> HSeries:
-    """Evaluate an AST into an HSeries of exactly the given order."""
+def _lower(program: Program, variables: Tuple[str, ...]) -> _HPoly:
+    """Run a postfix program on a stack of values."""
+    stack: List[_HPoly] = []
+    for op, arg in program:
+        if op == "const":
+            stack.append([RationalFunction.constant(variables, arg)])
+        elif op == "var":
+            if arg not in variables:
+                raise UnknownIdentifier(f"unknown identifier {arg!r}")
+            stack.append([RationalFunction.variable(variables, arg)])
+        elif op == "h":
+            stack.append([RationalFunction.zero(variables), RationalFunction.one(variables)])
+        elif op == "neg":
+            stack.append([-c for c in stack.pop()])
+        elif op == "^":
+            stack.append(_power(stack.pop(), arg, variables))
+        else:
+            right = stack.pop()
+            stack.append(_binary(op, stack.pop(), right, variables))
+    return stack.pop()
+
+
+def lower_expr(program: Program, variables: Sequence[str], order: int) -> HSeries:
+    """Evaluate a parsed program into an HSeries of exactly the given order."""
     vs = tuple(variables)
-    coeffs = _trimmed(_lower(node, vs), vs)
+    coeffs = _trimmed(_lower(program, vs), vs)
     if len(coeffs) - 1 > order:
         raise OrderOverflow(
             f"expression has h-degree {len(coeffs) - 1}, above the order {order}"
@@ -369,10 +301,10 @@ def lower_expr(node: Node, variables: Sequence[str], order: int) -> HSeries:
     return HSeries(coeffs)
 
 
-def lower_rational(node: Node, variables: Sequence[str]) -> RationalFunction:
-    """Evaluate an h-free AST into a RationalFunction."""
+def lower_rational(program: Program, variables: Sequence[str]) -> RationalFunction:
+    """Evaluate an h-free parsed program into a RationalFunction."""
     vs = tuple(variables)
-    coeffs = _trimmed(_lower(node, vs), vs)
+    coeffs = _trimmed(_lower(program, vs), vs)
     if len(coeffs) > 1:
         raise HInDenominator("expected an h-free expression")
     return coeffs[0]

@@ -8,9 +8,12 @@ of a pair of Fractions.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Optional, Union
+
+from .errors import DomainError
 
 Rationalish = Union[int, Fraction]
 
@@ -183,7 +186,19 @@ class GaussianRational:
 
     # -- formatting ------------------------------------------------------
 
+    def check_printable(self) -> None:
+        """Refuse a value whose decimal text passes the interpreter's digit limit."""
+        # the limit, and sys.get_int_max_str_digits, came with Python 3.11
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        # 2^(3.32 * limit) < 10^limit, and reduced parts are no larger than a, b, den
+        if not limit or max(abs(self.a), abs(self.b), self.den).bit_length() <= 3.32 * limit:
+            return
+        for part in (self.re, self.im):
+            if max(abs(part.numerator), part.denominator) >= 10 ** limit:
+                raise DomainError(f"a number has more than {limit} digits, too many to print")
+
     def __str__(self) -> str:
+        self.check_printable()
         if self.is_zero():
             return "0"
         parts = []

@@ -320,6 +320,7 @@ def coeff_term_text(coeff: GaussianRational, monomial: str, multiplied: bool = F
     `multiplied` forces fraction parentheses even for a bare coefficient,
     for use inside larger products.
     """
+    coeff.check_printable()
     re, im = coeff.re, coeff.im
     if im == 0:
         sign = "+" if re >= 0 else "-"

@@ -88,9 +88,6 @@ class RationalFunction:
             raise ValueError(f"{self} is not constant")
         return self.num.constant_value()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def _check_same_vars(self, other: "RationalFunction"):
         if self.vars != other.vars:
             raise VariableMismatch(f"variable sets differ: {self.vars} vs {other.vars}")

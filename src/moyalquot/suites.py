@@ -59,6 +59,10 @@ from .sampling import SampleStream
 from .series import HSeries, hs_equal
 
 I = GaussianRational(0, 1)
+# theorem1 and symmetric average over all d! permutations of the chart pairs;
+# one sample of symmetric --r 1 took 0.8 s at d = 6 and 6.2 s at d = 7 on a
+# 2-core machine
+MAX_SUITE_D = 6
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise UsageFailure(f"samples must be at least 1, got {self.samples}")
+        if self.d > MAX_SUITE_D:
+            raise UsageFailure(f"d must be at most {MAX_SUITE_D}, got {self.d}")
 
     def resolved_atlas(self) -> ProjectiveAtlas:
         return self.atlas if self.atlas is not None else standard_cp1_atlas()

@@ -12,6 +12,8 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from moyalquot.atlas import KChartFunction, star_on_K
+from moyalquot.errors import ZeroDenominator
+from moyalquot.expr import parse_rational
 from moyalquot.moyal import MoyalContext, SymplecticSpace, moyal_star
 from moyalquot.polynomial import Polynomial
 from moyalquot.rational import RationalFunction
@@ -109,3 +111,33 @@ def test_chart_star_matches_sympy_through_cover():
     )
     reference = sympy_star((X / Y) ** 2, -(Y ** 2) / 2, 4)
     assert agree(mine, reference, [X, Y, H])
+
+
+def grammar_text(rng, depth=5):
+    """Random h-free expression text over x and y in the grammar of moyalquot.expr."""
+    if depth == 0 or rng.random() < 0.1:
+        return rng.choice(["x", "y", "i", "1", "2", "3", "10"])
+    below = grammar_text(rng, depth - 1)
+    kind = rng.randrange(5)
+    if kind < 2:
+        return below + rng.choice([" + ", " - ", "*", "/"]) + grammar_text(rng, depth - 1)
+    if kind == 2:
+        return "-" + below
+    base = f"({below})" if rng.random() < 0.6 else rng.choice(["x", "y", "i", "2"])
+    return base if kind == 3 else f"{base}^{rng.randint(-2, 3)}"
+
+
+def test_parser_matches_sympy():
+    rng = random.Random(7)
+    local = {"x": X, "y": Y, "i": sp.I}
+    checked = 0
+    for _ in range(60):
+        text = grammar_text(rng)
+        try:
+            mine = parse_rational(text, XY)
+        except ZeroDenominator:
+            continue
+        reference = sp.parse_expr(text.replace("^", "**"), local_dict=local)
+        assert agree(to_sympy(HSeries.constant(mine, 0)), reference, [X, Y]), text
+        checked += 1
+    assert checked >= 50

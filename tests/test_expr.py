@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from moyalquot.cli import run
 from moyalquot.errors import (
     ExprSyntaxError,
     HInDenominator,
@@ -173,3 +177,45 @@ def test_structured_documents():
 
     rdoc = rational_document(parse_rational("x/y", XY), "flat2")
     assert rdoc == {"space": "flat2", "numerator": "x", "denominator": "y"}
+
+
+# -- the grammar through the command line ---------------------------------------
+
+_ATOMS = st.sampled_from(["x", "y", "h", "i", "0", "1", "2", "12", "q", "(x-x)"])
+_GRAMMAR = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.builds(lambda a, op, b: f"{a}{op}{b}", inner, st.sampled_from("+-*/"), inner),
+        st.builds(lambda a: f"({a})", inner),
+        st.builds(lambda a: f"-{a}", inner),
+        st.builds(lambda a, e: f"{a}^{e}", inner, st.integers(-2, 3)),
+    ),
+    max_leaves=8,
+)
+# token soup: mostly malformed, with the characters the lexer refuses
+_SOUP = st.lists(
+    st.sampled_from(["x", "y", "h", "7", "+", "-", "*", "/", "^", "(", ")", " ", "^1001", "²", "$"]),
+    max_size=10,
+).map("".join)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_GRAMMAR, _SOUP), st.one_of(_GRAMMAR, _SOUP))
+def test_cli_grammar_fuzz(left, right):
+    for argv in (
+        ["star", "--space", "flat2", "--order", "3", "--", left, right],
+        ["poisson", "--", left, right],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        # an operand after '--' is never a usage error, and 5 is an internal fault
+        assert code in (0, 2, 3), (argv, code, err)
+        if code:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+            assert "Traceback" not in err
+        else:
+            assert err == "" and out.endswith("\n")
+            if argv[0] == "star":
+                assert str(parse_series(out, XY, 3)) == out[:-1]

@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moyalquot.errors import UnknownVariable, VariableMismatch
+from moyalquot.errors import DomainError, UnknownVariable, VariableMismatch
 from moyalquot.gaussian import GaussianRational
 from moyalquot.polynomial import (
     Polynomial,
@@ -59,6 +60,24 @@ def test_str_canonical_order():
     assert str(p) == "x^2 + x + 1"
     q = build({(1, 1, 0): GaussianRational(0, 2), (0, 0, 0): Fraction(-1, 2)})
     assert str(q) == "2*i*x*y - 1/2"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+)
+def test_str_refuses_numbers_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    widest = 10 ** limit - 1
+    assert str(build({(1, 0, 0): widest})) == f"{widest}*x"
+    assert str(GaussianRational(1, Fraction(1, widest))) == f"1+1/{widest}*i"
+    # the shared denominator p*q is past the limit, but each printed part is not
+    p, q = 10 ** (limit - 1), 10 ** (limit - 1) + 1
+    assert str(GaussianRational(Fraction(1, p), Fraction(1, q))) == f"1/{p}+1/{q}*i"
+    for coeff in (10 ** limit, Fraction(1, -(10 ** limit)), GaussianRational(0, 10 ** limit)):
+        with pytest.raises(DomainError):
+            str(build({(0, 1, 0): coeff}))
+        with pytest.raises(DomainError):
+            str(GaussianRational.coerce(coeff))
 
 
 def test_derivative_power_rule():

@@ -9,7 +9,7 @@ import pytest
 
 from moyalquot import cli, suites
 from moyalquot.cli import run
-from moyalquot.suites import SuiteConfig, run_suite, SUITES
+from moyalquot.suites import MAX_SUITE_D, SuiteConfig, run_suite, SUITES
 from moyalquot.errors import UnknownSuite, UsageFailure
 from moyalquot.rational import RationalFunction
 from moyalquot.series import HSeries
@@ -52,6 +52,16 @@ def test_suite_needs_a_sample(samples):
     with pytest.raises(UsageFailure):
         SuiteConfig(samples=samples)
     assert run_cli("verify", "axioms", "--samples", str(samples)).returncode == 4
+
+
+def test_suite_d_is_bounded_before_any_work(capsys):
+    # theorem1 and symmetric symmetrize over all d! permutations
+    with pytest.raises(UsageFailure):
+        SuiteConfig(d=MAX_SUITE_D + 1)
+    started = time.perf_counter()
+    assert run(["verify", "symmetric", "--d", "10", "--samples", "1"]) == 4
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == f"usage error: d must be at most {MAX_SUITE_D}, got 10\n"
 
 
 def test_symmetric_suite_passes_beyond_two_chart_pairs():
@@ -227,6 +237,27 @@ def test_cli_long_integer_literal_is_a_parse_error(capsys):
     assert run(["star", "--space", "flat2", f"x + {literal}", "y"]) == 2
     err = capsys.readouterr().err
     assert err == "parse error: cannot read the 5001-digit integer literal (offset 4)\n"
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+    reason="needs an integer digit limit below 5001",
+)
+@pytest.mark.parametrize("output", ["text", "structured"])
+def test_cli_unprintable_number_is_a_domain_error(output, capsys):
+    # 10^5000 has more decimal digits than the interpreter turns into text
+    huge = "(10^1000)^5"
+    limit = sys.get_int_max_str_digits()
+    for argv in (
+        ["star", "--space", "flat2", "--order", "1", huge, "y"],
+        ["validate-point", f"--support={huge},{huge}", "--covectors=1,1"],
+    ):
+        assert run([*argv, "--output", output]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"domain error: a number has more than {limit} digits, too many to print\n"
+        )
 
 
 def test_cli_superscript_digit_is_a_parse_error(capsys):
