@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import comb
 from typing import List, Sequence, Tuple
 
 from .errors import (
+    DomainError,
     ExprSyntaxError,
     HInDenominator,
     OrderOverflow,
@@ -87,6 +89,10 @@ def _tokenize(text: str) -> List[_Token]:
 MAX_NESTING = 100
 # Lowering x^e takes |e| multiplications, so larger exponents are rejected.
 MAX_EXPONENT = 1000
+# Bounds on each product, quotient and power, checked on the operands before
+# any arithmetic: terms per numerator or denominator, bits per coefficient.
+MAX_TERMS = 2000
+MAX_BITS = 100_000
 
 
 # An instruction is (op, arg): ("const", GaussianRational), ("var", name),
@@ -266,6 +272,23 @@ def _power(base: _HPoly, exponent: int, variables: Tuple[str, ...]) -> _HPoly:
     return [base[0] ** exponent]
 
 
+def _check_size(factors: Sequence[Tuple[_HPoly, int]], nvars: int) -> None:
+    """Refuse the product of value^times over `factors` past MAX_TERMS or MAX_BITS:
+    terms multiply, capped by C(deg + n, n) per power of h; degrees and bits add."""
+    terms, degree, hdegree, bits = 1, 0, 0, 0
+    for value, times in factors:
+        polys = [p for c in value for p in (c.num, c.den)]
+        terms *= sum(max(len(c.num.terms), len(c.den.terms)) for c in value) ** times
+        degree += times * max(p.total_degree() for p in polys)
+        hdegree += times * (len(value) - 1)
+        bits += times * max([max(abs(v.a), abs(v.b), v.den).bit_length()
+                             for p in polys for v in p.terms.values()] + [0])
+    if min(terms, (hdegree + 1) * comb(degree + nvars, nvars)) > MAX_TERMS:
+        raise DomainError(f"expression too large: a product could pass {MAX_TERMS} terms")
+    if bits > MAX_BITS:
+        raise DomainError(f"expression too large: a coefficient could pass {MAX_BITS} bits")
+
+
 def _lower(program: Program, variables: Tuple[str, ...]) -> _HPoly:
     """Run a postfix program on a stack of values."""
     stack: List[_HPoly] = []
@@ -281,8 +304,11 @@ def _lower(program: Program, variables: Tuple[str, ...]) -> _HPoly:
         elif op == "neg":
             stack.append([-c for c in stack.pop()])
         elif op == "^":
+            _check_size([(stack[-1], abs(arg))], len(variables))
             stack.append(_power(stack.pop(), arg, variables))
         else:
+            if op in "*/":
+                _check_size([(stack[-2], 1), (stack[-1], 1)], len(variables))
             right = stack.pop()
             stack.append(_binary(op, stack.pop(), right, variables))
     return stack.pop()

@@ -27,7 +27,8 @@ one pair (q, p, s), with [a]_n = a (a-1) ... (a-n+1) and any signs of a..d,
 Shifting each variable's exponents up by its most negative one gives the
 canonical form with no gcd: the denominator is a monic monomial, and some
 term attains each minimum, so no variable divides the numerator.  Other
-operands take iterated derivatives of rational functions.
+operands take derivatives, each over its known denominator; the terms of one
+h-power are summed per denominator pair, then over their lcm with one gcd.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
 from .polynomial import Polynomial
-from .rational import RationalFunction
+from .rational import RationalFunction, rf_sum
 from .series import HSeries
 
 Matrix = Tuple[Tuple[GaussianRational, ...], ...]
@@ -173,17 +174,12 @@ class LinearSymplectic:
 class _DerivTable:
     """Cache of iterated partial derivatives of one rational function."""
 
-    __slots__ = ("vars", "table")
+    __slots__ = ("vars", "root", "table")
 
     def __init__(self, variables: Tuple[str, ...], root: RationalFunction):
         self.vars = variables
-        self.table: Dict[Tuple[int, ...], RationalFunction] = {
-            (0,) * len(variables): root
-        }
-
-    @property
-    def root(self) -> RationalFunction:
-        return self.table[(0,) * len(self.vars)]
+        self.root = root
+        self.table: Dict[Tuple[int, ...], RationalFunction] = {(0,) * len(variables): root}
 
     def get(self, alpha: Tuple[int, ...]) -> RationalFunction:
         cached = self.table.get(alpha)
@@ -202,28 +198,20 @@ def _check_function(space: SymplecticSpace, f: RationalFunction):
         raise VariableMismatch(f"function over {f.vars} does not match space {space.vars}")
 
 
-def _poly_degree_bound(f: RationalFunction) -> int:
-    """Derivative order beyond which a polynomial vanishes; -1 if unbounded."""
-    if f.den.is_one():
-        return f.num.total_degree()
-    return -1
+# numerators keyed by the denominator pair (of the f factor, of the g factor)
+_Groups = Dict[Tuple[Polynomial, Polynomial], Polynomial]
 
 
-def _bidiff(space: SymplecticSpace, tf: _DerivTable, tg: _DerivTable, k: int) -> RationalFunction:
-    if k == 0:
-        return tf.root * tg.root
-    bf = _poly_degree_bound(tf.root)
-    if 0 <= bf < k:
-        return RationalFunction.zero(space.vars)
-    bg = _poly_degree_bound(tg.root)
-    if 0 <= bg < k:
-        return RationalFunction.zero(space.vars)
+def _bidiff(space: SymplecticSpace, tf: _DerivTable, tg: _DerivTable, k: int,
+            scale: GaussianRational, groups: _Groups) -> _Groups:
+    """Add scale * D^k(f, g) to groups, one numerator per denominator pair."""
+    if any(t.root.den.is_one() and t.root.num.total_degree() < k for t in (tf, tg)):
+        return groups  # zero, or a polynomial of degree below k
     n = space.dim
-    acc = RationalFunction.zero(space.vars)
     for combo in combinations_with_replacement(range(len(space.brackets)), k):
         alpha = [0] * n
         beta = [0] * n
-        coeff = G_ONE
+        coeff = scale
         mult = factorial(k)
         for idx, count in Counter(combo).items():
             a, b, value = space.brackets[idx]
@@ -237,8 +225,14 @@ def _bidiff(space: SymplecticSpace, tf: _DerivTable, tg: _DerivTable, k: int) ->
         gb = tg.get(tuple(beta))
         if gb.is_zero():
             continue
-        acc = acc + (coeff * mult) * (fa * gb)
-    return acc
+        key = (fa.den, gb.den)
+        term = (fa.num * (coeff * mult)) * gb.num
+        groups[key] = groups[key] + term if key in groups else term
+    return groups
+
+
+def _sum_groups(space: SymplecticSpace, groups: _Groups) -> RationalFunction:
+    return rf_sum(space.vars, ((num, df * dg) for (df, dg), num in groups.items()))
 
 
 def poisson_bracket(ctx: MoyalContext, f: RationalFunction, g: RationalFunction) -> RationalFunction:
@@ -253,7 +247,8 @@ def bidiff_power(ctx: MoyalContext, f: RationalFunction, g: RationalFunction, k:
     space = ctx.space
     _check_function(space, f)
     _check_function(space, g)
-    return _bidiff(space, _DerivTable(space.vars, f), _DerivTable(space.vars, g), k)
+    tf, tg = _DerivTable(space.vars, f), _DerivTable(space.vars, g)
+    return _sum_groups(space, _bidiff(space, tf, tg, k, G_ONE, {}))
 
 
 def _star_scalars(order: int) -> List[GaussianRational]:
@@ -350,26 +345,15 @@ def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
         laurent = [_laurent_terms(c) for c in used]
         return _laurent_star(ctx, laurent[: n + 1], laurent[n + 1:])
     scalars = _star_scalars(n)
-    tables_f: Dict[int, _DerivTable] = {}
-    tables_g: Dict[int, _DerivTable] = {}
+    tf = [_DerivTable(space.vars, c) for c in f.coeffs[: n + 1]]
+    tg = [_DerivTable(space.vars, c) for c in g.coeffs[: n + 1]]
     out = []
     for m in range(n + 1):
-        acc = RationalFunction.zero(space.vars)
+        groups: _Groups = {}
         for i in range(m + 1):
-            fi = f.coeffs[i]
-            if fi.is_zero():
-                continue
-            tf = tables_f.setdefault(i, _DerivTable(space.vars, fi))
             for j in range(m - i + 1):
-                gj = g.coeffs[j]
-                if gj.is_zero():
-                    continue
-                k = m - i - j
-                tg = tables_g.setdefault(j, _DerivTable(space.vars, gj))
-                term = _bidiff(space, tf, tg, k)
-                if not term.is_zero():
-                    acc = acc + scalars[k] * term
-        out.append(acc)
+                _bidiff(space, tf[i], tg[j], m - i - j, scalars[m - i - j], groups)
+        out.append(_sum_groups(space, groups))
     return HSeries(tuple(out))
 
 

@@ -360,6 +360,8 @@ def poly_try_divexact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
         raise ZeroDenominator("division by the zero polynomial")
     if p.is_zero():
         return Polynomial.zero(p.vars)
+    if d.is_constant():  # the loop below rescans the remainder at every step
+        return p * d.constant_value().inverse()
     d_lead = max(d.terms, key=_grlex_key)
     d_coeff = d.terms[d_lead]
     remainder = dict(p.terms)
@@ -489,8 +491,11 @@ def _lead_in(p: Polynomial, idx: int) -> Polynomial:
 
 
 def _content_in(p: Polynomial, idx: int) -> Polynomial:
+    parts = _coefficients_in(p, idx).values()
+    if any(part.is_constant() for part in parts):
+        return Polynomial.one(p.vars)
     content = Polynomial.zero(p.vars)
-    for part in _coefficients_in(p, idx).values():
+    for part in parts:
         content = poly_gcd(content, part)
         if content.is_constant():
             break

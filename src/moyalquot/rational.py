@@ -8,11 +8,11 @@ equality of representations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import SubstitutionPole, VariableMismatch, ZeroDenominator
 from .gaussian import GaussianRational
-from .polynomial import Polynomial, poly_divexact, poly_gcd
+from .polynomial import Polynomial, _content_in, poly_divexact, poly_gcd
 
 
 class RationalFunction:
@@ -110,16 +110,7 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return rf_normalize(self.num + other.num, self.den)
-        g = poly_gcd(self.den, other.den)
-        if g.is_one():
-            num = self.num * other.den + other.num * self.den
-            return RationalFunction._from_coprime(num, self.den * other.den)
-        d1 = poly_divexact(self.den, g)
-        d2 = poly_divexact(other.den, g)
-        num = self.num * d2 + other.num * d1
-        return rf_normalize(num, self.den * d2)
+        return rf_sum(self.vars, ((self.num, self.den), (other.num, other.den)), reduced=True)
 
     __radd__ = __add__
 
@@ -175,12 +166,27 @@ class RationalFunction:
     # -- calculus -----------------------------------------------------------------
 
     def derivative(self, name: str) -> "RationalFunction":
+        """(N' s - N t)/(D s), with g = gcd(D, D'), s = D/g and t = D'/g.
+
+        A prime p of D that involves x divides D s once more than D, but not
+        N t: not N (the input is reduced), not p' (lower degree in x), and not
+        t, which is e p' times cofactors of p modulo p.  So only the content of
+        D in x can cancel; it is all of D when D' = 0.
+        """
         dn = self.num.derivative(name)
         if self.den.is_one():
             return RationalFunction._trusted(dn, self.den)
         dd = self.den.derivative(name)
-        num = dn * self.den - self.num * dd
-        return rf_normalize(num, self.den * self.den)
+        if dd.is_zero():
+            return rf_normalize(dn, self.den)
+        g = poly_gcd(self.den, dd)
+        s, t = poly_divexact(self.den, g), poly_divexact(dd, g)
+        num, den = dn * s - self.num * t, self.den * s
+        content = _content_in(self.den, self.den._index(name))
+        if not content.is_constant():
+            common = poly_gcd(num, content)
+            num, den = poly_divexact(num, common), poly_divexact(den, common)
+        return RationalFunction._from_coprime(num, den)
 
     def substitute(self, bindings: Mapping[str, "RationalFunction"]) -> "RationalFunction":
         """Exact composition; every variable must be bound."""
@@ -189,12 +195,9 @@ class RationalFunction:
                 f"bindings {sorted(bindings)} do not cover variables {self.vars}"
             )
         values = {name: bindings[name] for name in self.vars}
-        target = None
-        for value in values.values():
-            if target is None:
-                target = value.vars
-            elif value.vars != target:
-                raise VariableMismatch("binding values do not share one variable set")
+        target = values[self.vars[0]].vars if values else None
+        if any(value.vars != target for value in values.values()):
+            raise VariableMismatch("binding values do not share one variable set")
         cache: Dict[Tuple[str, int], RationalFunction] = {}
         num_val = _eval_poly(self.num, values, target, cache)
         if self.den.is_one():
@@ -237,17 +240,11 @@ def _eval_poly(
         for name, e in zip(p.vars, exp):
             if not e:
                 continue
-            key = (name, e)
-            power = cache.get(key)
-            if power is None:
-                base = cache.get((name, 1))
-                if base is None:
-                    base = bindings[name]
-                    cache[(name, 1)] = base
-                power = cache.get((name, e - 1), None)
-                power = (power * base) if power is not None else base ** e
-                cache[key] = power
-            term = term * power
+            if (name, e) not in cache:
+                lower = cache.get((name, e - 1))
+                base = bindings[name]
+                cache[(name, e)] = lower * base if lower is not None else base ** e
+            term = term * cache[(name, e)]
         total = total + term
     return total
 
@@ -267,3 +264,30 @@ def rf_normalize(num: Polynomial, den: Polynomial) -> RationalFunction:
         num = poly_divexact(num, g)
         den = poly_divexact(den, g)
     return RationalFunction._from_coprime(num, den)
+
+
+def rf_sum(variables: Sequence[str], fractions: Iterable[Tuple[Polynomial, Polynomial]],
+           reduced: bool = False) -> RationalFunction:
+    """Canonical sum of the fractions num/den, den monic: one lcm, one normalization.
+
+    With `reduced` the inputs are in lowest terms, so pairwise coprime
+    denominators need no gcd: a prime of one divides every other term only.
+    """
+    num, den, coprime = Polynomial.zero(variables), Polynomial.one(variables), True
+    for n, d in fractions:
+        if n.is_zero():
+            continue
+        if d == den:
+            num, coprime = num + n, coprime and den.is_one()
+        elif den.is_one():
+            num, den = num * d + n, d
+        else:
+            g = poly_gcd(den, d)
+            cofactor = den
+            if not g.is_one():
+                coprime = False
+                d, cofactor = poly_divexact(d, g), poly_divexact(den, g)
+            num, den = num * d + n * cofactor, den * d
+    if reduced and coprime:
+        return RationalFunction._from_coprime(num, den)
+    return rf_normalize(num, den)

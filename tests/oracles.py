@@ -6,7 +6,9 @@ over bivector entries, so agreement is meaningful.  The bidiff oracle sums
 the library's general derivative path term by term on any space, the route
 moyal_star leaves for Laurent operands.  The cover oracles move
 one variable pair through the quadric cover by generic substitution, with a
-gcd at every step, where the library rewrites exponents.
+gcd at every step, where the library rewrites exponents.  The derivative
+oracle is the plain quotient rule over D^2 with a full gcd, where the library
+builds the reduced denominator directly.
 """
 
 from fractions import Fraction
@@ -16,10 +18,16 @@ from moyalquot.errors import NotEven
 from moyalquot.gaussian import GaussianRational
 from moyalquot.moyal import MoyalContext, bidiff_power
 from moyalquot.polynomial import Polynomial
-from moyalquot.rational import RationalFunction
+from moyalquot.rational import RationalFunction, rf_normalize
 from moyalquot.series import HSeries
 
 I = GaussianRational(0, 1)
+
+
+def derivative_oracle(f: RationalFunction, name: str) -> RationalFunction:
+    """d(N/D)/dx as rf_normalize(N' D - N D', D^2)."""
+    num = f.num.derivative(name) * f.den - f.num * f.den.derivative(name)
+    return rf_normalize(num, f.den * f.den)
 
 
 def star_2d_oracle(f: RationalFunction, g: RationalFunction, order: int) -> HSeries:

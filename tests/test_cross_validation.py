@@ -5,6 +5,7 @@ expanded symbolically with sympy and compared by exact evaluation at random
 rational points.  Skipped when sympy is not installed.
 """
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ sp = pytest.importorskip("sympy")
 from moyalquot.atlas import KChartFunction, star_on_K
 from moyalquot.errors import ZeroDenominator
 from moyalquot.expr import parse_rational
-from moyalquot.moyal import MoyalContext, SymplecticSpace, moyal_star
+from moyalquot.moyal import MoyalContext, SymplecticSpace, moyal_star, poisson_bracket
 from moyalquot.polynomial import Polynomial
 from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
@@ -111,6 +112,91 @@ def test_chart_star_matches_sympy_through_cover():
     )
     reference = sympy_star((X / Y) ** 2, -(Y ** 2) / 2, 4)
     assert agree(mine, reference, [X, Y, H])
+
+
+def sympy_bidiff_at(f, g, pairs, k, point, cache):
+    """P^k(f, g) at an exact point, P = sum over pairs of d_q (x) d_p - d_p (x) d_q.
+
+    The pair operators commute, so P^k expands by the multinomial theorem over
+    the pairs and by the binomial theorem within each pair; every derivative
+    is taken by sympy, one variable at a time, and evaluated at the point.
+    """
+    symbols = [s for pair in pairs for s in pair]
+
+    def derivative_at(expr, orders):
+        key = (expr, orders)
+        if key not in cache:
+            if not any(orders):
+                value = expr
+            else:
+                idx = next(i for i, e in enumerate(orders) if e)
+                parent = orders[:idx] + (orders[idx] - 1,) + orders[idx + 1:]
+                value = sp.diff(derivative_at(expr, parent)[0], symbols[idx])
+            cache[key] = (value, value.subs(point))
+        return cache[key]
+
+    total = 0
+    for ks in itertools.product(range(k + 1), repeat=len(pairs)):
+        if sum(ks) != k:
+            continue
+        multinomial = sp.factorial(k) / sp.prod([sp.factorial(kt) for kt in ks])
+        for js in itertools.product(*[range(kt + 1) for kt in ks]):
+            weight = multinomial
+            f_orders, g_orders = [], []
+            for kt, jt in zip(ks, js):
+                weight *= sp.binomial(kt, jt) * (-1) ** jt
+                f_orders += [kt - jt, jt]
+                g_orders += [jt, kt - jt]
+            total += (
+                weight
+                * derivative_at(f, tuple(f_orders))[1]
+                * derivative_at(g, tuple(g_orders))[1]
+            )
+    return total
+
+
+def rational_at(c, point):
+    return to_sympy(HSeries.constant(c, 0)).subs(point)
+
+
+FLAT4 = ("x1", "y1", "x2", "y2")
+
+# (variables, order, f, g): non-Laurent rational operands
+RATIONAL_CASES = [
+    (XY, 6, "(x^2 + y)/(x^2 + y^2)", "(x + 2*y)/(x - y)"),
+    (XY, 5, "1/(x*y + 1)", "(y - i*x)/(2*x + 3)^2"),
+    (XY, 6, "x/(x + y^2)", "y/(x + y^2)"),  # one shared denominator
+    (XY, 6, "x^2*y + y^3 - i*x", "(x + 1)/(y*(x - y))"),  # a polynomial operand
+    (XY, 3, "(x + y)/(y*(x + 2*y))", "x*y/(x - 2)"),
+    (FLAT4, 4, "(x1*y2 + 1)/(x1 + y1*x2)", "(y1 + x2)/(y2^2 + 1)"),
+    (FLAT4, 4, "x2/(x1 - y2)", "y1^2*x1 + (1+i)*y2"),
+]
+
+
+@pytest.mark.parametrize("variables, order, ftext, gtext", RATIONAL_CASES)
+def test_rational_star_and_bracket_match_sympy_at_exact_points(variables, order, ftext, gtext):
+    f, g = parse_rational(ftext, variables), parse_rational(gtext, variables)
+    ctx = MoyalContext(SymplecticSpace.standard(variables), order)
+    star = moyal_star(ctx, HSeries.constant(f, order), HSeries.constant(g, order))
+    bracket = poisson_bracket(ctx, f, g)
+    symbols = [sp.Symbol(v) for v in variables]
+    pairs = [tuple(symbols[k : k + 2]) for k in range(0, len(symbols), 2)]
+    fs, gs = rational_at(f, {}), rational_at(g, {})
+    rng = random.Random(f"{ftext} * {gtext}")
+    checked = 0
+    while checked < 2:
+        point = {s: sp.Rational(rng.randint(-9, 9), rng.randint(1, 5)) for s in symbols}
+        dens = (RationalFunction.from_polynomial(c.den) for c in (f, g))
+        if any(rational_at(d, point) == 0 for d in dens):
+            continue
+        cache = {}
+        for m, c in enumerate(star.coeffs):
+            bidiff = sympy_bidiff_at(fs, gs, pairs, m, point, cache)
+            expected = (sp.I / 2) ** m / sp.factorial(m) * bidiff
+            assert sp.expand(rational_at(c, point) - expected) == 0, (m, point)
+        bidiff = sympy_bidiff_at(fs, gs, pairs, 1, point, cache)
+        assert sp.expand(rational_at(bracket, point) - bidiff) == 0, point
+        checked += 1
 
 
 def grammar_text(rng, depth=5):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from moyalquot.cli import run
 from moyalquot.errors import (
+    DomainError,
     ExprSyntaxError,
     HInDenominator,
     OrderOverflow,
@@ -14,8 +15,10 @@ from moyalquot.errors import (
     ZeroDenominator,
 )
 from moyalquot.expr import (
+    MAX_BITS,
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERMS,
     parse_expr,
     parse_gaussian,
     parse_rational,
@@ -63,6 +66,21 @@ def test_nesting_depth_is_capped():
         with pytest.raises(ExprSyntaxError) as excinfo:
             parse_expr(deeper, XY)
         assert excinfo.value.offset == MAX_NESTING
+
+
+def test_expression_size_is_bounded():
+    # the term bound is the smaller of the product of the operands' term
+    # counts and the number of monomials of the result's degree
+    for text in ("x^1000*y^1000", "(x + y + 1)^20", "(x - y)^45", "(2^1000)^99*x"):
+        parse_series(text, XY, 0)
+    for text, limit in (
+        ("(x + y + 1)^62", f"{MAX_TERMS} terms"),
+        ("(x + y + 1)^20*(x - y)^45", f"{MAX_TERMS} terms"),
+        ("(x + y + 1)^20/(x - y)^45", f"{MAX_TERMS} terms"),
+        ("(2^1000)^101", f"{MAX_BITS} bits"),
+    ):
+        with pytest.raises(DomainError, match=f"expression too large: .* {limit}$"):
+            parse_series(text, XY, 0)
 
 
 def test_exponent_is_capped():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import derivative_oracle
 
 from moyalquot.errors import (
     SubstitutionPole,
@@ -11,6 +12,7 @@ from moyalquot.errors import (
 )
 from moyalquot.gaussian import GaussianRational
 from moyalquot.polynomial import Polynomial
+from moyalquot.expr import parse_rational
 from moyalquot.rational import RationalFunction, rf_normalize
 
 XY = ("x", "y")
@@ -131,3 +133,62 @@ def test_field_arithmetic(f, g):
     if not g.is_zero():
         assert (f / g) * g == f
     assert f - f == RationalFunction.zero(XY)
+
+
+# Denominator factors: repeated ones, ones free of a variable (the content of
+# the denominator in that variable), and Gaussian coefficients.
+FACTORS = [
+    "x + 1", "y", "y + i/2", "x - y", "x*y + 1", "x^2 + y^2", "2*y - 3*i", "x + (1+i)*y",
+]
+factor_powers = st.lists(st.tuples(st.sampled_from(FACTORS), st.integers(1, 3)), max_size=3)
+
+
+ONE_VARIABLE = {"x": ["x + 1", "x - 2*i", "x"], "y": ["y", "y + i/2", "2*y - 3*i"]}
+
+
+def one_variable(name):
+    """c(name)/E(name): added to f, it puts content into f's denominator that
+    the derivative in the other variable cancels."""
+    index = XY.index(name)
+    exponent = st.integers(0, 2).map(lambda e: tuple(e if k == index else 0 for k in range(2)))
+    num = st.dictionaries(exponent, coefficients, max_size=2).map(lambda t: Polynomial(XY, t))
+    factors = st.lists(st.tuples(st.sampled_from(ONE_VARIABLE[name]), st.integers(1, 2)), max_size=2)
+    return st.tuples(num, factors)
+
+
+def product(factors):
+    out = RationalFunction.one(XY)
+    for text, power in factors:
+        out = out * parse_rational(text, XY) ** power
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, factor_powers, one_variable("x"), one_variable("y"))
+def test_derivative_matches_quotient_rule(num, factors, in_x, in_y):
+    f = RationalFunction(num, product(factors).num)
+    for extra, extra_factors in (in_x, in_y):
+        f = f + RationalFunction(extra, product(extra_factors).num)
+    for v in XY:
+        assert f.derivative(v) == derivative_oracle(f, v)
+
+
+@pytest.mark.parametrize(
+    "text, name, expected",
+    [
+        # the denominator cancels entirely
+        ("((x+1)*y + 1)/(x+1)", "y", "1"),
+        # y is content of the denominator in x, and it cancels
+        ("(x + y)/(y*(x + 2*y))", "x", "1/(x + 2*y)^2"),
+        # a denominator free of x, with a Gaussian coefficient
+        ("(x^2*y + x + 1)/(y^2 + (1/2)*i*y)", "x", "(2*x*y + 1)/(y^2 + (1/2)*i*y)"),
+        ("(x^2 + y)/(x*(y^2 + (1/2)*i*y))", "x", None),
+        ("(x + 1)^2/((x - y)^3*y)", "y", None),
+    ],
+)
+def test_derivative_known_cases(text, name, expected):
+    f = parse_rational(text, XY)
+    got = f.derivative(name)
+    assert got == derivative_oracle(f, name)
+    if expected is not None:
+        assert got == parse_rational(expected, XY)

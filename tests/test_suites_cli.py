@@ -231,6 +231,23 @@ def test_cli_huge_exponent_is_a_parse_error(capsys):
     assert err == "parse error: exponent larger than 1000 in absolute value (offset 2)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["star", "--space", "flat2", "--order", "1", "--", "(x+y+1)^1000", "y"], "2000 terms"),
+        (["star", "--", "((10^1000)^1000)^10", "y"], "100000 bits"),
+    ],
+)
+def test_cli_expression_size_is_bounded_up_front(argv, limit, capsys):
+    started = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: expression too large: ")
+    assert captured.err.endswith(f" {limit}\n")
+
+
 def test_cli_long_integer_literal_is_a_parse_error(capsys):
     # int() refuses decimal strings past the interpreter's digit limit
     literal = "1" + "9" * 5000
