@@ -28,7 +28,7 @@ Shifting each variable's exponents up by its most negative one gives the
 canonical form with no gcd: the denominator is a monic monomial, and some
 term attains each minimum, so no variable divides the numerator.  Other
 operands take derivatives, each over its known denominator; the terms of one
-h-power are summed per denominator pair, then over their lcm with one gcd.
+h-power are summed per denominator pair, put over the lcm, normalized once.
 """
 
 from __future__ import annotations

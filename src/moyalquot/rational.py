@@ -277,16 +277,16 @@ def rf_sum(variables: Sequence[str], fractions: Iterable[Tuple[Polynomial, Polyn
     for n, d in fractions:
         if n.is_zero():
             continue
-        if d == den:
+        if num.is_zero():
+            num, den = n, d
+        elif d == den:
             num, coprime = num + n, coprime and den.is_one()
         elif den.is_one():
             num, den = num * d + n, d
         else:
             g = poly_gcd(den, d)
-            cofactor = den
-            if not g.is_one():
-                coprime = False
-                d, cofactor = poly_divexact(d, g), poly_divexact(den, g)
+            coprime = coprime and g.is_one()
+            d, cofactor = (d, den) if g.is_one() else (poly_divexact(d, g), poly_divexact(den, g))
             num, den = num * d + n * cofactor, den * d
     if reduced and coprime:
         return RationalFunction._from_coprime(num, den)
