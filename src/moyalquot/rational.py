@@ -168,10 +168,10 @@ class RationalFunction:
     def derivative(self, name: str) -> "RationalFunction":
         """(N' s - N t)/(D s), with g = gcd(D, D'), s = D/g and t = D'/g.
 
-        A prime p of D that involves x divides D s once more than D, but not
-        N t: not N (the input is reduced), not p' (lower degree in x), and not
-        t, which is e p' times cofactors of p modulo p.  So only the content of
-        D in x can cancel; it is all of D when D' = 0.
+        A prime p of D that involves x, to the power e, divides D s once more
+        than D, but not N t: not N (the input is reduced), not p' (lower degree
+        in x), and not t, which is e p' times cofactors of p modulo p.  So only
+        the content of D in x can cancel; it is all of D when D' = 0.
         """
         dn = self.num.derivative(name)
         if self.den.is_one():
