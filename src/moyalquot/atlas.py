@@ -2,11 +2,10 @@
 
 Charts carry coordinate pairs (z, p); transitions between charts are Mobius
 maps stored as the 2x2 matrices written, so that validation can report
-degenerate ones instead of refusing to hold them.  A transition is a
-projective class: every nonzero multiple of its matrix is the same map, and
-the cotangent lift that transports chart functions does not depend on the
-scaling.  The star product on a chart is the cover star of its one (z, p)
-pair.
+degenerate ones instead of refusing to hold them.  A transition is a projective
+class: every nonzero multiple of its matrix is the same map.  Transport moves
+chart functions through the quadric cover, on which a transition acts linearly.
+The star product on a chart is the cover star of its one (z, p) pair.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from .errors import (
     MissingTransition,
     VariableMismatch,
 )
-from .gaussian import GaussianRational
-from .geometry import MobiusMap, cotangent_lift
+from .gaussian import ONE as G_ONE, ZERO as G_ZERO, GaussianRational
+from .geometry import MobiusMap, pushforward_even_pair, sigma_pullback_pair
 from .quot import cover_star
 from .series import HSeries, hs_equal
 
@@ -141,17 +140,23 @@ class KChartFunction:
 
 
 def transport(atlas: ProjectiveAtlas, f: KChartFunction, target: str) -> KChartFunction:
-    """Express f in the target chart, pulling back along the declared transition."""
+    """Express f in the target chart through the cover, where transitions are linear.
+
+    With M the transition back to f's chart: p -> p/det, pull-back, M, push-forward."""
+    src_vars = tuple(atlas.chart_vars(f.chart))
+    if f.value.vars != src_vars:
+        raise VariableMismatch(f"chart {f.chart!r} has variables {src_vars}, not {f.value.vars}")
     if target == f.chart:
-        atlas.chart_vars(target)
         return f
-    src_vars = atlas.chart_vars(f.chart)
     dst_vars = atlas.chart_vars(target)
     mob = atlas.transition_map(target, f.chart)
-    big_z, big_p = cotangent_lift(mob, dst_vars)
-    bindings = {src_vars[0]: big_z, src_vars[1]: big_p}
-    moved = f.value.map_coefficients(lambda c: c.substitute(bindings))
-    return KChartFunction(target, moved)
+    unscale = ((G_ONE, G_ZERO), (G_ZERO, mob.det.inverse()))
+
+    def move(c):
+        cover = sigma_pullback_pair(c.compose_linear(unscale), *src_vars, *src_vars)
+        return pushforward_even_pair(cover.compose_linear(mob.matrix), *src_vars, *dst_vars)
+
+    return KChartFunction(target, f.value.map_coefficients(move))
 
 
 def star_on_K(order: int, f: KChartFunction, g: KChartFunction) -> KChartFunction:

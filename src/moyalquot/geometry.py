@@ -26,6 +26,9 @@ would make the invariant norm h * h(-x, -y) a common factor of their
 squares in that subring, which is a unit when the inputs are coprime up to
 powers of p, so h is a monomial.  Other variables ride along as
 coefficients.
+
+M acting linearly on (x, y) covers its Mobius map, (Z, P) its cotangent lift:
+sigma o M = (Z, det*P) o sigma.  atlas.transport relies on this identity.
 """
 
 from __future__ import annotations

@@ -369,12 +369,4 @@ def apply_symplectic(ctx: MoyalContext, G: LinearSymplectic, f: HSeries) -> HSer
         raise NotSymplectic("map was validated against a different space")
     if f.vars != space.vars:
         raise VariableMismatch("series does not live on the context space")
-    bindings = {}
-    for a, name in enumerate(space.vars):
-        expr = Polynomial.zero(space.vars)
-        for b, target in enumerate(space.vars):
-            coeff = G.matrix[a][b]
-            if not coeff.is_zero():
-                expr = expr + Polynomial.variable(space.vars, target) * coeff
-        bindings[name] = RationalFunction.from_polynomial(expr)
-    return f.map_coefficients(lambda c: c.substitute(bindings))
+    return f.map_coefficients(lambda c: c.compose_linear(G.matrix))

@@ -239,6 +239,21 @@ class Polynomial:
                 out[key] = c
         return Polynomial._raw(self.vars, out)
 
+    def compose(self, images: Sequence):
+        """Put images[i] for variable i; the result has the images' kind, polynomial or rational."""
+        kind, target = type(images[0]), images[0].vars
+        powers = [[None, image] for image in images]
+        total = kind.zero(target)
+        for exp, coeff in self.terms.items():
+            mono = None
+            for image, row, e in zip(images, powers, exp):
+                if e:
+                    while len(row) <= e:
+                        row.append(row[-1] * image)
+                    mono = row[e] if mono is None else mono * row[e]
+            total = total + (kind.constant(target, coeff) if mono is None else mono * coeff)
+        return total
+
     # -- variable plumbing -----------------------------------------------------
 
     def with_variables(self, variables: Sequence[str]) -> "Polynomial":

@@ -8,7 +8,7 @@ equality of representations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import SubstitutionPole, VariableMismatch, ZeroDenominator
 from .gaussian import GaussianRational
@@ -190,22 +190,30 @@ class RationalFunction:
 
     def substitute(self, bindings: Mapping[str, "RationalFunction"]) -> "RationalFunction":
         """Exact composition; every variable must be bound."""
-        if set(bindings) != set(self.vars):
+        if not self.vars or set(bindings) != set(self.vars):
             raise VariableMismatch(
                 f"bindings {sorted(bindings)} do not cover variables {self.vars}"
             )
-        values = {name: bindings[name] for name in self.vars}
-        target = values[self.vars[0]].vars if values else None
-        if any(value.vars != target for value in values.values()):
+        images = [bindings[name] for name in self.vars]
+        if any(image.vars != images[0].vars for image in images):
             raise VariableMismatch("binding values do not share one variable set")
-        cache: Dict[Tuple[str, int], RationalFunction] = {}
-        num_val = _eval_poly(self.num, values, target, cache)
+        num_val = self.num.compose(images)
         if self.den.is_one():
             return num_val
-        den_val = _eval_poly(self.den, values, target, cache)
+        den_val = self.den.compose(images)
         if den_val.is_zero():
             raise SubstitutionPole("denominator is identically zero after composition")
         return num_val / den_val
+
+    def compose_linear(self, rows: Sequence[Sequence[GaussianRational]]) -> "RationalFunction":
+        """self after x_i -> sum_j rows[i][j] x_j, for an invertible matrix of rows.
+
+        No gcd: a ring automorphism keeps numerator and denominator coprime."""
+        if self.is_zero():
+            return self
+        xs = [Polynomial.variable(self.vars, v) for v in self.vars]
+        forms = [sum((x * c for x, c in zip(xs, row)), Polynomial.zero(self.vars)) for row in rows]
+        return RationalFunction._from_coprime(self.num.compose(forms), self.den.compose(forms))
 
     # -- comparison and formatting ---------------------------------------------------
 
@@ -226,27 +234,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
-
-
-def _eval_poly(
-    p: Polynomial,
-    bindings: Mapping[str, RationalFunction],
-    target: Tuple[str, ...],
-    cache: Dict[Tuple[str, int], RationalFunction],
-) -> RationalFunction:
-    total = RationalFunction.zero(target)
-    for exp, coeff in p.terms.items():
-        term = RationalFunction.constant(target, coeff)
-        for name, e in zip(p.vars, exp):
-            if not e:
-                continue
-            if (name, e) not in cache:
-                lower = cache.get((name, e - 1))
-                base = bindings[name]
-                cache[(name, e)] = lower * base if lower is not None else base ** e
-            term = term * cache[(name, e)]
-        total = total + term
-    return total
 
 
 # -- operation-level entry points ----------------------------------------------

@@ -8,15 +8,20 @@ moyal_star leaves for Laurent operands.  The cover oracles move
 one variable pair through the quadric cover by generic substitution, with a
 gcd at every step, where the library rewrites exponents.  The derivative
 oracle is the plain quotient rule over D^2 with a full gcd, where the library
-builds the reduced denominator directly.
+builds the reduced denominator directly.  The transport and symplectic-map
+oracles substitute rational bindings (the cotangent lift of a transition, the
+linear forms of a matrix) with a gcd at every step, where the library composes
+with linear forms on the quadric cover and runs no gcd.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
+from moyalquot.atlas import KChartFunction, ProjectiveAtlas
 from moyalquot.errors import NotEven
 from moyalquot.gaussian import GaussianRational
-from moyalquot.moyal import MoyalContext, bidiff_power
+from moyalquot.geometry import cotangent_lift
+from moyalquot.moyal import LinearSymplectic, MoyalContext, bidiff_power
 from moyalquot.polynomial import Polynomial
 from moyalquot.rational import RationalFunction, rf_normalize
 from moyalquot.series import HSeries
@@ -105,3 +110,31 @@ def pushforward_pair_oracle(
         return Polynomial(target, terms)
 
     return RationalFunction(halve(mixed.num), halve(mixed.den))
+
+
+def transport_oracle(atlas: ProjectiveAtlas, f: KChartFunction, target: str) -> KChartFunction:
+    """Substitute the cotangent lift of the transition into every coefficient."""
+    if target == f.chart:
+        atlas.chart_vars(target)
+        return f
+    src_vars = atlas.chart_vars(f.chart)
+    dst_vars = atlas.chart_vars(target)
+    mob = atlas.transition_map(target, f.chart)
+    big_z, big_p = cotangent_lift(mob, dst_vars)
+    bindings = {src_vars[0]: big_z, src_vars[1]: big_p}
+    moved = f.value.map_coefficients(lambda c: c.substitute(bindings))
+    return KChartFunction(target, moved)
+
+
+def apply_symplectic_oracle(ctx: MoyalContext, G: LinearSymplectic, f: HSeries) -> HSeries:
+    """Substitute the linear form of each matrix row for its variable."""
+    space = ctx.space
+    bindings = {}
+    for a, name in enumerate(space.vars):
+        expr = Polynomial.zero(space.vars)
+        for b, target in enumerate(space.vars):
+            coeff = G.matrix[a][b]
+            if not coeff.is_zero():
+                expr = expr + Polynomial.variable(space.vars, target) * coeff
+        bindings[name] = RationalFunction.from_polynomial(expr)
+    return f.map_coefficients(lambda c: c.substitute(bindings))

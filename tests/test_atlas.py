@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,12 +19,15 @@ from moyalquot.errors import (
     ChartMismatch,
     DegenerateMatrix,
     MissingTransition,
+    VariableMismatch,
 )
 from moyalquot.gaussian import GaussianRational
 from moyalquot.polynomial import Polynomial
 from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
 from moyalquot.series import HSeries, hs_equal
+
+from oracles import transport_oracle
 
 ZP = ("z", "p")
 I = GaussianRational(0, 1)
@@ -297,6 +302,70 @@ def test_projective_transitions_glue_exactly(atlas, f_terms, g_terms):
     f, g = chart_fn("f", f_terms, order=3), chart_fn("g", g_terms, order=3)
     assert chart_independence_check(atlas, f, g, "B", 3)
     assert transport(atlas, transport(atlas, f, "B"), "A").value == f.value
+
+
+# For each determinant 1, 2, -2, i and 3 - 4i, a transition with c = 0 and one
+# with c != 0, written (a, b, c, d).
+_TRANSITIONS = (
+    (1, Fraction(1, 2), 0, 1), (0, -1, 1, 0),
+    (2, 0, 0, 1), (1, 1, -1, 1),
+    (-2, 1, 0, 1), (1, 1, 1, -1),
+    (I, 0, 0, 1), (1, 0, 1, I),
+    (3 - 4 * I, 1, 0, 1), (1, 2, 1, 5 - 4 * I),
+)
+# projective multiples: the same Mobius map with the determinant scaled by s^2
+_SCALES = (1, 2, -I, 1 + I)
+# target names disjoint from (z, p), swapped, and sharing z
+_TARGET_NAMES = (("w", "q"), ("p", "z"), ("z", "q"))
+_DEN_FACTORS = (
+    {(1, 0): 1}, {(0, 1): 1}, {(1, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): -I}, {(0, 2): 1, (1, 0): 2},
+)
+
+
+def _chart_rational(terms, factors):
+    den = Polynomial.one(ZP)
+    for factor in factors:  # repeats allowed
+        den = den * Polynomial(ZP, factor)
+    return RationalFunction(Polynomial(ZP, terms), den)
+
+
+_chart_rationals = st.builds(
+    _chart_rational,
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.sampled_from(_ENTRIES[1:]),
+                    max_size=3),
+    st.lists(st.sampled_from(_DEN_FACTORS), max_size=3),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_TRANSITIONS),
+    st.sampled_from(_SCALES),
+    st.sampled_from(_TARGET_NAMES),
+    st.lists(_chart_rationals, min_size=3, max_size=3),
+)
+def test_transport_matches_substitution_oracle(entries, scale, names, coeffs):
+    a, b, c, d = (GaussianRational.coerce(e) * scale for e in entries)
+    atlas = ProjectiveAtlas(
+        charts={"A": ZP, "B": names},
+        transitions={("B", "A"): ((a, b), (c, d)), ("A", "B"): ((d, -b), (-c, a))},
+    )
+    f = KChartFunction("A", HSeries(coeffs))
+    moved = transport(atlas, f, "B")
+    assert moved.value.vars == names
+    assert moved.value == transport_oracle(atlas, f, "B").value
+    back = transport(atlas, moved, "A")
+    assert back.value == transport_oracle(atlas, moved, "A").value == f.value
+
+
+def test_transport_needs_the_chart_variables_in_order():
+    atlas = standard_cp1_atlas()
+    swapped = KChartFunction("A", HSeries.variable(("p", "z"), "z", 2))
+    for target in ("A", "B"):
+        with pytest.raises(VariableMismatch):
+            transport(atlas, swapped, target)
+    with pytest.raises(VariableMismatch):
+        transport(atlas, KChartFunction("A", HSeries.variable(("w", "q"), "w", 2)), "B")
 
 
 # -- file format ------------------------------------------------------------------------

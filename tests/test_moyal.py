@@ -32,7 +32,7 @@ from moyalquot.moyal import (
 from moyalquot.quot import ProductContext, quot_cell_star, symmetrize
 from moyalquot.sampling import SampleStream
 
-from oracles import star_2d_oracle, star_by_bidiff_oracle
+from oracles import apply_symplectic_oracle, star_2d_oracle, star_by_bidiff_oracle
 
 XY = ("x", "y")
 I = GaussianRational(0, 1)
@@ -219,6 +219,18 @@ def test_equivariance_random_shears():
         lhs = moyal_star(ctx, apply_symplectic(ctx, G, f), apply_symplectic(ctx, G, g))
         rhs = apply_symplectic(ctx, G, moyal_star(ctx, f, g))
         assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([XY, ("x1", "y1", "x2", "y2")]), st.integers(0, 10**6))
+def test_apply_symplectic_matches_substitution_oracle(vs, seed):
+    ctx = MoyalContext(SymplecticSpace.standard(vs), 2)
+    s = SampleStream(f"apply-symplectic-{seed}")
+    G = s.symplectic(ctx.space)
+    r = s.rational_function(vs, 2, 2)
+    # a zero coefficient and a squared denominator
+    f = HSeries([r, RationalFunction.zero(vs), r * r * s.rational_function(vs, 1, 1)])
+    assert apply_symplectic(ctx, G, f) == apply_symplectic_oracle(ctx, G, f)
 
 
 def test_associativity_polynomials_exact():

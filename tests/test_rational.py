@@ -17,6 +17,7 @@ from moyalquot.rational import RationalFunction, rf_normalize
 
 XY = ("x", "y")
 X = ("x",)
+I = GaussianRational(0, 1)
 
 
 def rf(num_terms, den_terms=None, variables=XY):
@@ -85,6 +86,12 @@ def test_substitute_examples():
         (1 / x).substitute({"x": RationalFunction.zero(XY), "y": y})
     with pytest.raises(VariableMismatch):
         x.substitute({"x": z * ynew, "wrong": ynew})
+
+
+def test_substitute_over_no_variables_is_a_mismatch():
+    # there is no variable to take the target tuple from
+    with pytest.raises(VariableMismatch):
+        RationalFunction.constant((), 3).substitute({})
 
 
 coefficients = st.sampled_from(
@@ -192,3 +199,70 @@ def test_derivative_known_cases(text, name, expected):
     assert got == derivative_oracle(f, name)
     if expected is not None:
         assert got == parse_rational(expected, XY)
+
+
+# -- composition -------------------------------------------------------------------
+
+UVW = ("u", "v", "w")
+uvw_polys = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)), coefficients, max_size=2
+).map(lambda terms: Polynomial(UVW, terms))
+uvw_rationals = st.tuples(uvw_polys, uvw_polys.filter(lambda q: not q.is_zero())).map(
+    lambda pair: RationalFunction(*pair)
+)
+# the zero polynomial and constants as well as polys; images may be zero
+compose_inputs = st.one_of(
+    polys, st.just(Polynomial.zero(XY)), coefficients.map(lambda c: Polynomial.constant(XY, c))
+)
+
+
+def naive_compose(p, images):
+    """sum of coeff * prod image^e by plain arithmetic, with no shared powers."""
+    kind, target = type(images[0]), images[0].vars
+    total = kind.zero(target)
+    for exp, coeff in p.terms.items():
+        term = kind.constant(target, coeff)
+        for image, e in zip(images, exp):
+            term = term * image ** e
+        total = total + term
+    return total
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    compose_inputs,
+    st.one_of(st.lists(uvw_polys, min_size=2, max_size=2),
+              st.lists(uvw_rationals, min_size=2, max_size=2)),
+)
+def test_compose_matches_substitute(p, images):
+    got = p.compose(images)
+    assert type(got) is type(images[0]) and got.vars == UVW
+    assert got == naive_compose(p, images)
+    as_rational = [RationalFunction.from_polynomial(i) if isinstance(i, Polynomial) else i
+                   for i in images]
+    expected = RationalFunction.from_polynomial(p).substitute(dict(zip(XY, as_rational)))
+    assert expected == (got if isinstance(got, RationalFunction)
+                        else RationalFunction.from_polynomial(got))
+
+
+INVERTIBLE = [
+    ((1, 0), (0, 1)),
+    ((0, 1), (-1, 0)),
+    ((2, I), (1, 0)),
+    ((1, Fraction(1, 2)), (3, -I)),
+    ((3 - 4 * I, 1), (0, 1)),
+]
+linear_inputs = st.one_of(
+    st.tuples(polys, factor_powers).map(lambda pair: RationalFunction(pair[0], product(pair[1]).num)),
+    st.just(RationalFunction.zero(XY)),
+    coefficients.map(lambda c: RationalFunction.constant(XY, c)),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(linear_inputs, st.sampled_from(INVERTIBLE))
+def test_compose_linear_matches_substitute(f, rows):
+    rows = tuple(tuple(GaussianRational.coerce(v) for v in row) for row in rows)
+    x, y = (RationalFunction.variable(XY, v) for v in XY)
+    bindings = {v: x * a + y * b for v, (a, b) in zip(XY, rows)}
+    assert f.compose_linear(rows) == f.substitute(bindings)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,11 +8,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moyalquot import cli, suites
 from moyalquot.cli import run
 from moyalquot.suites import MAX_SUITE_D, SuiteConfig, run_suite, SUITES
 from moyalquot.errors import UnknownSuite, UsageFailure
+from moyalquot.expr import parse_series
 from moyalquot.rational import RationalFunction
 from moyalquot.series import HSeries
 
@@ -159,6 +163,66 @@ def test_cli_transport():
     result = run_cli("transport", "--from", "A", "--to", "B", "--order", "3", "p")
     assert result.returncode == 0
     assert result.stdout == "-w^2*q\n"
+
+
+# Expressions in placeholder names: Z and P become the source chart's pair, and
+# r is never a chart variable.
+_CHART_ATOMS = st.sampled_from(["Z", "P", "h", "i", "0", "1", "2", "r", "(Z-Z)", "(P+1/2)"])
+_CHART_GRAMMAR = st.recursive(
+    _CHART_ATOMS,
+    lambda inner: st.one_of(
+        st.builds(lambda a, op, b: f"{a}{op}{b}", inner, st.sampled_from("+-*/"), inner),
+        st.builds(lambda a: f"({a})", inner),
+        st.builds(lambda a: f"-{a}", inner),
+        st.builds(lambda a, e: f"{a}^{e}", inner, st.integers(-2, 3)),
+    ),
+    max_leaves=6,
+)
+_GOLDEN_PROJECTIVE = Path(__file__).parent / "golden" / "verify" / "projective.atlas"
+# (atlas, source chart, its variables, target chart, its variables); None is the
+# bundled cp1.atlas
+_ROUTES = (
+    (None, "A", ("z", "p"), "B", ("w", "q")),
+    ("translation", "A", ("z", "p"), "B", ("z", "p")),
+    (str(_GOLDEN_PROJECTIVE), "A", ("z", "p"), "C", ("s", "t")),
+)
+_TRANSPORT_ROUTES = _ROUTES + tuple((at, b, bv, a, av) for at, a, av, b, bv in _ROUTES)
+TRANSPORT_SECONDS = 10
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(_TRANSPORT_ROUTES), _CHART_GRAMMAR)
+def test_cli_transport_fuzz(tmp_path_factory, route, text):
+    atlas, source, (zv, pv), target, _ = route
+    if atlas == "translation":
+        path = tmp_path_factory.getbasetemp() / "translation.atlas"
+        if not path.exists():
+            path.write_text("chart A z p\nchart B z p\ntransition A B 1 1/2 0 1\n"
+                            "transition B A 1 -1/2 0 1\n")
+        atlas = str(path)
+    expression = text.replace("Z", zv).replace("P", pv)
+    common = ([] if atlas is None else ["--atlas", atlas]) + ["--order", "3"]
+    start = time.perf_counter()
+    code, out, err = _run_captured(
+        ["transport", *common, "--from", source, "--to", target, "--", expression])
+    assert code in (0, 2, 3), (route, expression, code, err)
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (expression, err)
+        assert "Traceback" not in err
+    else:
+        assert err == ""
+        code, back, err = _run_captured(
+            ["transport", *common, "--from", target, "--to", source, "--", out[:-1]])
+        assert code == 0, (route, expression, out, err)
+        assert back[:-1] == str(parse_series(expression, (zv, pv), 3)), (route, expression, out)
+    assert time.perf_counter() - start < TRANSPORT_SECONDS, (route, expression)
 
 
 def test_cli_validate_atlas(tmp_path):
