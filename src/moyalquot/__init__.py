@@ -49,7 +49,6 @@ from .moyal import (
 )
 from .geometry import (
     EvenFunction,
-    MobiusMap,
     cotangent_lift,
     liouville_symplectic,
     sigma_pullback,

@@ -21,59 +21,54 @@ from .errors import (
     VariableMismatch,
 )
 from .gaussian import ONE as G_ONE, ZERO as G_ZERO, GaussianRational
-from .geometry import MobiusMap, pushforward_even_pair, sigma_pullback_pair
-from .quot import cover_star
+from .geometry import pushforward_even_pair, sigma_pullback_pair
+from .moyal import Matrix, as_matrix, det2, mat_identity, mat_mul, proj_eq
+from .quot import ValidationReport, cover_star
 from .series import HSeries, hs_equal
 
-Matrix2 = Tuple[Tuple[GaussianRational, GaussianRational], Tuple[GaussianRational, GaussianRational]]
 TransitionKey = Tuple[str, str]
-
-
-def _coerce_matrix2(rows) -> Matrix2:
-    out = tuple(tuple(GaussianRational.coerce(v) for v in row) for row in rows)
-    if len(out) != 2 or any(len(r) != 2 for r in out):
-        raise ValueError("transition matrices are 2x2")
-    return out
 
 
 @dataclass(frozen=True)
 class ProjectiveAtlas:
-    """Charts with coordinate pairs plus Mobius transition data."""
+    """Charts with coordinate pairs plus Mobius transitions, each a 2x2 matrix."""
 
     charts: Dict[str, Tuple[str, str]]
-    transitions: Dict[TransitionKey, Matrix2]
+    transitions: Dict[TransitionKey, Matrix]
 
     def __post_init__(self):
         for cid, pair in self.charts.items():
             if len(pair) != 2 or pair[0] == pair[1]:
                 raise AtlasFormatError(f"chart {cid!r} needs two distinct variables")
+        coerced = {}
         for (src, dst), matrix in self.transitions.items():
             if src not in self.charts or dst not in self.charts:
                 raise AtlasFormatError(f"transition {src}->{dst} references unknown charts")
-            _coerce_matrix2(matrix)
+            m = as_matrix(matrix)
+            if len(m) != 2 or any(len(row) != 2 for row in m):
+                raise ValueError("transition matrices are 2x2")
+            coerced[src, dst] = m
+        object.__setattr__(self, "transitions", coerced)
 
     def chart_vars(self, cid: str) -> Tuple[str, str]:
         if cid not in self.charts:
             raise MissingTransition(f"unknown chart {cid!r}")
         return self.charts[cid]
 
-    def transition_matrix(self, src: str, dst: str) -> Matrix2:
-        key = (src, dst)
-        if key not in self.transitions:
+    def transition(self, src: str, dst: str) -> Matrix:
+        """The matrix of src->dst, refused when its determinant is 0."""
+        matrix = self.transitions.get((src, dst))
+        if matrix is None:
             raise MissingTransition(f"no transition {src}->{dst} declared")
-        return self.transitions[key]
-
-    def transition_map(self, src: str, dst: str) -> MobiusMap:
-        matrix = self.transition_matrix(src, dst)
-        if MobiusMap.det_of(matrix).is_zero():
+        if det2(matrix).is_zero():
             raise DegenerateMatrix(f"transition {src}->{dst} is degenerate")
-        return MobiusMap(matrix)
+        return matrix
 
 
 def standard_cp1_atlas() -> ProjectiveAtlas:
     """The two-chart atlas of the projective line with transition w = 1/z."""
     i = GaussianRational(0, 1)
-    flip: Matrix2 = ((GaussianRational(0), i), (i, GaussianRational(0)))
+    flip = ((0, i), (i, 0))
     return ProjectiveAtlas(
         charts={"A": ("z", "p"), "B": ("w", "q")},
         transitions={("A", "B"): flip, ("B", "A"): flip},
@@ -83,45 +78,28 @@ def standard_cp1_atlas() -> ProjectiveAtlas:
 # -- validation -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtlasReport:
-    issues: Tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.issues
-
-    def render_text(self) -> str:
-        if self.valid:
-            return "atlas: valid"
-        lines = [f"atlas: invalid ({len(self.issues)} issues)"]
-        lines.extend(f"  {issue}" for issue in self.issues)
-        return "\n".join(lines)
-
-
-def atlas_validate(atlas: ProjectiveAtlas) -> AtlasReport:
+def atlas_validate(atlas: ProjectiveAtlas) -> ValidationReport:
     """Check that no transition is degenerate and the cocycle identities hold."""
     issues: List[str] = []
-    usable: Dict[TransitionKey, MobiusMap] = {}
-    for key in sorted(atlas.transitions):
-        matrix = atlas.transitions[key]
-        if MobiusMap.det_of(matrix).is_zero():
+    usable: Dict[TransitionKey, Matrix] = {}
+    for key, matrix in sorted(atlas.transitions.items()):
+        if det2(matrix).is_zero():
             issues.append(f"DegenerateMatrix: transition {key[0]}->{key[1]} has determinant 0")
-            continue
-        usable[key] = MobiusMap(matrix)
+        else:
+            usable[key] = matrix
 
-    for (src, dst), fwd in sorted(usable.items()):
+    for (src, dst), fwd in usable.items():
         back = usable.get((dst, src))
         if back is not None and src < dst:
-            if not fwd.compose(back).is_identity_projective():
+            if not proj_eq(mat_mul(fwd, back), mat_identity(2)):
                 issues.append(f"CocycleFailure: {src}->{dst}->{src} is not the identity")
-    for (a, b), t_ab in sorted(usable.items()):
-        for (b2, c), t_bc in sorted(usable.items()):
+    for (a, b), t_ab in usable.items():
+        for (b2, c), t_bc in usable.items():
             if b2 != b or (a, c) not in usable or a == c:
                 continue
-            if not t_bc.compose(t_ab).proj_eq(usable[(a, c)]):
+            if not proj_eq(mat_mul(t_bc, t_ab), usable[(a, c)]):
                 issues.append(f"CocycleFailure: {a}->{b}->{c} differs from {a}->{c}")
-    return AtlasReport(tuple(issues))
+    return ValidationReport("atlas", tuple(issues))
 
 
 # -- chart functions and transport ---------------------------------------------------
@@ -149,12 +127,12 @@ def transport(atlas: ProjectiveAtlas, f: KChartFunction, target: str) -> KChartF
     if target == f.chart:
         return f
     dst_vars = atlas.chart_vars(target)
-    mob = atlas.transition_map(target, f.chart)
-    unscale = ((G_ONE, G_ZERO), (G_ZERO, mob.det.inverse()))
+    matrix = atlas.transition(target, f.chart)
+    unscale = ((G_ONE, G_ZERO), (G_ZERO, det2(matrix).inverse()))
 
     def move(c):
         cover = sigma_pullback_pair(c.compose_linear(unscale), *src_vars, *src_vars)
-        return pushforward_even_pair(cover.compose_linear(mob.matrix), *src_vars, *dst_vars)
+        return pushforward_even_pair(cover.compose_linear(matrix), *src_vars, *dst_vars)
 
     return KChartFunction(target, f.value.map_coefficients(move))
 
@@ -200,7 +178,7 @@ def parse_atlas(text: str) -> ProjectiveAtlas:
     from .expr import parse_gaussian
 
     charts: Dict[str, Tuple[str, str]] = {}
-    transitions: Dict[TransitionKey, Matrix2] = {}
+    transitions: Dict[TransitionKey, Matrix] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from .atlas import (
@@ -121,7 +122,9 @@ def _default_order() -> int:
     return value
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="moyalquot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -272,8 +275,7 @@ def _cmd_transport(args) -> int:
 def _cmd_validate_atlas(args) -> int:
     atlas = _load_atlas_arg(args.atlas)
     report = atlas_validate(atlas)
-    document = {"valid": report.valid, "issues": list(report.issues)}
-    _emit(args, report.render_text(), document)
+    _emit(args, report.render_text(), report.to_document())
     return EXIT_OK if report.valid else EXIT_DOMAIN
 
 
@@ -301,16 +303,16 @@ def _cmd_validate_point(args) -> int:
     )
     if args.d is not None and len(support) != args.d:
         raise UsageFailure(f"--d {args.d} does not match {len(support)} support entries")
-    if args.d is not None and args.r is not None:
-        expected = args.d * (args.r - 1)
+    if args.r is not None:
+        # without --d, d is the number of support entries
+        expected = len(support) * (args.r - 1)
         if len(flat) != expected:
+            given = f"--d {args.d}" if args.d is not None else f"d = {len(support)},"
             raise UsageFailure(
-                f"--d {args.d} --r {args.r} needs {expected} flat pairs, got {len(flat)}"
+                f"{given} --r {args.r} needs {expected} flat pairs, got {len(flat)}"
             )
-    point = QuotCellPoint(support, covectors, flat)
-    report = quot_point_validate(point)
-    document = {"valid": report.valid, "issues": list(report.issues)}
-    _emit(args, report.render_text(), document)
+    report = quot_point_validate(QuotCellPoint(support, covectors, flat))
+    _emit(args, report.render_text(), report.to_document())
     return EXIT_OK if report.valid else EXIT_DOMAIN
 
 

@@ -1,4 +1,4 @@
-"""Chart-level geometry: the Liouville form, Mobius maps, and the quadric cover.
+"""Chart-level geometry: the Liouville form, the cotangent lift, and the quadric cover.
 
 The central coordinate change is the double cover
 
@@ -38,11 +38,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DegenerateMatrix, NotEven, VariableMismatch
 from .gaussian import GaussianRational
-from .moyal import SymplecticSpace
+from .moyal import SymplecticSpace, as_matrix, det2
 from .polynomial import Polynomial
 from .rational import RationalFunction
-
-Matrix2 = Tuple[Tuple[GaussianRational, GaussianRational], Tuple[GaussianRational, GaussianRational]]
 
 
 # -- the Liouville form ---------------------------------------------------------
@@ -56,84 +54,30 @@ def liouville_symplectic(zp: Sequence[str] = ("z", "p")) -> SymplecticSpace:
     return SymplecticSpace.block([(zp[0], zp[1], LIOUVILLE_SCALE)])
 
 
-# -- Mobius maps ----------------------------------------------------------------
-
-
-class MobiusMap:
-    """A projective-linear map of the line, stored as an invertible 2x2 matrix.
-
-    Every nonzero multiple of the matrix is the same map: equality is
-    projective, and the cotangent lift does not depend on the scaling.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: Sequence[Sequence[object]]):
-        rows = tuple(tuple(GaussianRational.coerce(v) for v in row) for row in matrix)
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("a Mobius map needs a 2x2 matrix")
-        if self.det_of(rows).is_zero():
-            raise DegenerateMatrix("matrix determinant is zero")
-        self.matrix: Matrix2 = rows
-
-    @staticmethod
-    def det_of(rows) -> GaussianRational:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-
-    @classmethod
-    def identity(cls) -> "MobiusMap":
-        return cls(((1, 0), (0, 1)))
-
-    @property
-    def det(self) -> GaussianRational:
-        return self.det_of(self.matrix)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other, i.e. z -> self(other(z))."""
-        (a, b), (c, d) = self.matrix
-        (e, f), (g, h) = other.matrix
-        return MobiusMap(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
-
-    def proj_eq(self, other: "MobiusMap") -> bool:
-        """Projective equality: the matrices are proportional."""
-        flat_a = [v for row in self.matrix for v in row]
-        flat_b = [v for row in other.matrix for v in row]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if flat_a[i] * flat_b[j] != flat_a[j] * flat_b[i]:
-                    return False
-        return True
-
-    def is_identity_projective(self) -> bool:
-        return self.proj_eq(MobiusMap.identity())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MobiusMap):
-            return NotImplemented
-        return self.proj_eq(other)
-
-    def __repr__(self) -> str:
-        (a, b), (c, d) = self.matrix
-        return f"MobiusMap([[{a}, {b}], [{c}, {d}]])"
+# -- the cotangent lift ----------------------------------------------------------
 
 
 def cotangent_lift(
-    m: MobiusMap, zp: Sequence[str] = ("z", "p")
+    matrix: Sequence[Sequence[object]], zp: Sequence[str] = ("z", "p")
 ) -> Tuple[RationalFunction, RationalFunction]:
-    """The induced map of the cotangent chart.
+    """The map of the cotangent chart induced by the Mobius map of `matrix`.
 
     Returns the pair (Z, P) with Z = (a z + b)/(c z + d) and
     P = p (c z + d)^2 / det, which is independent of the matrix scaling and
     preserves the tautological one-form p*dz.
     """
+    m = as_matrix(matrix)
+    det = det2(m)
+    if det.is_zero():
+        raise DegenerateMatrix("matrix determinant is zero")
     vs = tuple(zp)
-    (a, b), (c, d) = m.matrix
+    (a, b), (c, d) = m
     z = Polynomial.variable(vs, vs[0])
     p = Polynomial.variable(vs, vs[1])
     num_z = z * a + Polynomial.constant(vs, b)
     den_z = z * c + Polynomial.constant(vs, d)
     big_z = RationalFunction(num_z, den_z)
-    big_p = RationalFunction(p * den_z * den_z, Polynomial.constant(vs, m.det))
+    big_p = RationalFunction(p * den_z * den_z, Polynomial.constant(vs, det))
     return big_z, big_p
 
 

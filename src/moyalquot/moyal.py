@@ -62,6 +62,19 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         for i in range(n)
     )
 
+
+def det2(m: Matrix) -> GaussianRational:
+    (a, b), (c, d) = m
+    return a * d - b * c
+
+
+def proj_eq(a: Matrix, b: Matrix) -> bool:
+    """Projective equality: the matrices are proportional."""
+    fa = [v for row in a for v in row]
+    fb = [v for row in b for v in row]
+    return all(fa[i] * fb[j] == fa[j] * fb[i] for i in range(len(fa)) for j in range(i))
+
+
 def mat_transpose(a: Matrix) -> Matrix:
     return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
 

@@ -88,8 +88,8 @@ def cover_star(
                 c = sigma_pullback_pair(c, z, p, z, p)
             return c
 
-        f = f.padded(order).map_coefficients(pull)
-        g = g.padded(order).map_coefficients(pull)
+        f = f.map_coefficients(pull)
+        g = g.map_coefficients(pull)
     product = _moyal_star(MoyalContext(SymplecticSpace.standard(vs), order), f, g)
 
     def push(c: RationalFunction) -> RationalFunction:
@@ -210,6 +210,8 @@ class QuotCellPoint:
             )
         if not self.support:
             raise InvalidPoint("a cell point needs d >= 1")
+        if len(self.flat) % self.d:
+            raise InvalidPoint(f"{len(self.flat)} flat pairs is not d(r-1) at d = {self.d}")
 
     @property
     def d(self) -> int:
@@ -217,7 +219,10 @@ class QuotCellPoint:
 
 
 @dataclass(frozen=True)
-class PointReport:
+class ValidationReport:
+    """The issues a validator found in one `subject`, such as an atlas or a point."""
+
+    subject: str
     issues: Tuple[str, ...]
 
     @property
@@ -226,13 +231,16 @@ class PointReport:
 
     def render_text(self) -> str:
         if self.valid:
-            return "point: valid"
-        lines = [f"point: invalid ({len(self.issues)} issues)"]
+            return f"{self.subject}: valid"
+        lines = [f"{self.subject}: invalid ({len(self.issues)} issues)"]
         lines.extend(f"  {issue}" for issue in self.issues)
         return "\n".join(lines)
 
+    def to_document(self) -> dict:
+        return {"valid": self.valid, "issues": list(self.issues)}
 
-def quot_point_validate(pt: QuotCellPoint) -> PointReport:
+
+def quot_point_validate(pt: QuotCellPoint) -> ValidationReport:
     """Report duplicate support points and vanishing covectors."""
     issues: List[str] = []
     for i in range(pt.d):
@@ -242,7 +250,7 @@ def quot_point_validate(pt: QuotCellPoint) -> PointReport:
     for i, covector in enumerate(pt.covectors, start=1):
         if covector.is_zero():
             issues.append(f"ZeroCovector: p{i} = 0")
-    return PointReport(tuple(issues))
+    return ValidationReport("point", tuple(issues))
 
 
 def support_divisor(pt: QuotCellPoint) -> Counter:

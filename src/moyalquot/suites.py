@@ -26,7 +26,6 @@ from .geometry import (
     EvenFunction,
     is_even,
     liouville_symplectic,
-    MobiusMap,
     cotangent_lift,
     pushforward_even_pair,
     sigma_bindings,
@@ -370,7 +369,7 @@ def run_lemma1(cfg: SuiteConfig) -> VerificationReport:
     def equivariance(s: SampleStream, k: int) -> Optional[str]:
         matrix = s.mobius_det1_matrix()
         (a, b), (c, d) = matrix
-        lift_z, lift_p = cotangent_lift(MobiusMap(matrix), ZP)
+        lift_z, lift_p = cotangent_lift(matrix, ZP)
         lhs = (lift_z.substitute(sb), lift_p.substitute(sb))
         linear = {"x": x * a + y * b, "y": x * c + y * d}
         if lhs != (sb["z"].substitute(linear), sb["p"].substitute(linear)):

@@ -119,8 +119,7 @@ def transport_oracle(atlas: ProjectiveAtlas, f: KChartFunction, target: str) -> 
         return f
     src_vars = atlas.chart_vars(f.chart)
     dst_vars = atlas.chart_vars(target)
-    mob = atlas.transition_map(target, f.chart)
-    big_z, big_p = cotangent_lift(mob, dst_vars)
+    big_z, big_p = cotangent_lift(atlas.transition(target, f.chart), dst_vars)
     bindings = {src_vars[0]: big_z, src_vars[1]: big_p}
     moved = f.value.map_coefficients(lambda c: c.substitute(bindings))
     return KChartFunction(target, moved)

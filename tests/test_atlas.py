@@ -100,6 +100,23 @@ def test_any_nonzero_determinant_is_valid():
     assert atlas_validate(_scaling_atlas()).valid
 
 
+def test_atlas_of_plain_int_matrices_validates_and_transports():
+    flip = ((0, 1), (1, 0))
+    atlas = ProjectiveAtlas(
+        charts={"A": ("z", "p"), "B": ("w", "q")},
+        transitions={("A", "B"): flip, ("B", "A"): flip},
+    )
+    stored = atlas.transition("A", "B")
+    assert stored == flip and all(isinstance(v, GaussianRational) for row in stored for v in row)
+    assert atlas_validate(atlas).valid
+    WQ = ("w", "q")
+    w, q = (RationalFunction.variable(WQ, v) for v in WQ)
+    assert transport(atlas, zf(), "B").value.coeffs[0] == 1 / w
+    assert transport(atlas, pf(), "B").value.coeffs[0] == -q * w * w
+    f = chart_fn("f", {(2, 1): 1, (0, 1): 3})
+    assert transport(atlas, transport(atlas, f, "B"), "A").value == f.value
+
+
 # -- transport -----------------------------------------------------------------------
 
 

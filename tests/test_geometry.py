@@ -7,7 +7,6 @@ from moyalquot.errors import DegenerateMatrix, NotEven, VariableMismatch
 from moyalquot.gaussian import GaussianRational
 from moyalquot.geometry import (
     EvenFunction,
-    MobiusMap,
     cotangent_lift,
     is_even,
     liouville_symplectic,
@@ -17,7 +16,17 @@ from moyalquot.geometry import (
     sigma_pullback_pair,
     sigma_pushforward,
 )
-from moyalquot.moyal import MoyalContext, SymplecticSpace, form_pullback, poisson_bracket
+from moyalquot.moyal import (
+    MoyalContext,
+    SymplecticSpace,
+    as_matrix,
+    det2,
+    form_pullback,
+    mat_identity,
+    mat_mul,
+    poisson_bracket,
+    proj_eq,
+)
 from moyalquot.polynomial import Polynomial
 from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
@@ -59,57 +68,65 @@ def test_liouville_is_d_of_tautological_form():
 
 
 def test_liouville_translation_invariant():
-    lift = cotangent_lift(MobiusMap([[1, 1], [0, 1]]), ZP)
+    lift = cotangent_lift([[1, 1], [0, 1]], ZP)
     chart = liouville_symplectic(ZP).omega
     assert form_pullback(jacobian(lift, ZP), chart) == chart
 
 
-# -- Mobius maps ----------------------------------------------------------------
+# -- transitions as matrices ----------------------------------------------------------
 
 
-def test_mobius_rejects_degenerate():
-    with pytest.raises(DegenerateMatrix):
-        MobiusMap([[1, 2], [2, 4]])
+M = as_matrix
 
 
 def scaled(matrix, factor):
-    return [[v * factor for v in row] for row in matrix]
+    return M([[v * factor for v in row] for row in matrix])
+
+
+def test_mobius_rejects_degenerate():
+    assert det2(M([[1, 2], [2, 4]])).is_zero()
+    with pytest.raises(DegenerateMatrix):
+        cotangent_lift([[1, 2], [2, 4]], ZP)
+    with pytest.raises(DegenerateMatrix):
+        cotangent_lift([[0, 0], [0, 0]], ZP)
 
 
 def test_projective_equality():
-    m = MobiusMap([[1, 2], [3, 4]])
-    assert m == MobiusMap([[5 * I, 10 * I], [15 * I, 20 * I]])
-    assert m == MobiusMap(scaled(m.matrix, GaussianRational(Fraction(1, 3), 2)))
-    assert m != MobiusMap([[1, 2], [3, 5]])
-    assert m != MobiusMap([[2, 4], [3, 4]])
+    m = M([[1, 2], [3, 4]])
+    assert proj_eq(m, M([[5 * I, 10 * I], [15 * I, 20 * I]]))
+    assert proj_eq(m, scaled(m, GaussianRational(Fraction(1, 3), 2)))
+    assert not proj_eq(m, M([[1, 2], [3, 5]]))
+    assert not proj_eq(m, M([[2, 4], [3, 4]]))
+    assert det2(m) == -2 and det2(scaled(m, 3)) == -18
 
 
 def test_compose_and_inverse():
-    a = MobiusMap([[1, 1], [0, 1]])
-    b = MobiusMap([[1, 0], [2, 1]])
+    a = M([[1, 1], [0, 1]])
+    b = M([[1, 0], [2, 1]])
+    ident = mat_identity(2)
     # the adjugate times any nonzero scalar is an inverse
-    assert a.compose(MobiusMap([[3, -3], [0, 3]])).is_identity_projective()
-    assert MobiusMap([[-2 * I, 2 * I], [0, -2 * I]]).compose(a).is_identity_projective()
-    assert not a.compose(b).is_identity_projective()
+    assert proj_eq(mat_mul(a, M([[3, -3], [0, 3]])), ident)
+    assert proj_eq(mat_mul(M([[-2 * I, 2 * I], [0, -2 * I]]), a), ident)
+    assert not proj_eq(mat_mul(a, b), ident)
     # z -> a(b(z)) = (3z + 1)/(2z + 1), also from scaled factors
-    assert a.compose(b) == MobiusMap([[3, 1], [2, 1]])
-    assert MobiusMap(scaled(a.matrix, 2)).compose(MobiusMap(scaled(b.matrix, I))) == a.compose(b)
+    assert proj_eq(mat_mul(a, b), M([[3, 1], [2, 1]]))
+    assert proj_eq(mat_mul(scaled(a, 2), scaled(b, I)), mat_mul(a, b))
     # the chart map of a composite is the composite of the chart maps
     inner = dict(zip(ZP, cotangent_lift(b, ZP)))
-    assert cotangent_lift(a.compose(b), ZP)[0] == cotangent_lift(a, ZP)[0].substitute(inner)
+    assert cotangent_lift(mat_mul(a, b), ZP)[0] == cotangent_lift(a, ZP)[0].substitute(inner)
 
 
 # -- cotangent lift ----------------------------------------------------------------
 
 
 def test_lift_examples():
-    ident = cotangent_lift(MobiusMap.identity(), ZP)
+    ident = cotangent_lift(mat_identity(2), ZP)
     assert ident == (var(ZP, "z"), var(ZP, "p"))
 
-    shift = cotangent_lift(MobiusMap([[1, 1], [0, 1]]), ZP)
+    shift = cotangent_lift([[1, 1], [0, 1]], ZP)
     assert shift == (var(ZP, "z") + 1, var(ZP, "p"))
 
-    flip = cotangent_lift(MobiusMap([[0, I], [I, 0]]), ZP)
+    flip = cotangent_lift([[0, I], [I, 0]], ZP)
     assert flip[0] == RationalFunction.one(ZP) / var(ZP, "z")
     assert flip[1] == -var(ZP, "p") * var(ZP, "z") ** 2
 
@@ -117,13 +134,13 @@ def test_lift_examples():
 def test_lift_scale_invariance_and_homomorphism():
     s = SampleStream("geometry-lift")
     for _ in range(20):
-        unit = MobiusMap(s.mobius_det1_matrix())
+        unit = s.mobius_det1_matrix()
         # determinants (3 + 2i)^2 and 2: neither of these maps is unimodular
-        big = MobiusMap(scaled(unit.matrix, GaussianRational(3, 2)))
+        big = scaled(unit, GaussianRational(3, 2))
         assert cotangent_lift(big, ZP) == cotangent_lift(unit, ZP)
-        m1 = MobiusMap([[2 * v for v in unit.matrix[0]], list(unit.matrix[1])])
-        m2 = MobiusMap(s.mobius_det1_matrix())
-        composed = cotangent_lift(m1.compose(m2), ZP)
+        m1 = M([[2 * v for v in unit[0]], list(unit[1])])
+        m2 = s.mobius_det1_matrix()
+        composed = cotangent_lift(mat_mul(m1, m2), ZP)
         outer = cotangent_lift(m1, ZP)
         inner = dict(zip(ZP, cotangent_lift(m2, ZP)))
         chained = (outer[0].substitute(inner), outer[1].substitute(inner))
@@ -135,8 +152,7 @@ def test_lift_preserves_tautological_form():
     s = SampleStream("geometry-liouville")
     chart = liouville_symplectic(ZP).omega
     for _ in range(10):
-        m = MobiusMap(s.mobius_det1_matrix())
-        big_z, big_p = cotangent_lift(m, ZP)
+        big_z, big_p = cotangent_lift(s.mobius_det1_matrix(), ZP)
         assert big_p * big_z.derivative("z") == var(ZP, "p")
         assert (big_p * big_z.derivative("p")).is_zero()
         assert form_pullback(jacobian((big_z, big_p), ZP), chart) == chart
@@ -189,7 +205,7 @@ def test_sigma_equivariance_random_matrices():
     for _ in range(100):
         matrix = s.mobius_det1_matrix()
         (a, b), (c, d) = matrix
-        lift_z, lift_p = cotangent_lift(MobiusMap(matrix), ZP)
+        lift_z, lift_p = cotangent_lift(matrix, ZP)
         after_lift = (lift_z.substitute(sb), lift_p.substitute(sb))
         linear = {"x": x * a + y * b, "y": x * c + y * d}
         after_linear = (sb["z"].substitute(linear), sb["p"].substitute(linear))

@@ -4,6 +4,7 @@ from moyalquot.errors import (
     BadPermutation,
     InvalidPoint,
     NotInvariant,
+    OrderTooLarge,
     VariableMismatch,
 )
 from moyalquot.geometry import EvenFunction, sigma_pullback, sigma_pushforward
@@ -108,6 +109,27 @@ def test_product_star_single_chart_block_matches_chart_star():
             )
             pushed = [sigma_pushforward(EvenFunction(c), pair) for c in expected.coeffs]
             assert star(HSeries.constant(f, 4), HSeries.constant(g, 4)) == HSeries(pushed)
+
+
+_CELL = ProductContext(d=2, r=2, order=3)
+
+
+@pytest.mark.parametrize(
+    "chart_pairs,flat_pairs",
+    [((), (("x", "y"),)), ((("z", "p"),), ()), (_CELL.chart_pairs, _CELL.flat_pairs)],
+    ids=["flat", "kchart", "product"],
+)
+def test_cover_star_refuses_a_short_operand(chart_pairs, flat_pairs):
+    # as moyal_star does: an operand below the order is not padded with zeros
+    vs = tuple(v for pair in chart_pairs + flat_pairs for v in pair)
+    short, full = HSeries.variable(vs, vs[0], 1), HSeries.variable(vs, vs[1], 3)
+    for f, g in ((short, full), (full, short)):
+        with pytest.raises(OrderTooLarge):
+            cover_star(chart_pairs, 3, f, g)
+        if chart_pairs == _CELL.chart_pairs:
+            with pytest.raises(OrderTooLarge):
+                product_star(_CELL, f, g)
+    assert cover_star(chart_pairs, 1, short, full).order == 1
 
 
 def test_product_star_single_flat_block_matches_moyal():
@@ -240,8 +262,11 @@ def test_product_star_variable_mismatch():
 
 def test_point_validation_examples():
     g = GaussianRational
-    good = QuotCellPoint((g(0), g(1)), (g(1), g(1)), ((g(0), g(0)),))
+    good = QuotCellPoint((g(0), g(1)), (g(1), g(1)), ((g(0), g(0)), (g(1), g(2))))
     assert quot_point_validate(good).valid
+    # d(r-1) flat pairs: no r gives one pair at d = 2
+    with pytest.raises(InvalidPoint):
+        QuotCellPoint((g(0), g(1)), (g(1), g(1)), ((g(0), g(0)),))
 
     dup = QuotCellPoint((g(0), g(0)), (g(1), g(1)))
     report = quot_point_validate(dup)

@@ -251,6 +251,63 @@ def test_cli_validate_point_structured():
     assert json.loads(result.stdout) == {"issues": [], "valid": True}
 
 
+def test_cli_validate_point_counts_flat_pairs(capsys):
+    base = ["validate-point", "--support", "0,1", "--covectors", "1,1"]
+    # without --d, d is the number of support entries
+    assert run([*base, "--r", "3"]) == 4
+    assert capsys.readouterr().err == "usage error: d = 2, --r 3 needs 4 flat pairs, got 0\n"
+    assert run([*base, "--r", "3", "--d", "2"]) == 4
+    assert capsys.readouterr().err == "usage error: --d 2 --r 3 needs 4 flat pairs, got 0\n"
+    assert run([*base, "--r", "3", "--flat", "0,0,0,0,0,0,0,0"]) == 0
+    assert capsys.readouterr().out == "point: valid\n"
+    # one flat pair at d = 2 is d(r-1) for no r
+    assert run([*base, "--flat", "1,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "domain error: 1 flat pairs is not d(r-1) at d = 2\n"
+
+
+def test_cli_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["validate-point", "--support", "0", "--covectors", "1"]) == 0
+    assert run(["star", "x", "y"]) == 0
+
+
+@st.composite
+def _point_entries(draw):
+    """Comma-separated numbers, sometimes with one bad piece: empty, a pole, a
+    name that is no number, broken syntax or a literal past the digit limit."""
+    pieces = draw(st.lists(st.sampled_from(["0", "1", "-1", "i", "1/2", "2*i - 1/3"]), max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        bad = st.sampled_from(["", "1/0", "h", "x", "1+", "(", "9" * 80, "7" * 5000])
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(bad))
+    return ",".join(pieces)
+
+
+_POINT_ENTRIES = _point_entries()
+_POINT_FLAG = st.sampled_from([None, None, None, 0, 1, 2, 3])
+VALIDATE_POINT_SECONDS = 10
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_POINT_ENTRIES, _POINT_ENTRIES, st.none() | _POINT_ENTRIES, _POINT_FLAG, _POINT_FLAG)
+def test_cli_validate_point_fuzz(support, covectors, flat, d, r):
+    argv = ["validate-point", f"--support={support}", f"--covectors={covectors}"]
+    argv += [] if flat is None else [f"--flat={flat}"]
+    argv += [] if d is None else [f"--d={d}"]
+    argv += [] if r is None else [f"--r={r}"]
+    start = time.perf_counter()
+    code, out, err = _run_captured(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if err:
+        assert code and out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert "Traceback" not in err
+    else:
+        assert code in (0, 3)
+        assert out.startswith("point: valid\n" if code == 0 else "point: invalid ("), (argv, out)
+    assert time.perf_counter() - start < VALIDATE_POINT_SECONDS, argv
+
+
 def test_cli_order_environment_variable():
     result = run_cli(
         "star", "--space", "flat2", "--output", "structured", "x", "y",
