@@ -128,11 +128,12 @@ def transport(atlas: ProjectiveAtlas, f: KChartFunction, target: str) -> KChartF
         return f
     dst_vars = atlas.chart_vars(target)
     matrix = atlas.transition(target, f.chart)
-    unscale = ((G_ONE, G_ZERO), (G_ZERO, det2(matrix).inverse()))
+    unscale = ((G_ONE, G_ZERO, G_ZERO), (G_ZERO, det2(matrix).inverse(), G_ZERO))
+    linear = tuple(row + (G_ZERO,) for row in matrix)
 
     def move(c):
         cover = sigma_pullback_pair(c.compose_linear(unscale), *src_vars, *src_vars)
-        return pushforward_even_pair(cover.compose_linear(matrix), *src_vars, *dst_vars)
+        return pushforward_even_pair(cover.compose_linear(linear), *src_vars, *dst_vars)
 
     return KChartFunction(target, f.value.map_coefficients(move))
 

@@ -6,7 +6,7 @@ reported on one line).  An operand that starts with '-' must follow '--',
 and an option value that does is joined to its option: --support=-1,2.
 --d and --r below 1 are usage errors on every command.
 The default truncation order comes from --order, then the MOYALQUOT_ORDER
-environment variable, then 6.
+environment variable, then 6; an order above MAX_ORDER is a usage error.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ EXIT_USAGE = 4
 EXIT_INTERNAL = 5
 
 DEFAULT_ORDER = 6
+# the x*y star at this order takes well under a second; rational stars below
+# it have no bound yet
+MAX_ORDER = 1000
 DEFAULT_SAMPLES = 100
 
 
@@ -119,6 +122,8 @@ def _default_order() -> int:
         raise UsageFailure(f"MOYALQUOT_ORDER must be an integer, got {raw!r}")
     if value < 0:
         raise UsageFailure("MOYALQUOT_ORDER must be nonnegative")
+    if value > MAX_ORDER:
+        raise UsageFailure(f"MOYALQUOT_ORDER must be at most {MAX_ORDER}, got {value}")
     return value
 
 
@@ -187,6 +192,8 @@ def _resolve_order(value: Optional[int]) -> int:
         return _default_order()
     if value < 0:
         raise UsageFailure("--order must be nonnegative")
+    if value > MAX_ORDER:
+        raise UsageFailure(f"--order must be at most {MAX_ORDER}, got {value}")
     return value
 
 

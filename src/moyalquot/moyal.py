@@ -26,9 +26,23 @@ one pair (q, p, s), with [a]_n = a (a-1) ... (a-n+1) and any signs of a..d,
 
 Shifting each variable's exponents up by its most negative one gives the
 canonical form with no gcd: the denominator is a monic monomial, and some
-term attains each minimum, so no variable divides the numerator.  Other
-operands take derivatives, each over its known denominator; the terms of one
-h-power are summed per denominator pair, put over the lcm, normalized once.
+term attains each minimum, so no variable divides the numerator.
+
+The product is covariant under affine symplectic changes of coordinates, so
+denominators that are powers of at most two affine forms l, l' are monomials
+in a Darboux frame that holds them: (l, l') as one pair when {l, l'} = s != 0
+(scale 1/s), both as q's when they commute, l alone when l' = l.  Symplectic
+Gram-Schmidt completes the frame, x_i = sum_k ({x_i, p_k} q_k - {x_i, q_k}
+p_k) / {q_k, p_k} + c_i writes x back in it, and the operands move in and
+the kernel's result moves out by affine composition.  An automorphism keeps
+numerator and denominator coprime, so no gcd runs; l is found without one,
+as (d/dx_j)^(m-1) D, checked by l^m = D.  Forms with equal linear parts and
+different constants, three directions (a star of a star), and frames that
+make the numerators much denser take the general path.
+
+Other operands take derivatives, each over its known denominator; the terms
+of one h-power are summed per denominator pair, put over the lcm, normalized
+once.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
@@ -298,9 +312,13 @@ def _from_laurent(variables: Tuple[str, ...], terms) -> RationalFunction:
     return RationalFunction._trusted(Polynomial._raw(variables, num), den)
 
 
-def _laurent_star(ctx: MoyalContext, fs, gs) -> HSeries:
-    """The star of Laurent operands as a product of per-pair monomial series."""
+def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
+    """The star of Laurent operands as a product of per-pair monomial series.
+
+    `used` holds the coefficients of f, then those of g, up to the order."""
     space, n = ctx.space, ctx.order
+    laurent = [_laurent_terms(c) for c in used]
+    fs, gs = laurent[: n + 1], laurent[n + 1:]
     scalars = _star_scalars(n)
     # (i/2)^k / k! * s^-k for every pair and k
     pair_scalars = [[scalars[k] * s.inverse() ** k for k in range(n + 1)] for s in space.scales]
@@ -311,10 +329,13 @@ def _laurent_star(ctx: MoyalContext, fs, gs) -> HSeries:
         key = (t, a, b, c, d)
         if key not in cache:
             fa, fb, fc, fd = (_falling(e, n) for e in (a, b, c, d))
+            # [e]_t = 0 for t > e >= 0, so j and k - j stop at such an exponent
+            top_j = min(n, b if b >= 0 else n, c if c >= 0 else n)
+            top_kj = min(n, a if a >= 0 else n, d if d >= 0 else n)
             totals = [
                 sum(
                     (-1) ** j * comb(k, j) * fa[k - j] * fb[j] * fc[j] * fd[k - j]
-                    for j in range(k + 1)
+                    for j in range(max(0, k - top_kj), min(k, top_j) + 1)
                 )
                 for k in range(n + 1)
             ]
@@ -343,6 +364,86 @@ def _laurent_star(ctx: MoyalContext, fs, gs) -> HSeries:
     return HSeries(tuple(_from_laurent(space.vars, terms) for terms in out))
 
 
+# an affine form: the coefficients of the variables, then the constant
+Form = Tuple[GaussianRational, ...]
+
+# A frame whose forms mix many variables makes sparse numerators dense, and
+# the kernel and the way back then cost more than derivatives: past this
+# growth in numerator terms the product takes derivatives instead.
+FRAME_GROWTH = 4
+
+
+def _affine_root(den: Polynomial) -> Optional[Form]:
+    """The monic affine form l with den = l^m, m = deg den; None if there is none.
+
+    l leads with x_j^m, and (d/dx_j)^(m-1) den is proportional to l."""
+    lead = den.leading_exponent()
+    (j, m), *rest = [(j, e) for j, e in enumerate(lead) if e]
+    if rest:
+        return None
+    form = den
+    for _ in range(m - 1):
+        form = form.derivative(den.vars[j])
+    form = form.monic()
+    if form ** m != den:
+        return None
+    units = [tuple(int(i == k) for i in range(len(lead))) for k in range(len(lead) + 1)]
+    return tuple(form.terms.get(e, G_ZERO) for e in units)
+
+
+def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
+    """(frame space, rows into the frame, rows back) for a Darboux frame in which
+    every denominator is a monomial; None if there is none.
+
+    The denominators must be powers of at most two affine forms.  The forms
+    become frame coordinates: a pair with scale 1/{l, l'}, two q's when they
+    commute, or one q; symplectic Gram-Schmidt completes the frame."""
+    roots = list(dict.fromkeys(_affine_root(c.den) for c in used if not c.den.is_one()))
+    if None in roots or len(roots) > 2:
+        return None
+    n = space.dim
+
+    def bracket(u: Form, v: Form) -> GaussianRational:
+        return sum((u[a] * v[b] * value for a, b, value in space.brackets), G_ZERO)
+
+    def project(v: Form, frame) -> Form:  # symplectically orthogonal to the frame
+        for q, p, c in frame:
+            tq, tp = bracket(v, p) / c, bracket(v, q) / c
+            v = tuple(a - tq * x + tp * y for a, x, y in zip(v, q, p))
+        return v
+
+    coords = [tuple(G_ONE if i == j else G_ZERO for i in range(n + 1)) for j in range(n)]
+    first, *pending = roots
+    frame: List[Tuple[Form, Form, GaussianRational]] = []
+    if pending and bracket(first, pending[0]):
+        frame.append((first, pending[0], bracket(first, pending[0])))
+        pending = []
+    elif pending:
+        # commuting forms: each u below commutes with the second; pair one with the first
+        beta = [bracket(pending[0], x) for x in coords]
+        partners = (tuple(beta[j] * a - beta[k] * b for a, b in zip(coords[k], coords[j]))
+                    for j in range(n) for k in range(n))
+        u = next((u for u in partners if bracket(first, u)), None)
+        if u is None:
+            return None  # equal linear parts, different constants
+        frame.append((first, u, bracket(first, u)))
+    else:
+        pending = [first]
+    while len(frame) < n // 2:
+        candidates = [project(x, frame) for x in coords]
+        q = pending.pop() if pending else next(v for v in candidates if any(v[:n]))
+        p = next(v for v in candidates if bracket(q, v))
+        frame.append((q, p, bracket(q, p)))
+    back = [form for q, p, _ in frame for form in (q, p)]
+    # x_i = sum_k ({x_i, p_k} q_k - {x_i, q_k} p_k) / {q_k, p_k} + constant
+    into = []
+    for x in coords:
+        row = [v for q, p, c in frame for v in (bracket(x, p) / c, -bracket(x, q) / c)]
+        into.append(tuple(row) + (-sum((r * f[n] for r, f in zip(row, back)), G_ZERO),))
+    frame_space = SymplecticSpace(space.vars, [c.inverse() for _, _, c in frame])
+    return frame_space, into, back
+
+
 def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
     """Moyal-Weyl star product truncated at the context order."""
     space = ctx.space
@@ -355,8 +456,16 @@ def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
     n = ctx.order
     used = f.coeffs[: n + 1] + g.coeffs[: n + 1]
     if all(len(c.den.terms) == 1 for c in used):
-        laurent = [_laurent_terms(c) for c in used]
-        return _laurent_star(ctx, laurent[: n + 1], laurent[n + 1:])
+        return _laurent_star(ctx, used)
+    frame = _affine_frame(space, used)
+    if frame is not None:
+        frame_space, into, back = frame
+        powers_in, powers_back = [], []
+        moved = [c.compose_linear(into, powers_in) for c in used]
+        size, moved_size = (sum(len(c.num.terms) for c in cs) for cs in (used, moved))
+        if moved_size <= FRAME_GROWTH * size:
+            product = _laurent_star(MoyalContext(frame_space, n), moved)
+            return product.map_coefficients(lambda c: c.compose_linear(back, powers_back))
     scalars = _star_scalars(n)
     tf = [_DerivTable(space.vars, c) for c in f.coeffs[: n + 1]]
     tg = [_DerivTable(space.vars, c) for c in g.coeffs[: n + 1]]
@@ -382,4 +491,5 @@ def apply_symplectic(ctx: MoyalContext, G: LinearSymplectic, f: HSeries) -> HSer
         raise NotSymplectic("map was validated against a different space")
     if f.vars != space.vars:
         raise VariableMismatch("series does not live on the context space")
-    return f.map_coefficients(lambda c: c.compose_linear(G.matrix))
+    rows = tuple(row + (G_ZERO,) for row in G.matrix)
+    return f.map_coefficients(lambda c: c.compose_linear(rows))

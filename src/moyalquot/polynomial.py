@@ -18,6 +18,7 @@ evaluation loop always ends, since only finitely many points are unlucky.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import UnknownVariable, VariableMismatch, ZeroDenominator
@@ -239,10 +240,16 @@ class Polynomial:
                 out[key] = c
         return Polynomial._raw(self.vars, out)
 
-    def compose(self, images: Sequence):
-        """Put images[i] for variable i; the result has the images' kind, polynomial or rational."""
+    def compose(self, images: Sequence, powers: Optional[list] = None):
+        """Put images[i] for variable i; the result has the images' kind, polynomial or rational.
+
+        `powers` keeps the powers of the images built so far, for later calls
+        with the same images."""
         kind, target = type(images[0]), images[0].vars
-        powers = [[None, image] for image in images]
+        if powers is None:
+            powers = []
+        if not powers:
+            powers.extend([None, image] for image in images)
         total = kind.zero(target)
         for exp, coeff in self.terms.items():
             mono = None
@@ -380,9 +387,15 @@ def poly_try_divexact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
     d_lead = max(d.terms, key=_grlex_key)
     d_coeff = d.terms[d_lead]
     remainder = dict(p.terms)
+    # the remainder's exponents, greatest first; an entry whose term has
+    # cancelled is skipped when it comes up
+    heap = [_heap_key(e) for e in remainder]
+    heapify(heap)
     quotient: Terms = {}
     while remainder:
-        r_lead = max(remainder, key=_grlex_key)
+        r_lead = heappop(heap)[-1]
+        if r_lead not in remainder:
+            continue
         diff = tuple(a - b for a, b in zip(r_lead, d_lead))
         if any(e < 0 for e in diff):
             return None
@@ -390,12 +403,20 @@ def poly_try_divexact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
         quotient[diff] = c
         for exp, coeff in d.terms.items():
             key = tuple(a + b for a, b in zip(exp, diff))
-            v = remainder.get(key, G_ZERO) - coeff * c
+            old = remainder.get(key)
+            v = (G_ZERO if old is None else old) - coeff * c
             if v.is_zero():
                 remainder.pop(key, None)
             else:
+                if old is None:
+                    heappush(heap, _heap_key(key))
                 remainder[key] = v
     return Polynomial._raw(p.vars, quotient)
+
+
+def _heap_key(exp: Exponent):
+    """Sorts the graded-lex greatest exponent first, and carries it."""
+    return (-sum(exp), tuple(-e for e in exp), exp)
 
 
 def poly_divexact(p: Polynomial, d: Polynomial) -> Polynomial:

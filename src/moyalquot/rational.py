@@ -8,7 +8,7 @@ equality of representations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import SubstitutionPole, VariableMismatch, ZeroDenominator
 from .gaussian import GaussianRational
@@ -205,15 +205,24 @@ class RationalFunction:
             raise SubstitutionPole("denominator is identically zero after composition")
         return num_val / den_val
 
-    def compose_linear(self, rows: Sequence[Sequence[GaussianRational]]) -> "RationalFunction":
-        """self after x_i -> sum_j rows[i][j] x_j, for an invertible matrix of rows.
+    def compose_linear(self, rows: Sequence[Sequence[GaussianRational]],
+                       powers: Optional[list] = None) -> "RationalFunction":
+        """self after x_i -> sum_j rows[i][j] x_j + rows[i][n], an invertible affine map.
 
-        No gcd: a ring automorphism keeps numerator and denominator coprime."""
+        Each row holds n coefficients and then a constant; `powers` is as in
+        `Polynomial.compose`.  No gcd: a ring automorphism keeps numerator and
+        denominator coprime."""
         if self.is_zero():
             return self
-        xs = [Polynomial.variable(self.vars, v) for v in self.vars]
-        forms = [sum((x * c for x, c in zip(xs, row)), Polynomial.zero(self.vars)) for row in rows]
-        return RationalFunction._from_coprime(self.num.compose(forms), self.den.compose(forms))
+        n = len(self.vars)
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(0,) * n]
+        forms = [
+            Polynomial._raw(self.vars, {e: c for e, c in zip(units, row) if not c.is_zero()})
+            for row in rows
+        ]
+        powers = [] if powers is None else powers
+        return RationalFunction._from_coprime(self.num.compose(forms, powers),
+                                              self.den.compose(forms, powers))
 
     # -- comparison and formatting ---------------------------------------------------
 

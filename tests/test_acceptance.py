@@ -201,6 +201,19 @@ def test_golden_kchart_values():
     print(f"PASS golden chart star values ({time.perf_counter() - start:.1f}s)")
 
 
+def test_golden_affine_frame_values():
+    # pinned before the affine-frame path existed, when these stars took derivatives
+    start = time.perf_counter()
+    for argv, golden in (
+        (("--space", "flat2", "--order", "4", "--", "(x+2*y)/(x-y)", "1/(2*x+y+1)"),
+         "star_flat2_affine_frame.txt"),
+        (("--space", "flatN", "--d", "2", "--order", "3", "--", "x2/(x1+1)", "y1/(x2-i)"),
+         "star_flatN_commuting_frame.txt"),
+    ):
+        assert _cli("star", *argv) == (GOLDEN / golden).read_text()
+    print(f"PASS golden affine-frame star values ({time.perf_counter() - start:.1f}s)")
+
+
 def test_golden_structured_output_stable():
     start = time.perf_counter()
     got = _cli("star", "--space", "flat2", "--order", "4", "--output", "structured", "x", "y")

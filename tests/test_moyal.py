@@ -3,9 +3,10 @@ of the two-dimensional product (see oracles.py), which is independent of the
 implementation's multiset expansion over bivector entries."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from moyalquot import cli, moyal, suites
 from moyalquot.errors import (
@@ -362,3 +363,131 @@ def test_cell_star_takes_no_derivative(monkeypatch, capsys):
     inverse = HSeries.constant(RationalFunction.from_polynomial(x2y2).reciprocal(), 2)
     with pytest.raises(AssertionError, match="derivative taken"):
         moyal_star(flat, inverse, inverse)
+
+
+# -- affine denominators through a Darboux frame ----------------------------------------
+
+FRAME_SPACES = {
+    "flat2": lambda draw: SymplecticSpace.standard(XY),
+    "flat4": lambda draw: SymplecticSpace.standard(("x1", "y1", "x2", "y2")),
+    "block": lambda draw: SymplecticSpace.block(
+        [(f"q{t}", f"p{t}", draw(st.sampled_from(SCALES))) for t in range(2)]
+    ),
+}
+
+
+@st.composite
+def frame_star_cases(draw):
+    space = FRAME_SPACES[draw(st.sampled_from(sorted(FRAME_SPACES)))](draw)
+    vs, n = space.vars, space.dim
+    order = draw(st.integers(0, 3 if n == 2 else 2))  # keeps the oracle quick
+    # forms in at most two variables, as in the benchmark; denser frames fall back
+    linear = st.dictionaries(st.integers(0, n - 1), st.sampled_from(COEFFS[1:]),
+                             min_size=1, max_size=2).map(lambda d: [d.get(j, 0) for j in range(n)])
+
+    def poly(coeffs):
+        return Polynomial(vs, {tuple(int(i == j) for i in range(n)): c
+                               for j, c in enumerate(coeffs)})
+
+    def linear_part(form):
+        return [form.terms.get(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+
+    def bracket(u, v):
+        return poisson_bracket(MoyalContext(space, 0), RationalFunction.from_polynomial(u),
+                               RationalFunction.from_polynomial(v)).constant_value()
+
+    first = poly(draw(linear))
+    # two forms commute only if they are proportional or n >= 4
+    relations = ("pairing", "equal", "shifted", "polynomial") + (("commuting",) if n > 2 else ())
+    relation = draw(st.sampled_from(relations))
+    if relation in ("equal", "shifted", "polynomial"):  # g is a polynomial in the last
+        second = first
+    else:
+        second = poly(draw(linear))
+        if relation == "commuting":
+            # subtract the part of a coordinate that pairs with the first form
+            x = next(v for v in (Polynomial.variable(vs, name) for name in vs)
+                     if bracket(v, first))
+            second = second - x * (bracket(second, first) / bracket(x, first))
+        independent = any(a * d != b * c for (a, b), (c, d) in combinations(
+            zip(linear_part(first), linear_part(second)), 2))
+        assume(independent and bool(bracket(second, first)) == (relation == "pairing"))
+    constants = [draw(st.sampled_from(COEFFS)) for _ in range(2)]
+    if relation == "equal":
+        constants[1] = constants[0]
+    forms = [form + Polynomial.constant(vs, c) for form, c in zip((first, second), constants)]
+    exponent = st.tuples(*[st.integers(0, 2)] * n)
+    numerator = st.dictionaries(exponent, st.sampled_from(COEFFS), max_size=3)
+
+    def series(form, length):
+        coeffs = []
+        for _ in range(length):
+            m = 0 if relation == "polynomial" and form is forms[1] else draw(st.integers(0, 3))
+            coeffs.append(RationalFunction(Polynomial(vs, draw(numerator)), form ** m))
+        return HSeries(coeffs)
+
+    # the left operand may carry more orders than the context
+    f = series(forms[0], order + 1 + draw(st.integers(0, 2)))
+    return MoyalContext(space, order), f, series(forms[1], order + 1), relation
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_star_cases())
+def test_frame_star_matches_bidiff(case):
+    ctx, f, g, relation = case
+    used = f.coeffs[: ctx.order + 1] + g.coeffs[: ctx.order + 1]
+    if relation != "shifted" and not all(len(c.den.terms) == 1 for c in used):
+        assert moyal._affine_frame(ctx.space, used) is not None
+    assert moyal_star(ctx, f, g) == star_by_bidiff_oracle(ctx, f, g)
+
+
+def _guard_derivative(monkeypatch):
+    def refused(self, name):
+        raise AssertionError("derivative taken")
+
+    monkeypatch.setattr(RationalFunction, "derivative", refused)
+
+
+def test_frame_star_takes_no_derivative(monkeypatch):
+    ctx = plane_ctx(20)
+    x, y = (RationalFunction.variable(XY, v) for v in XY)
+    f, g = (HSeries.constant(c, 20) for c in (1 / (x + y), 1 / (x - y)))
+    expected = star_by_bidiff_oracle(plane_ctx(3), f, g).coeffs
+    _guard_derivative(monkeypatch)
+    product = moyal_star(ctx, f, g)
+    assert product.coeffs[:4] == expected
+    # 1/(x+y) * 1/(x-y) = 1/(x^2 - y^2) at h^0
+    assert product.coeffs[0] == 1 / (x * x - y * y)
+
+
+def test_frame_falls_back_to_bidiff(monkeypatch):
+    from moyalquot.expr import parse_rational
+
+    ctx = plane_ctx(2)
+    x, y = (RationalFunction.variable(XY, v) for v in XY)
+    f, g, h = (HSeries.constant(c, 2) for c in (1 / (x + y), 1 / (x - y), 1 / (x + 2 * y + 1)))
+    # two dense forms on flat4: moving into their frame makes the numerators dense
+    x4 = ("x1", "y1", "x2", "y2")
+    dense = [HSeries.constant(parse_rational(text, x4), 1) for text in (
+        "x1*y1^2*x2*y2^2/(x1 + 2*x2 + (1/3 - i)*y2)^2",
+        "x1*y1^2*x2^2*y2/(x1 - (1/2 - 3*i)*y1 - x2 + (1/2 - 3*i)*y2 + 1)",
+    )]
+    cases = [
+        (ctx, HSeries.constant(1 / (x + 1), 2), HSeries.constant(1 / (x - 1), 2)),  # shifted
+        (ctx, HSeries.constant(1 / (x * x + y * y), 2), f),  # not a power of an affine form
+        (ctx, moyal_star(ctx, f, g), h),  # three directions: a star of a star
+        (MoyalContext(SymplecticSpace.standard(x4), 1), *dense),
+    ]
+    real = moyal._bidiff
+    for case in cases:
+        taken = []
+
+        def counted(*args):
+            taken.append(True)
+            return real(*args)
+
+        monkeypatch.setattr(moyal, "_bidiff", counted)
+        product = moyal_star(*case)
+        assert taken, case
+        monkeypatch.setattr(moyal, "_bidiff", real)
+        assert product == star_by_bidiff_oracle(*case)

@@ -260,9 +260,11 @@ linear_inputs = st.one_of(
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(linear_inputs, st.sampled_from(INVERTIBLE))
-def test_compose_linear_matches_substitute(f, rows):
-    rows = tuple(tuple(GaussianRational.coerce(v) for v in row) for row in rows)
+@given(linear_inputs, st.sampled_from(INVERTIBLE), st.tuples(*[st.just(0) | coefficients] * 2))
+def test_compose_linear_matches_substitute(f, rows, constants):
+    # each row holds the linear coefficients and then the constant of an affine form
+    rows = tuple(tuple(GaussianRational.coerce(v) for v in row + (c,))
+                 for row, c in zip(rows, constants))
     x, y = (RationalFunction.variable(XY, v) for v in XY)
-    bindings = {v: x * a + y * b for v, (a, b) in zip(XY, rows)}
+    bindings = {v: x * a + y * b + c for v, (a, b, c) in zip(XY, rows)}
     assert f.compose_linear(rows) == f.substitute(bindings)

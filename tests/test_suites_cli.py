@@ -324,6 +324,29 @@ def test_cli_order_environment_variable():
     assert bad.returncode == 4
 
 
+def test_cli_order_above_the_cap_is_refused(capsys, monkeypatch):
+    monkeypatch.delenv("MOYALQUOT_ORDER", raising=False)
+    over = str(cli.MAX_ORDER + 1)
+    for argv in (
+        ["star", "--space", "flat2", "--order", "100000", "x", "y"],
+        ["transport", "--from", "A", "--to", "B", "--order", over, "p"],
+        ["verify", "poisson", "--order", over, "--samples", "1"],
+    ):
+        assert run(argv) == 4
+        order = argv[argv.index("--order") + 1]
+        assert capsys.readouterr() == (
+            "", f"usage error: --order must be at most {cli.MAX_ORDER}, got {order}\n"
+        )
+    monkeypatch.setenv("MOYALQUOT_ORDER", over)
+    assert run(["star", "x", "y"]) == 4
+    assert capsys.readouterr().err == (
+        f"usage error: MOYALQUOT_ORDER must be at most {cli.MAX_ORDER}, got {over}\n"
+    )
+    # the cap itself is allowed
+    assert run(["star", "--space", "flat2", "--order", str(cli.MAX_ORDER), "x", "y"]) == 0
+    assert capsys.readouterr().out == "x*y + (1/2)*i*h\n"
+
+
 def test_cli_verify_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.atlas"
     bad.write_text("chart A z p\nchart B w q\ntransition A B 1 1 1 1\n")
