@@ -47,13 +47,7 @@ from .moyal import (
     poisson_bracket,
     star_commutator,
 )
-from .geometry import (
-    EvenFunction,
-    cotangent_lift,
-    liouville_symplectic,
-    sigma_pullback,
-    sigma_pushforward,
-)
+from .geometry import cotangent_lift, pushforward_even_pair, sigma_pullback_pair
 from .atlas import (
     KChartFunction,
     ProjectiveAtlas,

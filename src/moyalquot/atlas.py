@@ -11,6 +11,7 @@ The star product on a chart is the cover star of its one (z, p) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import resources
 from typing import Dict, List, Tuple
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     MissingTransition,
     VariableMismatch,
 )
-from .gaussian import ONE as G_ONE, ZERO as G_ZERO, GaussianRational
+from .gaussian import ONE as G_ONE, ZERO as G_ZERO
 from .geometry import pushforward_even_pair, sigma_pullback_pair
 from .moyal import Matrix, as_matrix, det2, mat_identity, mat_mul, proj_eq
 from .quot import ValidationReport, cover_star
@@ -66,13 +67,9 @@ class ProjectiveAtlas:
 
 
 def standard_cp1_atlas() -> ProjectiveAtlas:
-    """The two-chart atlas of the projective line with transition w = 1/z."""
-    i = GaussianRational(0, 1)
-    flip = ((0, i), (i, 0))
-    return ProjectiveAtlas(
-        charts={"A": ("z", "p"), "B": ("w", "q")},
-        transitions={("A", "B"): flip, ("B", "A"): flip},
-    )
+    """The two-chart atlas of the projective line with transition w = 1/z,
+    as the packaged file data/cp1.atlas declares it."""
+    return parse_atlas((resources.files(__package__) / "data" / "cp1.atlas").read_text("utf-8"))
 
 
 # -- validation -----------------------------------------------------------------

@@ -6,7 +6,8 @@ reported on one line).  An operand that starts with '-' must follow '--',
 and an option value that does is joined to its option: --support=-1,2.
 --d and --r below 1 are usage errors on every command.
 The default truncation order comes from --order, then the MOYALQUOT_ORDER
-environment variable, then 6; an order above MAX_ORDER is a usage error.
+environment variable, then 6; an order above MAX_ORDER is a usage error,
+and so is a space or suite with more than MAX_VARIABLES variables (2*d*r).
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ DEFAULT_ORDER = 6
 # the x*y star at this order takes well under a second; rational stars below
 # it have no bound yet
 MAX_ORDER = 1000
+# the 2*d*r variables of --space flatN|product and of verify.  Polynomial stars
+# and `verify theorem1 --samples 1` grow about quadratically with them; at this
+# many the latter takes 0.1-0.45 s for d <= 5 (d = 6 takes about 1 s at any r,
+# for its 720 permutations).  Stars of rational operands that leave the Laurent
+# kernel are not bounded by it.
+MAX_VARIABLES = 128
 DEFAULT_SAMPLES = 100
 
 
@@ -187,6 +194,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_variables(count: int, flags: str) -> None:
+    if count > MAX_VARIABLES:
+        raise UsageFailure(f"{flags} gives {count} variables, more than {MAX_VARIABLES}")
+
+
 def _resolve_order(value: Optional[int]) -> int:
     if value is None:
         return _default_order()
@@ -217,10 +229,12 @@ def _space_pairs(args):
     """(chart pairs, flat pairs) of --space; every star is their cover star."""
     if args.space == "flat2":
         return (), (("x", "y"),)
-    if args.space == "flatN":
-        return (), tuple((f"x{k}", f"y{k}") for k in range(1, args.d + 1))
     if args.space == "kchart":
         return (("z", "p"),), ()
+    if args.space == "flatN":
+        _check_variables(2 * args.d, f"--d {args.d}")
+        return (), tuple((f"x{k}", f"y{k}") for k in range(1, args.d + 1))
+    _check_variables(2 * args.d * args.r, f"--d {args.d} --r {args.r}")
     ctx = ProductContext(d=args.d, r=args.r, order=0)
     return ctx.chart_pairs, ctx.flat_pairs
 
@@ -252,6 +266,7 @@ def _cmd_poisson(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_variables(2 * args.d * args.r, f"--d {args.d} --r {args.r}")
     cfg = SuiteConfig(
         seed=args.seed,
         samples=args.samples,

@@ -1,4 +1,4 @@
-"""Chart-level geometry: the Liouville form, the cotangent lift, and the quadric cover.
+"""Chart-level geometry: the cotangent lift and the quadric cover.
 
 The central coordinate change is the double cover
 
@@ -38,20 +38,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DegenerateMatrix, NotEven, VariableMismatch
 from .gaussian import GaussianRational
-from .moyal import SymplecticSpace, as_matrix, det2
+from .moyal import as_matrix, det2
 from .polynomial import Polynomial
 from .rational import RationalFunction
-
-
-# -- the Liouville form ---------------------------------------------------------
-
-# dp^dz on a cotangent chart (z, p) is d(p dz): omega(z, p) = -1.
-LIOUVILLE_SCALE = -1
-
-
-def liouville_symplectic(zp: Sequence[str] = ("z", "p")) -> SymplecticSpace:
-    """The cotangent chart (z, p) with its Liouville form dp^dz."""
-    return SymplecticSpace.block([(zp[0], zp[1], LIOUVILLE_SCALE)])
 
 
 # -- the cotangent lift ----------------------------------------------------------
@@ -84,34 +73,6 @@ def cotangent_lift(
 # -- the quadric double cover ------------------------------------------------------
 
 
-class EvenFunction:
-    """A rational function in (x, y) invariant under (x, y) -> (-x, -y)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: RationalFunction):
-        if len(value.vars) != 2:
-            raise VariableMismatch("an even function lives on a two-variable chart")
-        if not is_even(value):
-            raise NotEven(f"{value} is not invariant under the sign involution")
-        self.value = value
-
-    @property
-    def vars(self) -> Tuple[str, ...]:
-        return self.value.vars
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EvenFunction):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"EvenFunction({self.value})"
-
-
 def is_even(value: RationalFunction) -> bool:
     """Invariance under negating every variable at once.
 
@@ -140,17 +101,6 @@ def sigma_bindings(
         zp[0]: x / y,
         zp[1]: y * y * Fraction(-1, 2),
     }
-
-
-def sigma_pullback(
-    F: RationalFunction,
-    zp: Sequence[str] = ("z", "p"),
-    xy: Sequence[str] = ("x", "y"),
-) -> EvenFunction:
-    """F(z, p) |-> F(x/y, -y^2/2); the result is automatically even."""
-    if F.vars != tuple(zp):
-        raise VariableMismatch(f"expected a function of {tuple(zp)}, got {F.vars}")
-    return EvenFunction(sigma_pullback_pair(F, zp[0], zp[1], xy[0], xy[1]))
 
 
 def _pair_rewrite(value, old, new, level, finish) -> RationalFunction:
@@ -221,11 +171,3 @@ def pushforward_even_pair(
         return e // 2, (GaussianRational((-2) ** (e // 2)) if e else None)
 
     return _pair_rewrite(value, (xvar, yvar), (zvar, pvar), lambda a, b: a + b, finish)
-
-
-def sigma_pushforward(
-    E: EvenFunction, zp: Sequence[str] = ("z", "p")
-) -> RationalFunction:
-    """The unique F(z, p) with F(x/y, -y^2/2) = E(x, y)."""
-    xv, yv = E.vars
-    return pushforward_even_pair(E.value, xv, yv, zp[0], zp[1])

@@ -89,22 +89,10 @@ def proj_eq(a: Matrix, b: Matrix) -> bool:
     return all(fa[i] * fb[j] == fa[j] * fb[i] for i in range(len(fa)) for j in range(i))
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
-
-
 def mat_identity(n: int) -> Matrix:
     return tuple(
         tuple(G_ONE if i == j else G_ZERO for j in range(n)) for i in range(n)
     )
-
-
-def form_pullback(m, omega: Matrix):
-    """m^T omega m: the constant form omega pulled back along the Jacobian m.
-
-    The entries of m may be scalars or rational functions.
-    """
-    return mat_mul(mat_mul(mat_transpose(m), omega), m)
 
 
 class SymplecticSpace:
@@ -143,14 +131,12 @@ class SymplecticSpace:
     def dim(self) -> int:
         return len(self.vars)
 
-    @property
-    def omega(self) -> Matrix:
-        """The form matrix, block-diagonal in the pairs."""
-        rows = [[G_ZERO] * self.dim for _ in range(self.dim)]
-        for k, s in enumerate(self.scales):
-            rows[2 * k][2 * k + 1] = s
-            rows[2 * k + 1][2 * k] = -s
-        return tuple(map(tuple, rows))
+    def bracket(
+        self, u: Sequence[GaussianRational], v: Sequence[GaussianRational]
+    ) -> GaussianRational:
+        """{sum u_a x_a, sum v_b x_b} for coefficient rows u, v; entries past
+        the variables, such as the constant of an affine form, are ignored."""
+        return sum((u[a] * v[b] * value for a, b, value in self.brackets), G_ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticSpace):
@@ -180,7 +166,11 @@ class MoyalContext:
 
 
 class LinearSymplectic:
-    """A matrix acting on the variables, checked to preserve the form."""
+    """A matrix acting on the variables, checked to preserve the form.
+
+    Row i gives the new x_i as a combination of the old variables.  The map
+    is symplectic when the rows keep the coordinate brackets: M pi M^T = pi
+    for the bracket matrix pi, which in the group Sp is M^T omega M = omega."""
 
     __slots__ = ("matrix", "space")
 
@@ -188,8 +178,9 @@ class LinearSymplectic:
         m = as_matrix(matrix)
         if len(m) != space.dim or any(len(row) != space.dim for row in m):
             raise NotSymplectic("matrix shape does not match the space")
-        omega = space.omega
-        if form_pullback(m, omega) != omega:
+        unit = mat_identity(space.dim)
+        if any(space.bracket(m[i], m[j]) != space.bracket(unit[i], unit[j])
+               for i in range(space.dim) for j in range(i)):
             raise NotSymplectic("matrix does not preserve the symplectic form")
         self.matrix = m
         self.space = space
@@ -402,9 +393,7 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     if None in roots or len(roots) > 2:
         return None
     n = space.dim
-
-    def bracket(u: Form, v: Form) -> GaussianRational:
-        return sum((u[a] * v[b] * value for a, b, value in space.brackets), G_ZERO)
+    bracket = space.bracket
 
     def project(v: Form, frame) -> Form:  # symplectically orthogonal to the frame
         for q, p, c in frame:

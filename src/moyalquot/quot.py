@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadPermutation, InvalidPoint, NotInvariant, VariableMismatch
 from .gaussian import GaussianRational
-from .geometry import LIOUVILLE_SCALE, pushforward_even_pair, sigma_pullback_pair
+from .geometry import pushforward_even_pair, sigma_pullback_pair
 from .moyal import MoyalContext, SymplecticSpace
 from .moyal import moyal_star as _moyal_star
 from .rational import RationalFunction
@@ -64,9 +64,10 @@ class ProductContext:
 def chart_block_space(
     chart_pairs: Sequence[Tuple[str, str]], flat_pairs: Sequence[Tuple[str, str]]
 ) -> SymplecticSpace:
-    """The chart-side form: dp^dz per chart pair, du^dv per flat pair."""
+    """The chart-side form: dp^dz = d(p dz) per chart pair, du^dv per flat pair."""
+    # omega(z, p) = -1 on a chart pair
     return SymplecticSpace.block(
-        [(z, p, LIOUVILLE_SCALE) for z, p in chart_pairs] + [(u, v, 1) for u, v in flat_pairs]
+        [(z, p, -1) for z, p in chart_pairs] + [(u, v, 1) for u, v in flat_pairs]
     )
 
 

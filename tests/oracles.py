@@ -11,7 +11,9 @@ oracle is the plain quotient rule over D^2 with a full gcd, where the library
 builds the reduced denominator directly.  The transport and symplectic-map
 oracles substitute rational bindings (the cotangent lift of a transition, the
 linear forms of a matrix) with a gcd at every step, where the library composes
-with linear forms on the quadric cover and runs no gcd.
+with linear forms on the quadric cover and runs no gcd.  The form oracle
+pulls a dense form matrix back as m^T omega m, where the library compares the
+brackets of the coordinates in its Darboux pairs.
 """
 
 from fractions import Fraction
@@ -137,3 +139,28 @@ def apply_symplectic_oracle(ctx: MoyalContext, G: LinearSymplectic, f: HSeries) 
                 expr = expr + Polynomial.variable(space.vars, target) * coeff
         bindings[name] = RationalFunction.from_polynomial(expr)
     return f.map_coefficients(lambda c: c.substitute(bindings))
+
+
+def omega_matrix(space) -> tuple:
+    """The dense form matrix of a space of Darboux pairs: omega(q_k, p_k) = s_k."""
+    n = len(space.vars)
+    rows = [[GaussianRational(0)] * n for _ in range(n)]
+    for k, s in enumerate(space.scales):
+        rows[2 * k][2 * k + 1] = s
+        rows[2 * k + 1][2 * k] = -s
+    return tuple(map(tuple, rows))
+
+
+def form_pullback(m, omega) -> tuple:
+    """m^T omega m: the constant form omega pulled back along the Jacobian m.
+
+    The entries of m may be numbers, Gaussian rationals or rational functions."""
+    n = len(omega)
+    cols = len(m[0])
+    return tuple(
+        tuple(
+            sum((m[a][i] * omega[a][b] * m[b][j] for a in range(n) for b in range(n)), start=0)
+            for j in range(cols)
+        )
+        for i in range(cols)
+    )

@@ -211,10 +211,10 @@ def test_star_on_k_internal_names_avoid_collision():
 
 
 def test_star_on_k_axioms_against_chart_bracket():
-    from moyalquot.geometry import liouville_symplectic
     from moyalquot.moyal import MoyalContext, poisson_bracket
+    from moyalquot.quot import chart_block_space
 
-    chart_ctx = MoyalContext(liouville_symplectic(("z", "p")), 0)
+    chart_ctx = MoyalContext(chart_block_space((("z", "p"),), ()), 0)
     s = SampleStream("atlas-axioms")
     for _ in range(15):
         f = chart_fn("f", {s.exponent(2, 3): s.coefficient(), s.exponent(2, 2): s.coefficient()})
@@ -454,14 +454,14 @@ def test_translation_atlas_from_file(tmp_path):
 
 
 def test_bundled_file_matches_factory(tmp_path):
+    # the factory parses the packaged file; pin what that file declares
     import importlib.resources as resources
 
-    text = resources.files("moyalquot").joinpath("data/cp1.atlas").read_text()
-    bundled = parse_atlas(text)
     factory = standard_cp1_atlas()
-    assert bundled.charts == factory.charts
-    assert bundled.transitions == factory.transitions
+    flip = ((0, I), (I, 0))
+    assert factory.charts == {"A": ("z", "p"), "B": ("w", "q")}
+    assert factory.transitions == {("A", "B"): flip, ("B", "A"): flip}
 
     path = tmp_path / "copy.atlas"
-    path.write_text(text)
-    assert load_atlas(path).charts == factory.charts
+    path.write_text(resources.files("moyalquot").joinpath("data/cp1.atlas").read_text())
+    assert load_atlas(path) == factory

@@ -6,39 +6,45 @@ from hypothesis import given, settings, strategies as st
 from moyalquot.errors import DegenerateMatrix, NotEven, VariableMismatch
 from moyalquot.gaussian import GaussianRational
 from moyalquot.geometry import (
-    EvenFunction,
     cotangent_lift,
     is_even,
-    liouville_symplectic,
     pushforward_even_pair,
     sigma_bindings,
-    sigma_pullback,
     sigma_pullback_pair,
-    sigma_pushforward,
 )
 from moyalquot.moyal import (
     MoyalContext,
     SymplecticSpace,
     as_matrix,
     det2,
-    form_pullback,
     mat_identity,
     mat_mul,
     poisson_bracket,
     proj_eq,
 )
 from moyalquot.polynomial import Polynomial
+from moyalquot.quot import chart_block_space
 from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
-from oracles import pullback_pair_oracle, pushforward_pair_oracle
+from oracles import form_pullback, omega_matrix, pullback_pair_oracle, pushforward_pair_oracle
 
 ZP = ("z", "p")
 XY = ("x", "y")
 I = GaussianRational(0, 1)
+# the cotangent chart (z, p) with its Liouville form dp^dz
+CHART = chart_block_space((ZP,), ())
 
 
 def var(vs, name):
     return RationalFunction.variable(vs, name)
+
+
+def pull(F):
+    return sigma_pullback_pair(F, *ZP, *XY)
+
+
+def push(E):
+    return pushforward_even_pair(E, *XY, *ZP)
 
 
 def jacobian(components, variables):
@@ -52,24 +58,27 @@ def jacobian(components, variables):
 def test_pullback_examples():
     # the double cover pulls dp^dz back to dx^dy
     sb = sigma_bindings(ZP, XY)
-    chart = liouville_symplectic(ZP).omega
-    plane = SymplecticSpace.standard(XY).omega
-    assert form_pullback(jacobian((sb["z"], sb["p"]), XY), chart) == plane
+    chart = omega_matrix(CHART)
+    plane_space = SymplecticSpace.standard(XY)
+    assert form_pullback(jacobian((sb["z"], sb["p"]), XY), chart) == omega_matrix(plane_space)
     # the identity map pulls the form back to itself
     ident = jacobian((var(ZP, "z"), var(ZP, "p")), ZP)
     assert form_pullback(ident, chart) == chart
+    # the same identity as brackets: {z o sigma, p o sigma} on the plane is {z, p} = -1
+    plane_bracket = poisson_bracket(MoyalContext(plane_space, 0), sb["z"], sb["p"])
+    assert plane_bracket == RationalFunction.constant(XY, -1)
 
 
 def test_liouville_is_d_of_tautological_form():
     # d(theta_z dz + theta_p dp) = (d_z theta_p - d_p theta_z) dz^dp with theta = p dz
     theta_z, theta_p = var(ZP, "p"), RationalFunction.zero(ZP)
     d_theta = theta_p.derivative("z") - theta_z.derivative("p")
-    assert d_theta == liouville_symplectic(ZP).omega[0][1]
+    assert d_theta == omega_matrix(CHART)[0][1]
 
 
 def test_liouville_translation_invariant():
     lift = cotangent_lift([[1, 1], [0, 1]], ZP)
-    chart = liouville_symplectic(ZP).omega
+    chart = omega_matrix(CHART)
     assert form_pullback(jacobian(lift, ZP), chart) == chart
 
 
@@ -150,7 +159,7 @@ def test_lift_scale_invariance_and_homomorphism():
 def test_lift_preserves_tautological_form():
     # (Z, P)^* (p dz) = P dZ = P Z_z dz + P Z_p dp must equal p dz
     s = SampleStream("geometry-liouville")
-    chart = liouville_symplectic(ZP).omega
+    chart = omega_matrix(CHART)
     for _ in range(10):
         big_z, big_p = cotangent_lift(s.mobius_det1_matrix(), ZP)
         assert big_p * big_z.derivative("z") == var(ZP, "p")
@@ -163,18 +172,18 @@ def test_lift_preserves_tautological_form():
 
 def test_sigma_pullback_examples():
     x, y = var(XY, "x"), var(XY, "y")
-    assert sigma_pullback(var(ZP, "z"), ZP, XY).value == x / y
-    assert sigma_pullback(var(ZP, "p"), ZP, XY).value == y * y * Fraction(-1, 2)
-    assert sigma_pullback(RationalFunction.one(ZP), ZP, XY).value == RationalFunction.one(XY)
+    assert pull(var(ZP, "z")) == x / y
+    assert pull(var(ZP, "p")) == y * y * Fraction(-1, 2)
+    assert pull(RationalFunction.one(ZP)) == RationalFunction.one(XY)
 
 
 def test_sigma_pushforward_examples():
     x, y = var(XY, "x"), var(XY, "y")
     z, p = var(ZP, "z"), var(ZP, "p")
-    assert sigma_pushforward(EvenFunction(x * x), ZP) == -2 * z * z * p
-    assert sigma_pushforward(EvenFunction(x * y), ZP) == -2 * z * p
+    assert push(x * x) == -2 * z * z * p
+    assert push(x * y) == -2 * z * p
     with pytest.raises(NotEven):
-        EvenFunction(x)
+        push(x)
 
 
 def test_even_detection():
@@ -190,12 +199,12 @@ def test_round_trip_both_ways():
     s = SampleStream("geometry-roundtrip")
     for _ in range(20):
         F = s.rational_function(ZP, 2, 1)
-        assert sigma_pushforward(sigma_pullback(F, ZP, XY), ZP) == F
+        assert push(pull(F)) == F
     for _ in range(20):
         num = s.even_polynomial(XY, 4)
         den = s.even_polynomial(XY, 2)
-        E = EvenFunction(RationalFunction(num, den))
-        assert sigma_pullback(sigma_pushforward(E, ZP), ZP, XY) == E
+        E = RationalFunction(num, den)
+        assert pull(push(E)) == E
 
 
 def test_sigma_equivariance_random_matrices():
@@ -213,7 +222,7 @@ def test_sigma_equivariance_random_matrices():
 
 
 def test_bracket_compatibility():
-    chart_ctx = MoyalContext(liouville_symplectic(ZP), 0)
+    chart_ctx = MoyalContext(CHART, 0)
     plane_ctx = MoyalContext(SymplecticSpace.standard(XY), 0)
     z, p = var(ZP, "z"), var(ZP, "p")
     assert poisson_bracket(chart_ctx, z, p) == RationalFunction.constant(ZP, -1)
@@ -222,17 +231,7 @@ def test_bracket_compatibility():
         F = s.rational_function(ZP, 2, 1)
         G = s.rational_function(ZP, 2, 1)
         lhs = poisson_bracket(chart_ctx, F, G)
-        rhs = sigma_pushforward(
-            EvenFunction(
-                poisson_bracket(
-                    plane_ctx,
-                    sigma_pullback(F, ZP, XY).value,
-                    sigma_pullback(G, ZP, XY).value,
-                )
-            ),
-            ZP,
-        )
-        assert lhs == rhs
+        assert lhs == push(poisson_bracket(plane_ctx, pull(F), pull(G)))
 
 
 def test_pushforward_pair_inside_larger_tuple():
@@ -248,18 +247,16 @@ def test_pushforward_pair_inside_larger_tuple():
 def test_pullback_of_fiber_pole():
     # a pole along the zero section stays a pole upstairs, not an error
     G = RationalFunction.one(ZP) / (var(ZP, "p") * 2)
-    assert sigma_pullback(G, ZP, XY).value == -RationalFunction.one(XY) / (
-        var(XY, "y") ** 2
-    )
+    assert pull(G) == -RationalFunction.one(XY) / (var(XY, "y") ** 2)
     with pytest.raises(VariableMismatch):
-        sigma_pullback(RationalFunction.one(XY), ZP, XY)
+        pull(RationalFunction.one(XY))
 
 
 def test_pushforward_cancels_the_common_power_of_y_before_the_parity_check():
     # x/y maps to z*y/y: a parity check before cancelling y would reject it
     x, y = var(XY, "x"), var(XY, "y")
-    assert sigma_pushforward(EvenFunction(x / y), ZP) == var(ZP, "z")
-    assert sigma_pushforward(EvenFunction(y / x), ZP) == 1 / var(ZP, "z")
+    assert push(x / y) == var(ZP, "z")
+    assert push(y / x) == 1 / var(ZP, "z")
     with pytest.raises(NotEven):
         pushforward_even_pair(x * x / y, "x", "y", "z", "p")
 
@@ -267,7 +264,6 @@ def test_pushforward_cancels_the_common_power_of_y_before_the_parity_check():
 def test_cover_maps_of_zero_take_the_new_names():
     pushed = pushforward_even_pair(RationalFunction.zero(XY), "x", "y", "z", "p")
     assert pushed.vars == ZP and pushed == RationalFunction.zero(ZP)
-    assert sigma_pushforward(EvenFunction(RationalFunction.zero(XY)), ZP).vars == ZP
     pulled = sigma_pullback_pair(RationalFunction.zero(ZP), "z", "p", "x", "y")
     assert pulled.vars == XY and pulled == RationalFunction.zero(XY)
 

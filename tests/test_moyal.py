@@ -25,7 +25,6 @@ from moyalquot.moyal import (
     SymplecticSpace,
     apply_symplectic,
     bidiff_power,
-    form_pullback,
     moyal_star,
     poisson_bracket,
     star_commutator,
@@ -33,7 +32,13 @@ from moyalquot.moyal import (
 from moyalquot.quot import ProductContext, quot_cell_star, symmetrize
 from moyalquot.sampling import SampleStream
 
-from oracles import apply_symplectic_oracle, star_2d_oracle, star_by_bidiff_oracle
+from oracles import (
+    apply_symplectic_oracle,
+    form_pullback,
+    omega_matrix,
+    star_2d_oracle,
+    star_by_bidiff_oracle,
+)
 
 XY = ("x", "y")
 I = GaussianRational(0, 1)
@@ -49,13 +54,16 @@ def const(p: Polynomial, order: int) -> HSeries:
 
 def test_standard_space_form():
     space = SymplecticSpace.standard(XY)
-    assert space.omega == ((0, 1), (-1, 0))
+    assert omega_matrix(space) == ((0, 1), (-1, 0))
     assert space.brackets == ((0, 1, 1), (1, 0, -1))
+    assert space.bracket((1, 0), (0, 1)) == 1 and space.bracket((2, 3), (5, 7)) == -1
     # a Darboux pair with omega(q, p) = s has bracket 1/s
     scaled = SymplecticSpace.block([("x", "y", 2), ("u", "v", I)])
-    assert scaled.omega[2][3] == I and scaled.omega[3][2] == -I
+    assert scaled.scales == (2, I)
     half = GaussianRational(1) / 2
     assert scaled.brackets == ((0, 1, half), (1, 0, -half), (2, 3, -I), (3, 2, I))
+    # rows may carry a constant past the variables, as affine forms do
+    assert scaled.bracket((1, 0, 1, 0, 9), (0, 1, 0, 1, 9)) == half - I
 
 
 def test_space_rejects_bad_forms():
@@ -206,8 +214,57 @@ def test_apply_symplectic_examples():
         LinearSymplectic([[2, 0], [0, 2]], space)
     # on the chart form dp^dz the same maps are symplectic, and scaling by 2 is not
     chart = SymplecticSpace.block([("x", "y", -1)])
-    assert form_pullback(rot.matrix, chart.omega) == chart.omega
-    assert form_pullback(((2, 0), (0, 2)), chart.omega) == ((0, -4), (4, 0))
+    assert LinearSymplectic(rot.matrix, chart).matrix == rot.matrix
+    with pytest.raises(NotSymplectic):
+        LinearSymplectic([[2, 0], [0, 2]], chart)
+    omega = omega_matrix(chart)
+    assert form_pullback(rot.matrix, omega) == omega
+    assert form_pullback(((2, 0), (0, 2)), omega) == ((0, -4), (4, 0))
+
+
+def _to_scales(matrix, scales):
+    """D^-1 M D with D = diag(1, s_1, 1, s_2, ...), which carries Sp of the
+    standard form to Sp of the form with omega(q_k, p_k) = s_k."""
+    diag = [v for s in scales for v in (GaussianRational(1), s)]
+    return tuple(
+        tuple(v * diag[j] / diag[i] for j, v in enumerate(row)) for i, row in enumerate(matrix)
+    )
+
+
+def test_linear_symplectic_matches_dense_oracle():
+    # LinearSymplectic compares coordinate brackets; the oracle compares m^T omega m
+    odd = GaussianRational(Fraction(1, 3), 2)
+    X4 = ("x1", "y1", "x2", "y2")
+    spaces = [
+        SymplecticSpace.standard(XY),
+        SymplecticSpace.block([("x", "y", -1)]),
+        SymplecticSpace.block([("x", "y", I)]),
+        SymplecticSpace.block([("x", "y", odd)]),
+        SymplecticSpace.standard(X4),
+        SymplecticSpace.block([("x1", "y1", -1), ("x2", "y2", -1)]),
+        SymplecticSpace.block([("x1", "y1", -1), ("x2", "y2", I)]),
+        SymplecticSpace.block([("x1", "y1", odd), ("x2", "y2", I)]),
+    ]
+    for space in spaces:
+        s = SampleStream(f"symplectic-differential:{space.vars}:{space.scales}")
+        standard = SymplecticSpace.standard(space.vars)
+        omega = omega_matrix(space)
+        n = space.dim
+        verdicts = set()
+        for _ in range(10):
+            base = s.symplectic(standard).matrix
+            for matrix in (base, _to_scales(base, space.scales)):
+                rows = [list(row) for row in matrix]
+                rows[s.rng.randrange(n)][s.rng.randrange(n)] += s.shear_parameter()
+                for m in (matrix, rows):
+                    try:
+                        LinearSymplectic(m, space)
+                        accepted = True
+                    except NotSymplectic:
+                        accepted = False
+                    assert accepted == (form_pullback(m, omega) == omega), (space, m)
+                    verdicts.add(accepted)
+        assert verdicts == {True, False}
 
 
 def test_equivariance_random_shears():

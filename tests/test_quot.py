@@ -7,7 +7,7 @@ from moyalquot.errors import (
     OrderTooLarge,
     VariableMismatch,
 )
-from moyalquot.geometry import EvenFunction, sigma_pullback, sigma_pushforward
+from moyalquot.geometry import pushforward_even_pair, sigma_pullback_pair
 from moyalquot.gaussian import GaussianRational
 from moyalquot.polynomial import Polynomial
 from moyalquot.quot import (
@@ -105,9 +105,9 @@ def test_product_star_single_chart_block_matches_chart_star():
             f = s.rational_function(pair, 2)
             g = RationalFunction.from_polynomial(s.polynomial(pair, 2))
             expected = star_2d_oracle(
-                sigma_pullback(f, pair, plane).value, sigma_pullback(g, pair, plane).value, 4
+                sigma_pullback_pair(f, *pair, *plane), sigma_pullback_pair(g, *pair, *plane), 4
             )
-            pushed = [sigma_pushforward(EvenFunction(c), pair) for c in expected.coeffs]
+            pushed = [pushforward_even_pair(c, *plane, *pair) for c in expected.coeffs]
             assert star(HSeries.constant(f, 4), HSeries.constant(g, 4)) == HSeries(pushed)
 
 

@@ -347,6 +347,76 @@ def test_cli_order_above_the_cap_is_refused(capsys, monkeypatch):
     assert capsys.readouterr().out == "x*y + (1/2)*i*h\n"
 
 
+def test_cli_variable_count_above_the_cap_is_refused(capsys):
+    half = cli.MAX_VARIABLES // 2
+    # the cap itself is allowed on every entry point that counts variables
+    for argv in (
+        ["star", "--space", "flatN", "--d", str(half), "--order", "2", "x1", "y1"],
+        ["poisson", "--space", "product", "--d", "2", "--r", str(half // 2), "z1*p1", "u1"],
+        ["verify", "symmetric", "--samples", "1", "--d", "2", "--r", str(half // 2)],
+    ):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    for argv, flags, count in (
+        (["star", "--space", "flatN", "--d", str(half + 1), "x1", "y1"],
+         f"--d {half + 1}", 2 * half + 2),
+        (["star", "--space", "product", "--d", "3", "--r", "1000", "z1", "p1"],
+         "--d 3 --r 1000", 6000),
+        (["poisson", "--space", "flatN", "--d", str(half + 1), "x1", "y1"],
+         f"--d {half + 1}", 2 * half + 2),
+        (["verify", "theorem1", "--samples", "1", "--r", str(half // 2 + 1)],
+         f"--d 2 --r {half // 2 + 1}", 2 * half + 4),
+    ):
+        started = time.perf_counter()
+        assert run(argv) == 4, argv
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr() == (
+            "", f"usage error: {flags} gives {count} variables, more than {cli.MAX_VARIABLES}\n"
+        )
+    # flat2 and kchart have one pair whatever --d and --r say
+    assert run(["star", "--space", "kchart", "--d", "1000000", "--r", "1000000", "z", "p"]) == 0
+
+
+# operands on the space's first pair (Q, P): polynomial, Laurent, affine
+# denominator, a pole, h (refused by poisson) and an unknown name
+_OPERANDS = ("Q*P + 2*Q^2", "Q^2/P^3 - i*P/Q", "1/(Q + P + 1)", "1/0", "h", "w9")
+_FIRST_PAIR = {"flat2": ("x", "y"), "flatN": ("x1", "y1"), "kchart": ("z", "p"),
+               "product": ("z1", "p1")}
+# small counts, and counts just past the variable cap (2*d*r > MAX_VARIABLES)
+_COUNTS = st.sampled_from([1, 2, 3, cli.MAX_VARIABLES // 2 + 1])
+STAR_SECONDS = 10
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["star", "poisson"]),
+    st.sampled_from(sorted(_FIRST_PAIR)),
+    _COUNTS,
+    _COUNTS,
+    st.sampled_from([*range(9), cli.MAX_ORDER + 1]),
+    st.sampled_from(_OPERANDS),
+    st.sampled_from(_OPERANDS),
+)
+def test_cli_star_and_poisson_argument_fuzz(command, space, d, r, order, left, right):
+    q, p = _FIRST_PAIR[space]
+    operands = [text.replace("Q", q).replace("P", p) for text in (left, right)]
+    argv = [command, "--space", space, "--d", str(d), "--r", str(r)]
+    argv += ["--order", str(order)] if command == "star" else []
+    argv += ["--", *operands]
+    start = time.perf_counter()
+    code, out, err = _run_captured(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert "Traceback" not in err
+    else:
+        assert err == "" and out.endswith("\n"), (argv, err)
+    count = {"flatN": 2 * d, "product": 2 * d * r}.get(space, 2)
+    if count > cli.MAX_VARIABLES:
+        assert code == 4, (argv, err)
+    assert time.perf_counter() - start < STAR_SECONDS, argv
+
+
 def test_cli_verify_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.atlas"
     bad.write_text("chart A z p\nchart B w q\ntransition A B 1 1 1 1\n")
