@@ -28,6 +28,13 @@ Shifting each variable's exponents up by its most negative one gives the
 canonical form with no gcd: the denominator is a monic monomial, and some
 term attains each minimum, so no variable divides the numerator.
 
+A pair is flat, with its scale s, or a cotangent-chart pair (z, p) taken
+through the quadric cover (x/y, -y^2/2), {x, y} = 1: the cover sends z^a p^b
+to (-1/2)^b x^a y^(2b-a) and x^A y^B back to (-2)^m z^A p^m, m = (A+B)/2, so
+the chart series is the flat one with b, d replaced by 2b - a, 2d - c and s
+by -2, and the same output exponents; the cover star of Laurent operands
+never leaves the chart.
+
 The product is covariant under affine symplectic changes of coordinates, so
 denominators that are powers of at most two affine forms l, l' are monomials
 in a Darboux frame that holds them: (l, l') as one pair when {l, l'} = s != 0
@@ -40,9 +47,9 @@ as (d/dx_j)^(m-1) D, checked by l^m = D.  Forms with equal linear parts and
 different constants, three directions (a star of a star), and frames that
 make the numerators much denser take the general path.
 
-Other operands take derivatives, each over its known denominator; the terms
-of one h-power are summed per denominator pair, put over the lcm, normalized
-once.
+Other operands take derivatives over the bracket entries of the variables
+they use, each over its known denominator; the terms of one h-power are
+summed per denominator pair, put over the lcm, normalized once.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
@@ -192,11 +199,13 @@ class LinearSymplectic:
 class _DerivTable:
     """Cache of iterated partial derivatives of one rational function."""
 
-    __slots__ = ("vars", "root", "table")
+    __slots__ = ("vars", "root", "table", "uses")
 
     def __init__(self, variables: Tuple[str, ...], root: RationalFunction):
         self.vars = variables
         self.root = root
+        # a derivative never adds a variable, so every entry uses only these
+        self.uses = {i for p in (root.num, root.den) for e in p.terms for i, v in enumerate(e) if v}
         self.table: Dict[Tuple[int, ...], RationalFunction] = {(0,) * len(variables): root}
 
     def get(self, alpha: Tuple[int, ...]) -> RationalFunction:
@@ -211,28 +220,28 @@ class _DerivTable:
         return value
 
 
-def _check_function(space: SymplecticSpace, f: RationalFunction):
-    if f.vars != space.vars:
-        raise VariableMismatch(f"function over {f.vars} does not match space {space.vars}")
-
-
 # numerators keyed by the denominator pair (of the f factor, of the g factor)
 _Groups = Dict[Tuple[Polynomial, Polynomial], Polynomial]
 
 
-def _bidiff(space: SymplecticSpace, tf: _DerivTable, tg: _DerivTable, k: int,
+def _entries(space: SymplecticSpace, tf: _DerivTable, tg: _DerivTable):
+    """The bracket entries (a, b, {x_a, x_b}) with x_a in f and x_b in g."""
+    return [entry for entry in space.brackets if entry[0] in tf.uses and entry[1] in tg.uses]
+
+
+def _bidiff(entries, tf: _DerivTable, tg: _DerivTable, k: int,
             scale: GaussianRational, groups: _Groups) -> _Groups:
     """Add scale * D^k(f, g) to groups, one numerator per denominator pair."""
     if any(t.root.den.is_one() and t.root.num.total_degree() < k for t in (tf, tg)):
         return groups  # zero, or a polynomial of degree below k
-    n = space.dim
-    for combo in combinations_with_replacement(range(len(space.brackets)), k):
+    n = len(tf.vars)
+    for combo in combinations_with_replacement(range(len(entries)), k):
         alpha = [0] * n
         beta = [0] * n
         coeff = scale
         mult = factorial(k)
         for idx, count in Counter(combo).items():
-            a, b, value = space.brackets[idx]
+            a, b, value = entries[idx]
             alpha[a] += count
             beta[b] += count
             coeff = coeff * (value ** count)
@@ -263,18 +272,19 @@ def bidiff_power(ctx: MoyalContext, f: RationalFunction, g: RationalFunction, k:
     if k < 0:
         raise ValueError("power must be nonnegative")
     space = ctx.space
-    _check_function(space, f)
-    _check_function(space, g)
+    for h in (f, g):
+        if h.vars != space.vars:
+            raise VariableMismatch(f"function over {h.vars} does not match space {space.vars}")
     tf, tg = _DerivTable(space.vars, f), _DerivTable(space.vars, g)
-    return _sum_groups(space, _bidiff(space, tf, tg, k, G_ONE, {}))
+    return _sum_groups(space, _bidiff(_entries(space, tf, tg), tf, tg, k, G_ONE, {}))
 
 
-def _star_scalars(order: int) -> List[GaussianRational]:
-    """(i/2)^k / k! for k = 0..order."""
-    half_i = GaussianRational(0, Fraction(1, 2))
+def _star_scalars(order: int, scale: GaussianRational = G_ONE) -> List[GaussianRational]:
+    """(i/2)^k / k! * scale^-k for k = 0..order."""
+    step = GaussianRational(0, Fraction(1, 2)) / scale
     out = [G_ONE]
     for k in range(1, order + 1):
-        out.append(out[-1] * half_i / k)
+        out.append(out[-1] * step / k)
     return out
 
 
@@ -303,21 +313,24 @@ def _from_laurent(variables: Tuple[str, ...], terms) -> RationalFunction:
     return RationalFunction._trusted(Polynomial._raw(variables, num), den)
 
 
-def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
+def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction],
+                  chart: Collection[int] = ()) -> HSeries:
     """The star of Laurent operands as a product of per-pair monomial series.
 
-    `used` holds the coefficients of f, then those of g, up to the order."""
+    `used` holds the coefficients of f, then those of g, up to the order.  A
+    pair is flat with its scale, or a chart pair if its index is in `chart`."""
     space, n = ctx.space, ctx.order
     laurent = [_laurent_terms(c) for c in used]
     fs, gs = laurent[: n + 1], laurent[n + 1:]
-    scalars = _star_scalars(n)
-    # (i/2)^k / k! * s^-k for every pair and k
-    pair_scalars = [[scalars[k] * s.inverse() ** k for k in range(n + 1)] for s in space.scales]
+    scales = [GaussianRational(-2) if t in chart else s for t, s in enumerate(space.scales)]
+    distinct = list(dict.fromkeys(scales))
+    rows = [_star_scalars(n, s) for s in distinct]
+    kinds = [(distinct.index(s), t in chart) for t, s in enumerate(scales)]
     cache: Dict[Tuple[int, ...], List[Tuple[int, GaussianRational]]] = {}
 
-    def pair_series(t: int, a: int, b: int, c: int, d: int):
-        """Nonzero (k, coefficient) of q^a p^b * q^c p^d on pair t, for k <= n."""
-        key = (t, a, b, c, d)
+    def pair_series(s: int, a: int, b: int, c: int, d: int):
+        """Nonzero (k, coefficient) of q^a p^b * q^c p^d at scale row s, for k <= n."""
+        key = (s, a, b, c, d)
         if key not in cache:
             fa, fb, fc, fd = (_falling(e, n) for e in (a, b, c, d))
             # [e]_t = 0 for t > e >= 0, so j and k - j stop at such an exponent
@@ -330,7 +343,7 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSerie
                 )
                 for k in range(n + 1)
             ]
-            cache[key] = [(k, pair_scalars[t][k] * v) for k, v in enumerate(totals) if v]
+            cache[key] = [(k, rows[s][k] * v) for k, v in enumerate(totals) if v]
         return cache[key]
 
     out: List[Dict[Tuple[int, ...], GaussianRational]] = [{} for _ in range(n + 1)]
@@ -341,12 +354,14 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSerie
                 for eb, cb in gj:
                     # (h-power, exponent, coefficient) over the pairs so far
                     states = [(0, (), ca * cb)]
-                    for t in range(len(space.scales)):
+                    for t, (s, is_chart) in enumerate(kinds):
                         a, b, c, d = ea[2 * t], ea[2 * t + 1], eb[2 * t], eb[2 * t + 1]
+                        series = (pair_series(s, a, 2 * b - a, c, 2 * d - c) if is_chart
+                                  else pair_series(s, a, b, c, d))
                         states = [
                             (h + k, e + (a + c - k, b + d - k), coeff * value)
                             for h, e, coeff in states
-                            for k, value in pair_series(t, a, b, c, d)
+                            for k, value in series
                             if h + k <= budget
                         ]
                     for h, e, coeff in states:
@@ -433,17 +448,20 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     return frame_space, into, back
 
 
-def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
-    """Moyal-Weyl star product truncated at the context order."""
-    space = ctx.space
-    if f.vars != space.vars or g.vars != space.vars:
+def star_operands(ctx: MoyalContext, f: HSeries, g: HSeries) -> Tuple[RationalFunction, ...]:
+    """The coefficients of f, then of g, up to the order, checked for the context."""
+    if f.vars != ctx.space.vars or g.vars != ctx.space.vars:
         raise VariableMismatch("operands do not live on the context space")
     if f.order < ctx.order or g.order < ctx.order:
-        raise OrderTooLarge(
-            f"operand orders {f.order}, {g.order} below context order {ctx.order}"
-        )
-    n = ctx.order
-    used = f.coeffs[: n + 1] + g.coeffs[: n + 1]
+        raise OrderTooLarge(f"operand orders {f.order}, {g.order} "
+                            f"below context order {ctx.order}")
+    return f.coeffs[: ctx.order + 1] + g.coeffs[: ctx.order + 1]
+
+
+def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
+    """Moyal-Weyl star product truncated at the context order."""
+    space, n = ctx.space, ctx.order
+    used = star_operands(ctx, f, g)
     if all(len(c.den.terms) == 1 for c in used):
         return _laurent_star(ctx, used)
     frame = _affine_frame(space, used)
@@ -458,12 +476,14 @@ def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
     scalars = _star_scalars(n)
     tf = [_DerivTable(space.vars, c) for c in f.coeffs[: n + 1]]
     tg = [_DerivTable(space.vars, c) for c in g.coeffs[: n + 1]]
+    entries = {(i, j): _entries(space, tf[i], tg[j])
+               for i in range(n + 1) for j in range(n + 1 - i)}
     out = []
     for m in range(n + 1):
         groups: _Groups = {}
         for i in range(m + 1):
             for j in range(m - i + 1):
-                _bidiff(space, tf[i], tg[j], m - i - j, scalars[m - i - j], groups)
+                _bidiff(entries[i, j], tf[i], tg[j], m - i - j, scalars[m - i - j], groups)
         out.append(_sum_groups(space, groups))
     return HSeries(tuple(out))
 

@@ -1,13 +1,14 @@
 """The cover star, the d-fold product star, symmetrization, and the quot cell.
 
-The cover star pulls every cotangent-chart pair (z, p) back through its own
-copy of the quadric cover, multiplies with one Moyal product on the space
-where every pair is standard, and pushes each chart pair forward again;
-other pairs are flat and untouched by the cover.  The chart star on T*X is
-its case of one chart pair, and the open cell carries d chart pairs
-(z_i, p_i) plus d(r-1) flat pairs (u_j, v_j).  The symmetric group acts by
-permuting the chart pairs, and the cell star is the product star restricted
-to invariant series, which it preserves.
+The cover star is the Moyal product conjugated by its own copy of the
+quadric cover on every cotangent-chart pair (z, p); other pairs are flat and
+untouched by the cover.  For Laurent operands each chart pair is a kind of
+the Laurent kernel (see moyal), and the product never leaves the chart; only
+other operands are pulled back, multiplied and pushed forward.  The chart
+star on T*X is its case of one chart pair, and the open cell carries d chart
+pairs (z_i, p_i) plus d(r-1) flat pairs (u_j, v_j).  The symmetric group
+acts by permuting the chart pairs, and the cell star is the product star
+restricted to invariant series, which it preserves.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import BadPermutation, InvalidPoint, NotInvariant, VariableMismatch
 from .gaussian import GaussianRational
 from .geometry import pushforward_even_pair, sigma_pullback_pair
-from .moyal import MoyalContext, SymplecticSpace
+from .moyal import MoyalContext, SymplecticSpace, _laurent_star, star_operands
 from .moyal import moyal_star as _moyal_star
 from .rational import RationalFunction
 from .series import HSeries
@@ -76,28 +77,31 @@ def cover_star(
 ) -> HSeries:
     """The Moyal product conjugated by the quadric cover on each chart pair.
 
-    Each chart pair keeps its names on the cover: z -> z/p and p -> -p^2/2
-    at once.  One Moyal product runs on the standard space of f.vars, where
-    every pair, chart or flat, has bracket 1, and each chart pair is pushed
-    forward again.  With no chart pairs this is the plain Moyal product.
+    On the cover every pair, chart or flat, has bracket 1.  Laurent operands
+    take the kernel on the chart, each chart pair as its chart kind.  Other
+    operands are pulled back (z -> z/p, p -> -p^2/2, names kept), take one
+    Moyal product, and each chart pair is pushed forward again.  A chart
+    pair that is not a Darboux pair of f.vars also takes the cover.
     """
     vs = f.vars
-    if chart_pairs:
+    ctx = MoyalContext(SymplecticSpace.standard(vs), order)
+    used = star_operands(ctx, f, g)
+    pairs = list(zip(vs[::2], vs[1::2]))
+    chart = {pairs.index(tuple(pair)) for pair in chart_pairs if tuple(pair) in pairs}
+    if len(chart) == len(chart_pairs) and all(len(c.den.terms) == 1 for c in used):
+        return _laurent_star(ctx, used, chart)
 
-        def pull(c: RationalFunction) -> RationalFunction:
-            for z, p in chart_pairs:
-                c = sigma_pullback_pair(c, z, p, z, p)
-            return c
-
-        f = f.map_coefficients(pull)
-        g = g.map_coefficients(pull)
-    product = _moyal_star(MoyalContext(SymplecticSpace.standard(vs), order), f, g)
+    def pull(c: RationalFunction) -> RationalFunction:
+        for z, p in chart_pairs:
+            c = sigma_pullback_pair(c, z, p, z, p)
+        return c
 
     def push(c: RationalFunction) -> RationalFunction:
         for z, p in chart_pairs:
             c = pushforward_even_pair(c, z, p, z, p)
         return c
 
+    product = _moyal_star(ctx, f.map_coefficients(pull), g.map_coefficients(pull))
     return product.map_coefficients(push)
 
 

@@ -66,13 +66,6 @@ class HSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def padded(self, order: int) -> "HSeries":
-        """Extend with zero coefficients up to `order` (never truncates)."""
-        if order <= self.order:
-            return self
-        z = RationalFunction.zero(self.vars)
-        return HSeries(self.coeffs + (z,) * (order - self.order))
-
     def truncated(self, order: int) -> "HSeries":
         if order > self.order:
             raise OrderTooLarge(f"order {order} exceeds series order {self.order}")

@@ -13,7 +13,9 @@ oracles substitute rational bindings (the cotangent lift of a transition, the
 linear forms of a matrix) with a gcd at every step, where the library composes
 with linear forms on the quadric cover and runs no gcd.  The form oracle
 pulls a dense form matrix back as m^T omega m, where the library compares the
-brackets of the coordinates in its Darboux pairs.
+brackets of the coordinates in its Darboux pairs.  The cover oracles with the
+bidiff oracle are also the route cover_star leaves for Laurent operands,
+which it multiplies on the chart.  `padded` and `laurent` build test inputs.
 """
 
 from fractions import Fraction
@@ -29,6 +31,19 @@ from moyalquot.rational import RationalFunction, rf_normalize
 from moyalquot.series import HSeries
 
 I = GaussianRational(0, 1)
+
+
+def padded(series: HSeries, order: int) -> HSeries:
+    """Extend with zero coefficients up to `order` (never truncates)."""
+    zeros = (RationalFunction.zero(series.vars),) * max(0, order - series.order)
+    return HSeries(series.coeffs + zeros)
+
+
+def laurent(vs, terms) -> RationalFunction:
+    """sum of c * x^e over `terms`, exponents of any sign."""
+    shift = tuple(max([0] + [-e[v] for e in terms]) for v in range(len(vs)))
+    num = {tuple(a + s for a, s in zip(e, shift)): c for e, c in terms.items()}
+    return RationalFunction(Polynomial(vs, num), Polynomial.monomial(vs, shift))
 
 
 def derivative_oracle(f: RationalFunction, name: str) -> RationalFunction:

@@ -27,7 +27,7 @@ from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
 from moyalquot.series import HSeries, hs_equal
 
-from oracles import transport_oracle
+from oracles import padded, transport_oracle
 
 ZP = ("z", "p")
 I = GaussianRational(0, 1)
@@ -180,8 +180,8 @@ def test_star_on_k_examples():
     assert result.value.coeffs[1] == RationalFunction.constant(ZP, I * -1 / 2)
 
     one = KChartFunction("A", HSeries.one(ZP, 4))
-    assert star_on_K(4, one, p).value == p.value.padded(4)
-    assert star_on_K(4, p, one).value == p.value.padded(4)
+    assert star_on_K(4, one, p).value == padded(p.value, 4)
+    assert star_on_K(4, p, one).value == padded(p.value, 4)
 
     z2 = chart_fn("z2", {(2, 0): 1})
     got = star_on_K(4, z2, p)

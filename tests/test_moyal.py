@@ -35,7 +35,9 @@ from moyalquot.sampling import SampleStream
 from oracles import (
     apply_symplectic_oracle,
     form_pullback,
+    laurent,
     omega_matrix,
+    padded,
     star_2d_oracle,
     star_by_bidiff_oracle,
 )
@@ -199,7 +201,7 @@ def test_block_sum_star_factorizes():
         )
 
     expected = lift(sx, XY) * lift(su, UV)
-    assert hs_equal(got, expected.padded(4), 4)
+    assert hs_equal(got, padded(expected, 4), 4)
 
 
 def test_apply_symplectic_examples():
@@ -327,13 +329,6 @@ def test_variable_mismatch_rejected():
 
 SCALES = (1, -1, 2, I, GaussianRational(Fraction(1, 3), 2))
 COEFFS = (0, 1, -1, 3, I, GaussianRational(Fraction(-1, 2), 3))
-
-
-def laurent(vs, terms) -> RationalFunction:
-    """sum of c * x^e over `terms`, exponents of any sign."""
-    shift = tuple(max([0] + [-e[v] for e in terms]) for v in range(len(vs)))
-    num = {tuple(a + s for a, s in zip(e, shift)): c for e, c in terms.items()}
-    return RationalFunction(Polynomial(vs, num), Polynomial.monomial(vs, shift))
 
 
 @st.composite
@@ -548,3 +543,50 @@ def test_frame_falls_back_to_bidiff(monkeypatch):
         assert taken, case
         monkeypatch.setattr(moyal, "_bidiff", real)
         assert product == star_by_bidiff_oracle(*case)
+
+
+# -- the general path over the variables the operands use ------------------------------
+
+
+def _flat_star(n_pairs, pairs, make_f, make_g, order, monkeypatch):
+    """(product, derivative-table entries) of make_f * make_g on flatN, with the
+    operands built from the variables of the given pairs (1-based)."""
+    vs = tuple(v for t in range(1, n_pairs + 1) for v in (f"x{t}", f"y{t}"))
+    used = [RationalFunction.variable(vs, f"{v}{t}") for t in pairs for v in "xy"]
+    tables = []
+
+    class Counted(moyal._DerivTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(moyal, "_DerivTable", Counted)
+    ctx = MoyalContext(SymplecticSpace.standard(vs), order)
+    f, g = (HSeries.constant(make(*used), order) for make in (make_f, make_g))
+    product = moyal_star(ctx, f, g)
+    return product, sum(len(t.table) for t in tables)
+
+
+def _renamed(series: HSeries, names, vs) -> HSeries:
+    def lift(p: Polynomial) -> Polynomial:
+        return Polynomial(names, p.terms).with_variables(vs)
+
+    return HSeries([RationalFunction(lift(c.num), lift(c.den)) for c in series.coeffs])
+
+
+@pytest.mark.parametrize("smallest,pairs_of,make_f,make_g", [
+    # x1*y1 + 1/(x1^2 + y2) and 1/x2 + y1 on the first and the last pair
+    (2, lambda n: (1, n), lambda x1, y1, x2, y2: x1 * y1 + 1 / (x1 * x1 + y2),
+     lambda x1, y1, x2, y2: 1 / x2 + y1),
+    # x*y + 1/(x^2 + y) and 1/x + y on the last pair
+    (1, lambda n: (n,), lambda x, y: x * y + 1 / (x * x + y), lambda x, y: 1 / x + y),
+], ids=["two-pairs", "one-pair"])
+def test_bidiff_cost_does_not_grow_with_unused_pairs(smallest, pairs_of, make_f, make_g,
+                                                     monkeypatch):
+    reference, entries = _flat_star(smallest, pairs_of(smallest), make_f, make_g, 6, monkeypatch)
+    assert not reference.coeffs[1].is_zero()
+    for n in range(smallest, 9):
+        product, count = _flat_star(n, pairs_of(n), make_f, make_g, 6, monkeypatch)
+        names = tuple(f"{v}{t}" for t in pairs_of(n) for v in "xy")
+        assert _renamed(reference, names, product.vars) == product
+        assert count == entries, n

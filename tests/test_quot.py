@@ -1,5 +1,9 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from moyalquot import quot
 from moyalquot.errors import (
     BadPermutation,
     InvalidPoint,
@@ -27,9 +31,16 @@ from moyalquot.moyal import MoyalContext, SymplecticSpace, moyal_star, poisson_b
 from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
 from moyalquot.series import HSeries
-from oracles import star_2d_oracle
+from oracles import (
+    laurent,
+    pullback_pair_oracle,
+    pushforward_pair_oracle,
+    star_2d_oracle,
+    star_by_bidiff_oracle,
+)
 
 I = GaussianRational(0, 1)
+ZP = ("z", "p")
 
 
 def ctx21(order=4):
@@ -303,3 +314,74 @@ def test_r1_degenerate_flat_block():
     assert len(ctx.vars) == 4
     one = SymSeries(HSeries.one(ctx.vars, 2))
     assert quot_cell_star(ctx, one, one).value == HSeries.one(ctx.vars, 2)
+
+
+# -- chart pairs in the Laurent kernel ---------------------------------------------------
+
+# (variables, chart pairs): kchart, a flat pair ahead of the chart pair, the cells
+COVER_LAYOUTS = [(("z", "p"), (("z", "p"),)), (("u", "v", "z", "p"), (("z", "p"),))] + [
+    (ctx.vars, ctx.chart_pairs)
+    for ctx in (ProductContext(d, r, 0) for d in (1, 2, 3) for r in (1, 2))
+]
+COEFFS = (1, -1, 3, I, GaussianRational(Fraction(-1, 2), 3))
+
+
+@st.composite
+def cover_cases(draw):
+    vs, chart_pairs = draw(st.sampled_from(COVER_LAYOUTS))
+    n = len(vs)
+    order = draw(st.integers(0, 6 if n <= 4 else 3))  # keeps the oracle quick
+    # each term moves at most three variables, by exponents -3..3
+    exponent = st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3), max_size=3).map(
+        lambda e: tuple(e.get(i, 0) for i in range(n)))
+    coefficient = st.dictionaries(exponent, st.sampled_from(COEFFS), max_size=2)
+
+    def series():  # every h-coefficient drawn on its own
+        return HSeries([laurent(vs, draw(coefficient)) for _ in range(order + 1)])
+
+    return chart_pairs, order, series(), series()
+
+
+def cover_route_oracle(chart_pairs, order, f: HSeries, g: HSeries) -> HSeries:
+    """Pull back through the cover, take derivatives, push forward, by substitution."""
+    def pull(c):
+        for z, p in chart_pairs:
+            c = pullback_pair_oracle(c, z, p, z, p)
+        return c
+
+    def push(c):
+        for z, p in chart_pairs:
+            c = pushforward_pair_oracle(c, z, p, z, p)
+        return c
+
+    ctx = MoyalContext(SymplecticSpace.standard(f.vars), order)
+    product = star_by_bidiff_oracle(ctx, f.map_coefficients(pull), g.map_coefficients(pull))
+    return product.map_coefficients(push)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cover_cases())
+def test_chart_kind_matches_the_cover_route(case):
+    assert cover_star(*case) == cover_route_oracle(*case)
+
+
+def test_laurent_operands_never_visit_the_cover(monkeypatch):
+    def refused(*args):
+        raise AssertionError("cover map called")
+
+    ctx = ProductContext(d=2, r=2, order=3)
+    z1, p1, z2, p2, u1, v1 = (RationalFunction.variable(ctx.vars, v) for v in ctx.vars[:6])
+    z, p = (RationalFunction.variable(ZP, v) for v in ZP)
+    cases = [
+        (ctx.chart_pairs, HSeries([z1 * p2 / u1, 1 / (p1 * p1), z2 / z1, v1 * p2]),
+         HSeries([p1 * p2 / z2, z1 ** 3, u1 * u1 / p2, 1 / v1])),
+        ((ZP,), HSeries([z * z / p, z, p, 1 / z]), HSeries([p ** -3, z, p / z, z * p])),
+    ]
+    expected = [cover_star(pairs, 3, f, g) for pairs, f, g in cases]
+    monkeypatch.setattr(quot, "sigma_pullback_pair", refused)
+    monkeypatch.setattr(quot, "pushforward_even_pair", refused)
+    assert [cover_star(pairs, 3, f, g) for pairs, f, g in cases] == expected
+    for pairs, f, g in cases:
+        first = RationalFunction.variable(f.vars, pairs[0][0])
+        with pytest.raises(AssertionError, match="cover map called"):
+            cover_star(pairs, 3, HSeries((1 / (first + 1),) + f.coeffs[1:]), g)

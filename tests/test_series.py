@@ -6,6 +6,7 @@ from moyalquot.gaussian import GaussianRational
 from moyalquot.polynomial import Polynomial
 from moyalquot.rational import RationalFunction
 from moyalquot.series import HSeries, hs_equal
+from oracles import padded
 
 XY = ("x", "y")
 
@@ -15,7 +16,7 @@ def series(*coeff_terms, order=None):
         RationalFunction.from_polynomial(Polynomial(XY, terms)) for terms in coeff_terms
     ]
     s = HSeries(coeffs)
-    return s.padded(order) if order is not None else s
+    return padded(s, order) if order is not None else s
 
 
 def test_difference_of_squares():
