@@ -60,9 +60,9 @@ DEFAULT_ORDER = 6
 MAX_ORDER = 1000
 # the 2*d*r variables of --space flatN|product and of verify.  Polynomial stars
 # and `verify theorem1 --samples 1` grow about quadratically with them; at this
-# many the latter takes 0.1-0.45 s for d <= 5 (d = 6 takes about 1 s at any r,
-# for its 720 permutations).  Stars of rational operands that leave the Laurent
-# kernel are not bounded by it.
+# many the latter takes 0.02-0.04 s for every d <= 6 on a 2-core machine.
+# Stars of rational operands that leave the Laurent kernel are not bounded by
+# it.
 MAX_VARIABLES = 128
 DEFAULT_SAMPLES = 100
 

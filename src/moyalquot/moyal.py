@@ -39,13 +39,14 @@ The product is covariant under affine symplectic changes of coordinates, so
 denominators that are powers of at most two affine forms l, l' are monomials
 in a Darboux frame that holds them: (l, l') as one pair when {l, l'} = s != 0
 (scale 1/s), both as q's when they commute, l alone when l' = l.  Symplectic
-Gram-Schmidt completes the frame, x_i = sum_k ({x_i, p_k} q_k - {x_i, q_k}
-p_k) / {q_k, p_k} + c_i writes x back in it, and the operands move in and
-the kernel's result moves out by affine composition.  An automorphism keeps
-numerator and denominator coprime, so no gcd runs; l is found without one,
-as (d/dx_j)^(m-1) D, checked by l^m = D.  Forms with equal linear parts and
-different constants, three directions (a star of a star), and frames that
-make the numerators much denser take the general path.
+Gram-Schmidt on the pairs the forms touch completes the frame, other pairs
+stay, x_i = sum_k ({x_i, p_k} q_k - {x_i, q_k} p_k) / {q_k, p_k} + c_i
+writes x back in it, and the operands move in and the kernel's result moves
+out by affine composition.  An automorphism keeps numerator and denominator
+coprime, so no gcd runs; l is found without one, as (d/dx_j)^(m-1) D,
+checked by l^m = D.  Forms with equal linear parts and different constants,
+three directions (a star of a star), and frames that make the numerators
+much denser take the general path.
 
 Other operands take derivatives over the bracket entries of the variables
 they use, each over its known denominator; the terms of one h-power are
@@ -57,6 +58,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from functools import lru_cache
 from math import comb, factorial
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -279,13 +281,14 @@ def bidiff_power(ctx: MoyalContext, f: RationalFunction, g: RationalFunction, k:
     return _sum_groups(space, _bidiff(_entries(space, tf, tg), tf, tg, k, G_ONE, {}))
 
 
-def _star_scalars(order: int, scale: GaussianRational = G_ONE) -> List[GaussianRational]:
-    """(i/2)^k / k! * scale^-k for k = 0..order."""
+@lru_cache(maxsize=16)
+def _star_scalars(order: int, scale: GaussianRational = G_ONE) -> Tuple[GaussianRational, ...]:
+    """(i/2)^k / k! * scale^-k for k = 0..order; a few rows recur, so they are kept."""
     step = GaussianRational(0, Fraction(1, 2)) / scale
     out = [G_ONE]
     for k in range(1, order + 1):
         out.append(out[-1] * step / k)
-    return out
+    return tuple(out)
 
 
 def _laurent_terms(c: RationalFunction) -> List[Tuple[Tuple[int, ...], GaussianRational]]:
@@ -318,7 +321,8 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction],
     """The star of Laurent operands as a product of per-pair monomial series.
 
     `used` holds the coefficients of f, then those of g, up to the order.  A
-    pair is flat with its scale, or a chart pair if its index is in `chart`."""
+    pair is flat with its scale, or a chart pair if its index is in `chart`;
+    a pair that neither monomial touches is the factor 1 and is skipped."""
     space, n = ctx.space, ctx.order
     laurent = [_laurent_terms(c) for c in used]
     fs, gs = laurent[: n + 1], laurent[n + 1:]
@@ -356,6 +360,9 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction],
                     states = [(0, (), ca * cb)]
                     for t, (s, is_chart) in enumerate(kinds):
                         a, b, c, d = ea[2 * t], ea[2 * t + 1], eb[2 * t], eb[2 * t + 1]
+                        if not (a or b or c or d):  # the series is 1 at k = 0
+                            states = [(h, e + (0, 0), coeff) for h, e, coeff in states]
+                            continue
                         series = (pair_series(s, a, 2 * b - a, c, 2 * d - c) if is_chart
                                   else pair_series(s, a, b, c, d))
                         states = [
@@ -403,49 +410,58 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
 
     The denominators must be powers of at most two affine forms.  The forms
     become frame coordinates: a pair with scale 1/{l, l'}, two q's when they
-    commute, or one q; symplectic Gram-Schmidt completes the frame."""
+    commute, or one q.  Symplectic Gram-Schmidt over the Darboux pairs that
+    the forms touch completes them, projecting each candidate against each
+    new pair once; every other pair commutes with them and maps to itself."""
     roots = list(dict.fromkeys(_affine_root(c.den) for c in used if not c.den.is_one()))
     if None in roots or len(roots) > 2:
         return None
     n = space.dim
     bracket = space.bracket
-
-    def project(v: Form, frame) -> Form:  # symplectically orthogonal to the frame
-        for q, p, c in frame:
-            tq, tp = bracket(v, p) / c, bracket(v, q) / c
-            v = tuple(a - tq * x + tp * y for a, x, y in zip(v, q, p))
-        return v
-
     coords = [tuple(G_ONE if i == j else G_ZERO for i in range(n + 1)) for j in range(n)]
-    first, *pending = roots
+    touched = [k for k in range(n // 2) if any(r[2 * k] or r[2 * k + 1] for r in roots)]
+    candidates = [coords[i] for k in touched for i in (2 * k, 2 * k + 1)]
     frame: List[Tuple[Form, Form, GaussianRational]] = []
+
+    def add(q: Form, p: Form) -> None:
+        c = bracket(q, p)
+        frame.append((q, p, c))
+        for j, v in enumerate(candidates if len(frame) < len(touched) else ()):  # orthogonalize
+            tq, tp = bracket(v, p) / c, bracket(v, q) / c
+            candidates[j] = tuple(a - tq * x + tp * y for a, x, y in zip(v, q, p))
+
+    first, *pending = roots
     if pending and bracket(first, pending[0]):
-        frame.append((first, pending[0], bracket(first, pending[0])))
-        pending = []
+        add(first, pending.pop())
     elif pending:
         # commuting forms: each u below commutes with the second; pair one with the first
-        beta = [bracket(pending[0], x) for x in coords]
-        partners = (tuple(beta[j] * a - beta[k] * b for a, b in zip(coords[k], coords[j]))
-                    for j in range(n) for k in range(n))
+        beta = [bracket(pending[0], x) for x in candidates]
+        partners = (tuple(beta[j] * a - beta[k] * b for a, b in zip(x, y))
+                    for j, y in enumerate(candidates) for k, x in enumerate(candidates))
         u = next((u for u in partners if bracket(first, u)), None)
         if u is None:
             return None  # equal linear parts, different constants
-        frame.append((first, u, bracket(first, u)))
+        add(first, u)
     else:
         pending = [first]
-    while len(frame) < n // 2:
-        candidates = [project(x, frame) for x in coords]
+    while len(frame) < len(touched):
         q = pending.pop() if pending else next(v for v in candidates if any(v[:n]))
-        p = next(v for v in candidates if bracket(q, v))
-        frame.append((q, p, bracket(q, p)))
+        add(q, next(v for v in candidates if bracket(q, v)))
+    m = 2 * len(frame)
+    rest = [k for k in range(n // 2) if k not in touched]
+    frame += [(coords[2 * k], coords[2 * k + 1], space.scales[k].inverse()) for k in rest]
     back = [form for q, p, _ in frame for form in (q, p)]
     # x_i = sum_k ({x_i, p_k} q_k - {x_i, q_k} p_k) / {q_k, p_k} + constant
     into = []
-    for x in coords:
-        row = [v for q, p, c in frame for v in (bracket(x, p) / c, -bracket(x, q) / c)]
+    place = {k: m + 2 * t for t, k in enumerate(rest)}
+    for i, x in enumerate(coords):
+        if i // 2 in place:
+            into.append(coords[place[i // 2] + i % 2])
+            continue
+        row = [v for q, p, c in frame[:m // 2] for v in (bracket(x, p) / c, -bracket(x, q) / c)]
+        row += [G_ZERO] * (n - m)
         into.append(tuple(row) + (-sum((r * f[n] for r, f in zip(row, back)), G_ZERO),))
-    frame_space = SymplecticSpace(space.vars, [c.inverse() for _, _, c in frame])
-    return frame_space, into, back
+    return SymplecticSpace(space.vars, [c.inverse() for _, _, c in frame]), into, back
 
 
 def star_operands(ctx: MoyalContext, f: HSeries, g: HSeries) -> Tuple[RationalFunction, ...]:

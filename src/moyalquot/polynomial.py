@@ -279,16 +279,6 @@ class Polynomial:
             out[tuple(new)] = coeff
         return Polynomial._raw(vs, out)
 
-    def permute_positions(self, mapping: Mapping[int, int]) -> "Polynomial":
-        """Move exponents between variable slots; identity outside `mapping`."""
-        out: Terms = {}
-        for exp, coeff in self.terms.items():
-            new = list(exp)
-            for src, dst in mapping.items():
-                new[dst] = exp[src]
-            out[tuple(new)] = coeff
-        return Polynomial._raw(self.vars, out)
-
     # -- comparison and formatting ----------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -8,7 +8,10 @@ other operands are pulled back, multiplied and pushed forward.  The chart
 star on T*X is its case of one chart pair, and the open cell carries d chart
 pairs (z_i, p_i) plus d(r-1) flat pairs (u_j, v_j).  The symmetric group
 acts by permuting the chart pairs, and the cell star is the product star
-restricted to invariant series, which it preserves.
+restricted to invariant series, which it preserves.  Laurent series stay in
+exponent form throughout: the Reynolds operator is an orbit sum over exponent
+blocks (Sturmfels, Algorithms in Invariant Theory, ch. 2), and invariance is
+checked term by term.
 """
 
 from __future__ import annotations
@@ -17,13 +20,16 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as all_permutations
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import BadPermutation, InvalidPoint, NotInvariant, VariableMismatch
 from .gaussian import GaussianRational
 from .geometry import pushforward_even_pair, sigma_pullback_pair
-from .moyal import MoyalContext, SymplecticSpace, _laurent_star, star_operands
+from .moyal import (
+    MoyalContext, SymplecticSpace, _from_laurent, _laurent_star, _laurent_terms, star_operands,
+)
 from .moyal import moyal_star as _moyal_star
+from .polynomial import Polynomial
 from .rational import RationalFunction
 from .series import HSeries
 
@@ -114,34 +120,23 @@ def product_star(ctx: ProductContext, f: HSeries, g: HSeries) -> HSeries:
     return cover_star(ctx.chart_pairs, ctx.order, f, g)
 
 
-def _check_permutation(ctx: ProductContext, perm: Sequence[int]) -> Tuple[int, ...]:
+def permute(ctx: ProductContext, perm: Sequence[int], f: HSeries) -> HSeries:
+    """Rename z_i -> z_L(i), p_i -> p_L(i); flat variables stay fixed."""
     p = tuple(perm)
     if sorted(p) != list(range(1, ctx.d + 1)):
         raise BadPermutation(f"{perm!r} is not a permutation of 1..{ctx.d}")
-    return p
-
-
-def permute(ctx: ProductContext, perm: Sequence[int], f: HSeries) -> HSeries:
-    """Rename z_i -> z_L(i), p_i -> p_L(i); flat variables stay fixed."""
-    p = _check_permutation(ctx, perm)
     if f.vars != ctx.vars:
         raise VariableMismatch(f"series must live on {ctx.vars}")
-    mapping: Dict[int, int] = {}
-    for i, image in enumerate(p, start=1):
-        src = 2 * (i - 1)
-        dst = 2 * (image - 1)
-        if src != dst:
-            mapping[src] = dst
-            mapping[src + 1] = dst + 1
-    if not mapping:
+    slots = list(range(len(f.vars)))  # the new exponent of x_t is the old one of x_slots[t]
+    for i, image in enumerate(p):
+        slots[2 * image - 2:2 * image] = (2 * i, 2 * i + 1)
+
+    def move(q: Polynomial) -> Polynomial:
+        return Polynomial._raw(q.vars, {tuple(e[s] for s in slots): v for e, v in q.terms.items()})
+
+    if list(p) == sorted(p):
         return f
-
-    def rename(c: RationalFunction) -> RationalFunction:
-        num = c.num.permute_positions(mapping)
-        den = c.den.permute_positions(mapping)
-        return RationalFunction._from_coprime(num, den)
-
-    return f.map_coefficients(rename)
+    return f.map_coefficients(lambda c: RationalFunction._from_coprime(move(c.num), move(c.den)))
 
 
 @dataclass(frozen=True)
@@ -151,24 +146,61 @@ class SymSeries:
     value: HSeries
 
 
+def _arrangements(counts: Counter, n: int) -> Iterator[Tuple]:
+    """The distinct orderings of a multiset of n items, each once."""
+    if not n:
+        yield ()
+    for item in [item for item, count in counts.items() if count]:
+        counts[item] -= 1
+        yield from ((item,) + rest for rest in _arrangements(counts, n - 1))
+        counts[item] += 1
+
+
 def symmetrize(ctx: ProductContext, f: HSeries) -> SymSeries:
-    """Average of f over all chart-pair permutations; a projection."""
-    total = None
-    for perm in all_permutations(range(1, ctx.d + 1)):
-        moved = permute(ctx, perm, f)
-        total = moved if total is None else total + moved
-    scale = GaussianRational(1) / factorial(ctx.d)
-    return SymSeries(total.map_coefficients(lambda c: c * scale))
+    """The Reynolds operator: the average of f over the chart-pair permutations.
+
+    A term of a Laurent coefficient goes to the mean of its orbit, the distinct
+    rearrangements of its d chart-pair exponent blocks (flat exponents stay);
+    the terms of one orbit are summed first, so each orbit is listed once and
+    never d! images.  Other coefficients average their d! permuted copies."""
+    if f.vars != ctx.vars:
+        raise VariableMismatch(f"series must live on {ctx.vars}")
+    d = ctx.d
+
+    def average(c: RationalFunction) -> RationalFunction:
+        if len(c.den.terms) != 1:
+            copies = (permute(ctx, p, HSeries((c,))).coeffs[0]
+                      for p in all_permutations(range(1, d + 1)))
+            return sum(copies, RationalFunction.zero(c.vars)) * (GaussianRational(1) / factorial(d))
+        orbits: Dict[Tuple, GaussianRational] = {}
+        for exp, value in _laurent_terms(c):
+            key = (tuple(sorted(zip(exp[0:2 * d:2], exp[1:2 * d:2]))), exp[2 * d:])
+            orbits[key] = orbits[key] + value if key in orbits else value
+        terms = {}
+        for (blocks, flat), value in orbits.items():
+            orbit = list(_arrangements(Counter(blocks), d))
+            for image in orbit:
+                terms[sum(image, ()) + flat] = value / len(orbit)
+        return _from_laurent(c.vars, terms)
+
+    return SymSeries(f.map_coefficients(lambda c: c if c.is_zero() else average(c)))
 
 
 def is_invariant(ctx: ProductContext, f: HSeries) -> bool:
-    """Invariance under adjacent transpositions (they generate the group)."""
-    for k in range(1, ctx.d):
-        perm = list(range(1, ctx.d + 1))
-        perm[k - 1], perm[k] = perm[k], perm[k - 1]
-        if permute(ctx, perm, f) != f:
-            return False
-    return True
+    """Invariance under adjacent transpositions (they generate the group).
+
+    Term by term, building no permuted copy: a transposition fixes the
+    canonical N/D when it maps the terms of D and of N onto themselves times
+    one sign, which is -1 for (z1 - z2)/(p1 - p2)."""
+    if f.vars != ctx.vars:
+        raise VariableMismatch(f"series must live on {ctx.vars}")
+
+    def fixed(terms, i: int, flip: int) -> bool:
+        return all(terms.get(e[:i] + e[i + 2:i + 4] + e[i:i + 2] + e[i + 4:]) == (-v if flip else v)
+                   for e, v in terms.items())
+
+    return all(any(fixed(c.den.terms, i, flip) and fixed(c.num.terms, i, flip) for flip in (0, 1))
+               for i in range(0, 2 * ctx.d - 2, 2) for c in f.coeffs)
 
 
 def quot_cell_star(ctx: ProductContext, f: SymSeries, g: SymSeries) -> SymSeries:
@@ -195,20 +227,10 @@ class QuotCellPoint:
     flat: Tuple[Tuple[GaussianRational, GaussianRational], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "support", tuple(GaussianRational.coerce(v) for v in self.support)
-        )
-        object.__setattr__(
-            self, "covectors", tuple(GaussianRational.coerce(v) for v in self.covectors)
-        )
-        object.__setattr__(
-            self,
-            "flat",
-            tuple(
-                (GaussianRational.coerce(a), GaussianRational.coerce(b))
-                for a, b in self.flat
-            ),
-        )
+        coerce = GaussianRational.coerce
+        object.__setattr__(self, "support", tuple(map(coerce, self.support)))
+        object.__setattr__(self, "covectors", tuple(map(coerce, self.covectors)))
+        object.__setattr__(self, "flat", tuple((coerce(a), coerce(b)) for a, b in self.flat))
         if len(self.support) != len(self.covectors):
             raise InvalidPoint(
                 f"{len(self.support)} support entries vs {len(self.covectors)} covectors"

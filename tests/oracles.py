@@ -15,10 +15,14 @@ with linear forms on the quadric cover and runs no gcd.  The form oracle
 pulls a dense form matrix back as m^T omega m, where the library compares the
 brackets of the coordinates in its Darboux pairs.  The cover oracles with the
 bidiff oracle are also the route cover_star leaves for Laurent operands,
-which it multiplies on the chart.  `padded` and `laurent` build test inputs.
+which it multiplies on the chart.  The symmetrization oracles add the d!
+permuted copies of a series as rational functions and compare permuted copies
+with the series, where the library sums orbits of Laurent exponents and checks
+invariance term by term.  `padded` and `laurent` build test inputs.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 from moyalquot.atlas import KChartFunction, ProjectiveAtlas
@@ -27,6 +31,7 @@ from moyalquot.gaussian import GaussianRational
 from moyalquot.geometry import cotangent_lift
 from moyalquot.moyal import LinearSymplectic, MoyalContext, bidiff_power
 from moyalquot.polynomial import Polynomial
+from moyalquot.quot import ProductContext, permute
 from moyalquot.rational import RationalFunction, rf_normalize
 from moyalquot.series import HSeries
 
@@ -179,3 +184,23 @@ def form_pullback(m, omega) -> tuple:
         )
         for i in range(cols)
     )
+
+
+def symmetrize_oracle(ctx: ProductContext, f: HSeries) -> HSeries:
+    """The average of the d! permuted copies of f, added as rational functions."""
+    total = None
+    for perm in permutations(range(1, ctx.d + 1)):
+        moved = permute(ctx, perm, f)
+        total = moved if total is None else total + moved
+    scale = GaussianRational(1) / factorial(ctx.d)
+    return total.map_coefficients(lambda c: c * scale)
+
+
+def is_invariant_oracle(ctx: ProductContext, f: HSeries) -> bool:
+    """f equals its permuted copy under every adjacent transposition."""
+    for k in range(1, ctx.d):
+        perm = list(range(1, ctx.d + 1))
+        perm[k - 1], perm[k] = perm[k], perm[k - 1]
+        if permute(ctx, perm, f) != f:
+            return False
+    return True

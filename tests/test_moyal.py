@@ -590,3 +590,28 @@ def test_bidiff_cost_does_not_grow_with_unused_pairs(smallest, pairs_of, make_f,
         names = tuple(f"{v}{t}" for t in pairs_of(n) for v in "xy")
         assert _renamed(reference, names, product.vars) == product
         assert count == entries, n
+
+
+def test_frame_cost_does_not_grow_with_unused_pairs(monkeypatch, capsys):
+    # the forms x1 + y2 and x2 touch two pairs; N = 64 is the 128-variable cap
+    real, calls = SymplecticSpace.bracket, []
+
+    def counted(self, u, v):
+        calls.append(1)
+        return real(self, u, v)
+
+    def refused(*args):
+        raise AssertionError("derivatives taken")
+
+    monkeypatch.setattr(SymplecticSpace, "bracket", counted)
+    monkeypatch.setattr(moyal, "_bidiff", refused)
+    printed, counts = set(), set()
+    for n in range(2, 65):
+        calls.clear()
+        argv = ["star", "--space", "flatN", "--d", str(n), "--order", "8", "--",
+                "x1*y1 + 1/(x1+y2)", "1/x2 + y1"]
+        assert cli.run(argv) == 0
+        printed.add(capsys.readouterr().out)
+        counts.add(len(calls))
+    assert len(printed) == 1
+    assert len(counts) == 1

@@ -32,11 +32,13 @@ from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
 from moyalquot.series import HSeries
 from oracles import (
+    is_invariant_oracle,
     laurent,
     pullback_pair_oracle,
     pushforward_pair_oracle,
     star_2d_oracle,
     star_by_bidiff_oracle,
+    symmetrize_oracle,
 )
 
 I = GaussianRational(0, 1)
@@ -210,6 +212,145 @@ def test_is_invariant_examples():
         order=1,
     )
     assert is_invariant(ctx3, e2)
+
+
+def test_is_invariant_up_to_one_sign():
+    # the canonical form of (z1 - z2)/(p1 - p2) changes sign in numerator and
+    # denominator under the swap, and the function does not
+    ctx = ctx21(order=1)
+    z1, p1, z2, p2 = (RationalFunction.variable(ctx.vars, v) for v in ctx.vars)
+    alternating = HSeries.constant((z1 - z2) / (p1 - p2), 1)
+    den = alternating.coeffs[0].den
+    assert _swapped(den, 1) == -den
+    assert is_invariant(ctx, alternating) and is_invariant_oracle(ctx, alternating)
+    mixed = HSeries.constant((z1 - z2) / (p1 + p2), 1)
+    assert not is_invariant(ctx, mixed) and not is_invariant_oracle(ctx, mixed)
+
+
+def _exponents(n):
+    """Exponent tuples that move at most three variables, by -2..3."""
+    return st.dictionaries(st.integers(0, n - 1), st.integers(-2, 3), max_size=3).map(
+        lambda e: tuple(e.get(i, 0) for i in range(n)))
+
+
+@st.composite
+def cell_series(draw):
+    """(context, series) with d <= 5, r <= 2: Laurent coefficients, and at d <= 3
+    also coefficients over an affine form in the chart variables."""
+    d = draw(st.integers(1, 5))
+    ctx = ProductContext(d=d, r=draw(st.integers(1, 2)), order=draw(st.integers(0, 2)))
+    vs, n = ctx.vars, 2 * d * ctx.r
+    terms = st.dictionaries(_exponents(n), st.sampled_from(COEFFS), max_size=3)
+
+    def coefficient():
+        value = laurent(vs, draw(terms))
+        if d > 3 or not draw(st.booleans()):
+            return value
+        # two chart variables only at d <= 2, which keeps the d! oracle quick
+        form = draw(st.dictionaries(st.integers(0, 2 * d - 1), st.sampled_from(COEFFS),
+                                    min_size=1, max_size=1 if d > 2 else 2))
+        units = {tuple(int(i == j) for i in range(n)): c for j, c in form.items()}
+        units[(0,) * n] = draw(st.sampled_from(COEFFS))
+        return value / RationalFunction.from_polynomial(Polynomial(vs, units))
+
+    return ctx, HSeries([coefficient() for _ in range(ctx.order + 1)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cell_series())
+def test_symmetrize_matches_the_permutation_average(case):
+    ctx, f = case
+    sym = symmetrize(ctx, f).value
+    assert sym == symmetrize_oracle(ctx, f)
+    assert is_invariant(ctx, sym)
+
+
+def _swapped(p, t):
+    """p with the chart pairs t and t + 1 exchanged."""
+    i = 2 * (t - 1)
+    return Polynomial(p.vars, {e[:i] + e[i + 2:i + 4] + e[i:i + 2] + e[i + 4:]: v
+                               for e, v in p.terms.items()})
+
+
+def _alternating(ctx, sign):
+    """prod_{i<j} (z_i - z_j) / prod_{i<j} (p_i + sign p_j)."""
+    z = [RationalFunction.variable(ctx.vars, v) for v, _ in ctx.chart_pairs]
+    p = [RationalFunction.variable(ctx.vars, v) for _, v in ctx.chart_pairs]
+    out = RationalFunction.one(ctx.vars)
+    for i in range(ctx.d):
+        for j in range(i + 1, ctx.d):
+            out = out * (z[i] - z[j]) / (p[i] + p[j] * sign)
+    return out
+
+
+@st.composite
+def invariance_cases(draw):
+    """A drawn series, its symmetrization, or a near miss of it: one coefficient
+    off by one term or with its denominator swapped, or times an alternating
+    factor that is invariant (lambda = -1) or not."""
+    ctx, f = draw(cell_series())
+    kind = draw(st.sampled_from(["drawn", "symmetric", "extra term", "swapped denominator",
+                                 "alternating", "alternating over symmetric"]))
+    if kind == "drawn":
+        return ctx, f
+    sym = symmetrize_oracle(ctx, f)
+    k = draw(st.integers(0, ctx.order))
+    c = sym.coeffs[k]
+    if kind == "extra term":
+        c = c + laurent(ctx.vars, {draw(_exponents(len(ctx.vars))): draw(st.sampled_from(COEFFS))})
+    elif kind == "swapped denominator" and ctx.d > 1:
+        c = RationalFunction(c.num, _swapped(c.den, draw(st.integers(1, ctx.d - 1))))
+    elif kind.startswith("alternating") and 1 < ctx.d <= 4:
+        c = c * _alternating(ctx, -1 if kind == "alternating" else 1)
+    return ctx, HSeries(sym.coeffs[:k] + (c,) + sym.coeffs[k + 1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(invariance_cases())
+def test_is_invariant_matches_permuted_copies(case):
+    ctx, f = case
+    assert is_invariant(ctx, f) == is_invariant_oracle(ctx, f)
+
+
+def _refuse(*args):
+    raise AssertionError("permuted copy built")
+
+
+def test_symmetrize_lists_each_orbit_once(monkeypatch):
+    ctx = ProductContext(d=5, r=2, order=1)
+    n = len(ctx.vars)
+    z1 = tuple(int(i == 0) for i in range(n))
+    z1_over_p2 = tuple({0: 1, 3: -1}.get(i, 0) for i in range(n))
+    z2_u1 = tuple({2: 1, 10: 1}.get(i, 0) for i in range(n))
+    # orbits of 5, 5 * 4 and 5 (the flat exponent of u1 stays), against 5! = 120
+    f = HSeries([laurent(ctx.vars, {z1: 2, z1_over_p2: I}), laurent(ctx.vars, {z2_u1: 3})])
+    expected = symmetrize_oracle(ctx, f)
+    real, images = quot._arrangements, []
+
+    def counted(counts, size):
+        for image in real(counts, size):
+            if size == ctx.d:
+                images.append(image)
+            yield image
+
+    monkeypatch.setattr(quot, "_arrangements", counted)
+    monkeypatch.setattr(quot, "all_permutations", _refuse)
+    monkeypatch.setattr(quot, "permute", _refuse)
+    assert symmetrize(ctx, f).value == expected
+    assert len(images) == 5 + 20 + 5
+
+
+def test_is_invariant_builds_no_permuted_copy(monkeypatch):
+    ctx = ProductContext(d=3, r=1, order=1)
+    z1, p1 = (RationalFunction.variable(ctx.vars, v) for v in ctx.vars[:2])
+    drawn = HSeries([z1 / (p1 + 1), z1 * z1 / p1])
+    cases = [drawn, symmetrize_oracle(ctx, drawn), HSeries.constant(_alternating(ctx, -1), 1),
+             HSeries.constant(_alternating(ctx, 1), 1)]
+    expected = [is_invariant_oracle(ctx, f) for f in cases]
+    assert expected == [False, True, True, False]
+    monkeypatch.setattr(quot, "permute", _refuse)
+    monkeypatch.setattr(Polynomial, "_raw", _refuse)
+    assert [is_invariant(ctx, f) for f in cases] == expected
 
 
 def test_quot_cell_star_examples():

@@ -59,7 +59,7 @@ def test_suite_needs_a_sample(samples):
 
 
 def test_suite_d_is_bounded_before_any_work(capsys):
-    # theorem1 and symmetric symmetrize over all d! permutations
+    # the cap holds until the star's cost is bounded before any work
     with pytest.raises(UsageFailure):
         SuiteConfig(d=MAX_SUITE_D + 1)
     started = time.perf_counter()
