@@ -63,7 +63,6 @@ from .quot import (
     ProductContext,
     QuotCellPoint,
     SymSeries,
-    cover_star,
     is_invariant,
     permute,
     product_star,

@@ -23,8 +23,9 @@ from .errors import (
 )
 from .gaussian import ONE as G_ONE, ZERO as G_ZERO
 from .geometry import pushforward_even_pair, sigma_pullback_pair
-from .moyal import Matrix, as_matrix, det2, mat_identity, mat_mul, proj_eq
-from .quot import ValidationReport, cover_star
+from .moyal import Matrix, MoyalContext, SymplecticSpace, as_matrix, det2, mat_identity
+from .moyal import mat_mul, moyal_star, proj_eq
+from .quot import ValidationReport
 from .series import HSeries, hs_equal
 
 TransitionKey = Tuple[str, str]
@@ -136,14 +137,15 @@ def transport(atlas: ProjectiveAtlas, f: KChartFunction, target: str) -> KChartF
 
 
 def star_on_K(order: int, f: KChartFunction, g: KChartFunction) -> KChartFunction:
-    """The glued star product on one chart: the cover star of its one pair.
+    """The glued star product on one chart: the star of its one chart pair.
 
     The scalar term is the plain product and the first-order commutator
     matches the (z, p) bracket of the form dp^dz.
     """
     if f.chart != g.chart or f.value.vars != g.value.vars:
         raise ChartMismatch(f"operands live on {f.chart} and {g.chart}")
-    return KChartFunction(f.chart, cover_star((f.value.vars,), order, f.value, g.value))
+    ctx = MoyalContext(SymplecticSpace.cotangent((f.value.vars,)), order)
+    return KChartFunction(f.chart, moyal_star(ctx, f.value, g.value))
 
 
 def chart_independence_check(

@@ -42,8 +42,8 @@ from .expr import (
     rational_document,
     series_document,
 )
-from .moyal import MoyalContext, poisson_bracket
-from .quot import ProductContext, SymSeries, chart_block_space, cover_star, quot_cell_star
+from .moyal import MoyalContext, SymplecticSpace, moyal_star, poisson_bracket
+from .quot import ProductContext, SymSeries, quot_cell_star
 from .quot import QuotCellPoint, quot_point_validate
 from .suites import SuiteConfig, run_suite
 
@@ -225,41 +225,37 @@ def _emit(args, text: str, document: dict) -> None:
         print(text)
 
 
-def _space_pairs(args):
-    """(chart pairs, flat pairs) of --space; every star is their cover star."""
+def _space(args) -> SymplecticSpace:
+    """The space of --space: flat pairs, or chart pairs taken through the cover."""
     if args.space == "flat2":
-        return (), (("x", "y"),)
+        return SymplecticSpace.standard(("x", "y"))
     if args.space == "kchart":
-        return (("z", "p"),), ()
+        return SymplecticSpace.cotangent((("z", "p"),))
     if args.space == "flatN":
         _check_variables(2 * args.d, f"--d {args.d}")
-        return (), tuple((f"x{k}", f"y{k}") for k in range(1, args.d + 1))
+        return SymplecticSpace.standard([f"{v}{k}" for k in range(1, args.d + 1) for v in "xy"])
     _check_variables(2 * args.d * args.r, f"--d {args.d} --r {args.r}")
-    ctx = ProductContext(d=args.d, r=args.r, order=0)
-    return ctx.chart_pairs, ctx.flat_pairs
+    return ProductContext(d=args.d, r=args.r, order=0).space
 
 
 def _cmd_star(args) -> int:
     order = _resolve_order(args.order)
-    chart_pairs, flat_pairs = _space_pairs(args)
-    variables = tuple(v for pair in chart_pairs + flat_pairs for v in pair)
-    left = lower_expr(parse_expr(args.left, variables), variables, order)
-    right = lower_expr(parse_expr(args.right, variables), variables, order)
+    space = _space(args)
+    left = lower_expr(parse_expr(args.left, space.vars), space.vars, order)
+    right = lower_expr(parse_expr(args.right, space.vars), space.vars, order)
     if args.space == "product":
         ctx = ProductContext(d=args.d, r=args.r, order=order)
         result = quot_cell_star(ctx, SymSeries(left), SymSeries(right)).value
     else:
-        result = cover_star(chart_pairs, order, left, right)
+        result = moyal_star(MoyalContext(space, order), left, right)
     _emit(args, str(result), series_document(result, args.space, order))
     return EXIT_OK
 
 
 def _cmd_poisson(args) -> int:
-    chart_pairs, flat_pairs = _space_pairs(args)
-    variables = tuple(v for pair in chart_pairs + flat_pairs for v in pair)
-    space = chart_block_space(chart_pairs, flat_pairs)
-    left = lower_rational(parse_expr(args.left, variables, allow_h=False), variables)
-    right = lower_rational(parse_expr(args.right, variables, allow_h=False), variables)
+    space = _space(args)
+    left = lower_rational(parse_expr(args.left, space.vars, allow_h=False), space.vars)
+    right = lower_rational(parse_expr(args.right, space.vars, allow_h=False), space.vars)
     result = poisson_bracket(MoyalContext(space, 0), left, right)
     _emit(args, str(result), rational_document(result, args.space))
     return EXIT_OK

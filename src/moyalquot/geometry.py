@@ -38,7 +38,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DegenerateMatrix, NotEven, VariableMismatch
 from .gaussian import GaussianRational
-from .moyal import as_matrix, det2
 from .polynomial import Polynomial
 from .rational import RationalFunction
 
@@ -55,12 +54,11 @@ def cotangent_lift(
     P = p (c z + d)^2 / det, which is independent of the matrix scaling and
     preserves the tautological one-form p*dz.
     """
-    m = as_matrix(matrix)
-    det = det2(m)
+    (a, b), (c, d) = (map(GaussianRational.coerce, row) for row in matrix)
+    det = a * d - b * c
     if det.is_zero():
         raise DegenerateMatrix("matrix determinant is zero")
     vs = tuple(zp)
-    (a, b), (c, d) = m
     z = Polynomial.variable(vs, vs[0])
     p = Polynomial.variable(vs, vs[1])
     num_z = z * a + Polynomial.constant(vs, b)

@@ -28,12 +28,14 @@ Shifting each variable's exponents up by its most negative one gives the
 canonical form with no gcd: the denominator is a monic monomial, and some
 term attains each minimum, so no variable divides the numerator.
 
-A pair is flat, with its scale s, or a cotangent-chart pair (z, p) taken
-through the quadric cover (x/y, -y^2/2), {x, y} = 1: the cover sends z^a p^b
-to (-1/2)^b x^a y^(2b-a) and x^A y^B back to (-2)^m z^A p^m, m = (A+B)/2, so
-the chart series is the flat one with b, d replaced by 2b - a, 2d - c and s
-by -2, and the same output exponents; the cover star of Laurent operands
-never leaves the chart.
+A pair is flat, with its scale s, or a cotangent-chart pair (z, p), form
+dp^dz, whose star is the flat one conjugated by the quadric cover (x/y,
+-y^2/2), {x, y} = 1: the cover sends z^a p^b to (-1/2)^b x^a y^(2b-a) and
+x^A y^B back to (-2)^m z^A p^m, m = (A+B)/2, so the chart series is the flat
+one with b, d replaced by 2b - a, 2d - c and s by -2, and the same output
+exponents; Laurent operands never leave the chart.  Other operands on a
+space with chart pairs are pulled back, multiplied on the flat cover by the
+paths below, and pushed forward.
 
 The product is covariant under affine symplectic changes of coordinates, so
 denominators that are powers of at most two affine forms l, l' are monomials
@@ -64,6 +66,7 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
+from .geometry import pushforward_even_pair, sigma_pullback_pair
 from .polynomial import Polynomial
 from .rational import RationalFunction, rf_sum
 from .series import HSeries
@@ -105,11 +108,15 @@ def mat_identity(n: int) -> Matrix:
 
 
 class SymplecticSpace:
-    """Variables in Darboux pairs (q1, p1, q2, p2, ...) with omega(q_k, p_k) = s_k."""
+    """Variables in Darboux pairs (q1, p1, q2, p2, ...) with omega(q_k, p_k) = s_k.
 
-    __slots__ = ("vars", "scales", "brackets")
+    The pairs with index in `chart` are cotangent-chart pairs (z, p), whose
+    star is taken through the quadric cover; their form is dp^dz, s = -1."""
 
-    def __init__(self, variables: Sequence[str], scales: Sequence[object]):
+    __slots__ = ("vars", "scales", "brackets", "chart")
+
+    def __init__(self, variables: Sequence[str], scales: Sequence[object],
+                 chart: Collection[int] = ()):
         vs = tuple(variables)
         if not vs or len(vs) != 2 * len(scales):
             raise NotSymplectic(f"need an even positive number of variables, got {len(vs)}")
@@ -119,6 +126,9 @@ class SymplecticSpace:
         self.scales = tuple(GaussianRational.coerce(s) for s in scales)
         if any(s.is_zero() for s in self.scales):
             raise NotSymplectic("a Darboux pair has omega(q, p) = 0")
+        self.chart = frozenset(chart)
+        if any(k not in range(len(scales)) or self.scales[k] != -1 for k in self.chart):
+            raise NotSymplectic("a chart pair is a Darboux pair with form dp^dz, scale -1")
         # the nonzero bivector entries (a, b, {x_a, x_b}), two per pair
         brackets = []
         for k, s in enumerate(self.scales):
@@ -136,6 +146,14 @@ class SymplecticSpace:
         """Interleaved (q1, p1, q2, p2, ...) with omega(q_k, p_k) = 1."""
         return cls(variables, [1] * (len(variables) // 2))
 
+    @classmethod
+    def cotangent(cls, chart_pairs: Sequence[Tuple[str, str]],
+                  flat_pairs: Sequence[Tuple[str, str]] = ()) -> "SymplecticSpace":
+        """Chart pairs (z, p) with form dp^dz = d(p dz), then flat pairs (u, v) with du^dv."""
+        pairs = list(chart_pairs) + list(flat_pairs)
+        return cls([v for pair in pairs for v in pair],
+                   [-1] * len(chart_pairs) + [1] * len(flat_pairs), range(len(chart_pairs)))
+
     @property
     def dim(self) -> int:
         return len(self.vars)
@@ -150,10 +168,10 @@ class SymplecticSpace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticSpace):
             return NotImplemented
-        return self.vars == other.vars and self.scales == other.scales
+        return (self.vars, self.scales, self.chart) == (other.vars, other.scales, other.chart)
 
     def __hash__(self):
-        return hash((self.vars, self.scales))
+        return hash((self.vars, self.scales, self.chart))
 
     def __repr__(self) -> str:
         return f"SymplecticSpace({self.vars!r})"
@@ -316,20 +334,19 @@ def _from_laurent(variables: Tuple[str, ...], terms) -> RationalFunction:
     return RationalFunction._trusted(Polynomial._raw(variables, num), den)
 
 
-def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction],
-                  chart: Collection[int] = ()) -> HSeries:
+def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
     """The star of Laurent operands as a product of per-pair monomial series.
 
     `used` holds the coefficients of f, then those of g, up to the order.  A
-    pair is flat with its scale, or a chart pair if its index is in `chart`;
-    a pair that neither monomial touches is the factor 1 and is skipped."""
+    pair is flat with its scale, or a chart pair of the space; a pair that
+    neither monomial touches is the factor 1 and is skipped."""
     space, n = ctx.space, ctx.order
     laurent = [_laurent_terms(c) for c in used]
     fs, gs = laurent[: n + 1], laurent[n + 1:]
-    scales = [GaussianRational(-2) if t in chart else s for t, s in enumerate(space.scales)]
+    scales = [GaussianRational(-2) if t in space.chart else s for t, s in enumerate(space.scales)]
     distinct = list(dict.fromkeys(scales))
     rows = [_star_scalars(n, s) for s in distinct]
-    kinds = [(distinct.index(s), t in chart) for t, s in enumerate(scales)]
+    kinds = [(distinct.index(s), t in space.chart) for t, s in enumerate(scales)]
     cache: Dict[Tuple[int, ...], List[Tuple[int, GaussianRational]]] = {}
 
     def pair_series(s: int, a: int, b: int, c: int, d: int):
@@ -464,22 +481,43 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     return SymplecticSpace(space.vars, [c.inverse() for _, _, c in frame]), into, back
 
 
-def star_operands(ctx: MoyalContext, f: HSeries, g: HSeries) -> Tuple[RationalFunction, ...]:
-    """The coefficients of f, then of g, up to the order, checked for the context."""
+def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
+    """Moyal-Weyl star product truncated at the context order.
+
+    On a space with chart pairs it is the product conjugated by the quadric
+    cover on each of them: Laurent operands take the kernel on the chart, and
+    other operands are pulled back (z -> z/p, p -> -p^2/2, names kept),
+    multiplied on the cover, where every chart pair has bracket 1, and pushed
+    forward again."""
     if f.vars != ctx.space.vars or g.vars != ctx.space.vars:
         raise VariableMismatch("operands do not live on the context space")
     if f.order < ctx.order or g.order < ctx.order:
         raise OrderTooLarge(f"operand orders {f.order}, {g.order} "
                             f"below context order {ctx.order}")
-    return f.coeffs[: ctx.order + 1] + g.coeffs[: ctx.order + 1]
+    return _star(ctx, f.coeffs[: ctx.order + 1] + g.coeffs[: ctx.order + 1])
 
 
-def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
-    """Moyal-Weyl star product truncated at the context order."""
+def _star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
+    """The star of checked operands: the coefficients of f, then of g, up to the order."""
     space, n = ctx.space, ctx.order
-    used = star_operands(ctx, f, g)
     if all(len(c.den.terms) == 1 for c in used):
         return _laurent_star(ctx, used)
+    if space.chart:
+        pairs = [space.vars[2 * k:2 * k + 2] for k in sorted(space.chart)]
+
+        def pull(c: RationalFunction) -> RationalFunction:
+            for z, p in pairs:
+                c = sigma_pullback_pair(c, z, p, z, p)
+            return c
+
+        def push(c: RationalFunction) -> RationalFunction:
+            for z, p in pairs:
+                c = pushforward_even_pair(c, z, p, z, p)
+            return c
+
+        cover = SymplecticSpace(space.vars, [1 if k in space.chart else s
+                                             for k, s in enumerate(space.scales)])
+        return _star(MoyalContext(cover, n), [pull(c) for c in used]).map_coefficients(push)
     frame = _affine_frame(space, used)
     if frame is not None:
         frame_space, into, back = frame
@@ -490,8 +528,8 @@ def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
             product = _laurent_star(MoyalContext(frame_space, n), moved)
             return product.map_coefficients(lambda c: c.compose_linear(back, powers_back))
     scalars = _star_scalars(n)
-    tf = [_DerivTable(space.vars, c) for c in f.coeffs[: n + 1]]
-    tg = [_DerivTable(space.vars, c) for c in g.coeffs[: n + 1]]
+    tf = [_DerivTable(space.vars, c) for c in used[: n + 1]]
+    tg = [_DerivTable(space.vars, c) for c in used[n + 1:]]
     entries = {(i, j): _entries(space, tf[i], tg[j])
                for i in range(n + 1) for j in range(n + 1 - i)}
     out = []

@@ -1,34 +1,29 @@
-"""The cover star, the d-fold product star, symmetrization, and the quot cell.
+"""The d-fold product star, symmetrization, and the quot cell.
 
-The cover star is the Moyal product conjugated by its own copy of the
-quadric cover on every cotangent-chart pair (z, p); other pairs are flat and
-untouched by the cover.  For Laurent operands each chart pair is a kind of
-the Laurent kernel (see moyal), and the product never leaves the chart; only
-other operands are pulled back, multiplied and pushed forward.  The chart
-star on T*X is its case of one chart pair, and the open cell carries d chart
-pairs (z_i, p_i) plus d(r-1) flat pairs (u_j, v_j).  The symmetric group
-acts by permuting the chart pairs, and the cell star is the product star
-restricted to invariant series, which it preserves.  Laurent series stay in
-exponent form throughout: the Reynolds operator is an orbit sum over exponent
-blocks (Sturmfels, Algorithms in Invariant Theory, ch. 2), and invariance is
-checked term by term.
+The open cell carries d cotangent-chart pairs (z_i, p_i) plus d(r-1) flat
+pairs (u_j, v_j): one symplectic space with two kinds of Darboux pair.  Its
+product star is moyal_star on that space, which conjugates by its own copy
+of the quadric cover on every chart pair and leaves the flat pairs alone;
+for Laurent operands each chart pair is a kind of the Laurent kernel, and
+the product never leaves the chart.  The chart star on T*X is its case of
+one chart pair.  The symmetric group acts by permuting the chart pairs, and
+the cell star is the product star restricted to invariant series, which it
+preserves.  Laurent series stay in exponent form throughout: the Reynolds
+operator is an orbit sum over exponent blocks (Sturmfels, Algorithms in
+Invariant Theory, ch. 2), and invariance is checked term by term.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations as all_permutations
 from math import factorial
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .errors import BadPermutation, InvalidPoint, NotInvariant, VariableMismatch
+from .errors import BadPermutation, InvalidPoint, NotInvariant, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational
-from .geometry import pushforward_even_pair, sigma_pullback_pair
-from .moyal import (
-    MoyalContext, SymplecticSpace, _from_laurent, _laurent_star, _laurent_terms, star_operands,
-)
-from .moyal import moyal_star as _moyal_star
+from .moyal import MoyalContext, SymplecticSpace, _from_laurent, _laurent_terms, moyal_star
 from .polynomial import Polynomial
 from .rational import RationalFunction
 from .series import HSeries
@@ -39,85 +34,34 @@ class ProductContext:
     """Coordinates and truncation data for the open cell.
 
     d chart pairs (z_i, p_i) with form dp^dz each, plus d(r-1) flat pairs
-    (u_j, v_j) with {u_j, v_j} = 1; the total variable count is 2dr.
+    (u_j, v_j) with {u_j, v_j} = 1; the total variable count is 2dr.  The
+    pairs, the variables and their space are worked out once.
     """
 
     d: int
     r: int
     order: int
+    chart_pairs: Tuple[Tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    flat_pairs: Tuple[Tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    vars: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    space: SymplecticSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1 or self.r < 1:
             raise InvalidPoint(f"need d >= 1 and r >= 1, got d={self.d}, r={self.r}")
         if self.order < 0:
-            raise ValueError("order must be nonnegative")
-
-    @property
-    def chart_pairs(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple((f"z{i}", f"p{i}") for i in range(1, self.d + 1))
-
-    @property
-    def flat_pairs(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple((f"u{j}", f"v{j}") for j in range(1, self.d * (self.r - 1) + 1))
-
-    @property
-    def vars(self) -> Tuple[str, ...]:
-        return tuple(v for pair in self.chart_pairs + self.flat_pairs for v in pair)
-
-    def block_space(self) -> SymplecticSpace:
-        return chart_block_space(self.chart_pairs, self.flat_pairs)
-
-
-def chart_block_space(
-    chart_pairs: Sequence[Tuple[str, str]], flat_pairs: Sequence[Tuple[str, str]]
-) -> SymplecticSpace:
-    """The chart-side form: dp^dz = d(p dz) per chart pair, du^dv per flat pair."""
-    # omega(z, p) = -1 on a chart pair
-    return SymplecticSpace.block(
-        [(z, p, -1) for z, p in chart_pairs] + [(u, v, 1) for u, v in flat_pairs]
-    )
-
-
-def cover_star(
-    chart_pairs: Sequence[Tuple[str, str]], order: int, f: HSeries, g: HSeries
-) -> HSeries:
-    """The Moyal product conjugated by the quadric cover on each chart pair.
-
-    On the cover every pair, chart or flat, has bracket 1.  Laurent operands
-    take the kernel on the chart, each chart pair as its chart kind.  Other
-    operands are pulled back (z -> z/p, p -> -p^2/2, names kept), take one
-    Moyal product, and each chart pair is pushed forward again.  A chart
-    pair that is not a Darboux pair of f.vars also takes the cover.
-    """
-    vs = f.vars
-    ctx = MoyalContext(SymplecticSpace.standard(vs), order)
-    used = star_operands(ctx, f, g)
-    pairs = list(zip(vs[::2], vs[1::2]))
-    chart = {pairs.index(tuple(pair)) for pair in chart_pairs if tuple(pair) in pairs}
-    if len(chart) == len(chart_pairs) and all(len(c.den.terms) == 1 for c in used):
-        return _laurent_star(ctx, used, chart)
-
-    def pull(c: RationalFunction) -> RationalFunction:
-        for z, p in chart_pairs:
-            c = sigma_pullback_pair(c, z, p, z, p)
-        return c
-
-    def push(c: RationalFunction) -> RationalFunction:
-        for z, p in chart_pairs:
-            c = pushforward_even_pair(c, z, p, z, p)
-        return c
-
-    product = _moyal_star(ctx, f.map_coefficients(pull), g.map_coefficients(pull))
-    return product.map_coefficients(push)
+            raise OrderTooLarge("truncation order must be nonnegative")
+        chart = tuple((f"z{i}", f"p{i}") for i in range(1, self.d + 1))
+        flat = tuple((f"u{j}", f"v{j}") for j in range(1, self.d * (self.r - 1) + 1))
+        space = SymplecticSpace.cotangent(chart, flat)
+        for name, value in (("chart_pairs", chart), ("flat_pairs", flat),
+                            ("vars", space.vars), ("space", space)):
+            object.__setattr__(self, name, value)
 
 
 def product_star(ctx: ProductContext, f: HSeries, g: HSeries) -> HSeries:
     """Star product of the block structure on the open cell."""
-    if f.vars != ctx.vars or g.vars != ctx.vars:
-        raise VariableMismatch(
-            f"operands must live on {ctx.vars}, got {f.vars} and {g.vars}"
-        )
-    return cover_star(ctx.chart_pairs, ctx.order, f, g)
+    return moyal_star(MoyalContext(ctx.space, ctx.order), f, g)
 
 
 def permute(ctx: ProductContext, perm: Sequence[int], f: HSeries) -> HSeries:

@@ -215,9 +215,10 @@ class RationalFunction:
         if self.is_zero():
             return self
         n = len(self.vars)
-        units = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(0,) * n]
-        forms = [
-            Polynomial._raw(self.vars, {e: c for e, c in zip(units, row) if not c.is_zero()})
+        zero = (0,) * n
+        forms = [  # x_j on its unit exponent, the constant rows[i][n] on zero
+            Polynomial._raw(self.vars, {(zero[:j] + (1,) + zero[j + 1:] if j < n else zero): c
+                                        for j, c in enumerate(row) if not c.is_zero()})
             for row in rows
         ]
         powers = [] if powers is None else powers

@@ -40,7 +40,6 @@ from .moyal import (
 from .quot import (
     ProductContext,
     SymSeries,
-    chart_block_space,
     is_invariant,
     permute,
     product_star,
@@ -353,7 +352,7 @@ def run_lemma1(cfg: SuiteConfig) -> VerificationReport:
     x, y = (RationalFunction.variable(XY, v) for v in XY)
     z, p = (RationalFunction.variable(ZP, v) for v in ZP)
     sb = sigma_bindings(ZP, XY)
-    chart_ctx = MoyalContext(chart_block_space((ZP,), ()), 0)
+    chart_ctx = MoyalContext(SymplecticSpace.cotangent((ZP,)), 0)
     plane_ctx = MoyalContext(SymplecticSpace.standard(XY), 0)
 
     def pull(F: RationalFunction) -> RationalFunction:
@@ -590,7 +589,7 @@ def run_theorem1(cfg: SuiteConfig) -> VerificationReport:
     order = min(cfg.order, 4)
     ctx = ProductContext(d=cfg.d, r=cfg.r, order=order)
     vs = ctx.vars
-    block_ctx = MoyalContext(ctx.block_space(), order)
+    block_ctx = MoyalContext(ctx.space, order)
     # the commutator's h-term needs order 1 at least
     comm_ctx = ProductContext(d=cfg.d, r=cfg.r, order=max(order, 1))
     one = SymSeries(HSeries.one(vs, order))

@@ -14,8 +14,8 @@ linear forms of a matrix) with a gcd at every step, where the library composes
 with linear forms on the quadric cover and runs no gcd.  The form oracle
 pulls a dense form matrix back as m^T omega m, where the library compares the
 brackets of the coordinates in its Darboux pairs.  The cover oracles with the
-bidiff oracle are also the route cover_star leaves for Laurent operands,
-which it multiplies on the chart.  The symmetrization oracles add the d!
+bidiff oracle are also the route moyal_star leaves for Laurent operands on
+chart pairs, which it multiplies on the chart.  The symmetrization oracles add the d!
 permuted copies of a series as rational functions and compare permuted copies
 with the series, where the library sums orbits of Laurent exponents and checks
 invariance term by term.  `padded` and `laurent` build test inputs.

@@ -211,10 +211,9 @@ def test_star_on_k_internal_names_avoid_collision():
 
 
 def test_star_on_k_axioms_against_chart_bracket():
-    from moyalquot.moyal import MoyalContext, poisson_bracket
-    from moyalquot.quot import chart_block_space
+    from moyalquot.moyal import MoyalContext, SymplecticSpace, poisson_bracket
 
-    chart_ctx = MoyalContext(chart_block_space((("z", "p"),), ()), 0)
+    chart_ctx = MoyalContext(SymplecticSpace.cotangent((("z", "p"),)), 0)
     s = SampleStream("atlas-axioms")
     for _ in range(15):
         f = chart_fn("f", {s.exponent(2, 3): s.coefficient(), s.exponent(2, 2): s.coefficient()})

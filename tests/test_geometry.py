@@ -23,7 +23,6 @@ from moyalquot.moyal import (
     proj_eq,
 )
 from moyalquot.polynomial import Polynomial
-from moyalquot.quot import chart_block_space
 from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
 from oracles import form_pullback, omega_matrix, pullback_pair_oracle, pushforward_pair_oracle
@@ -32,7 +31,7 @@ ZP = ("z", "p")
 XY = ("x", "y")
 I = GaussianRational(0, 1)
 # the cotangent chart (z, p) with its Liouville form dp^dz
-CHART = chart_block_space((ZP,), ())
+CHART = SymplecticSpace.cotangent((ZP,))
 
 
 def var(vs, name):
@@ -328,7 +327,7 @@ def test_pullback_pair_matches_substitution(case, rename):
 @given(cover_cases(), st.booleans(), st.tuples(*[st.integers(0, 2)] * 3))
 def test_pushforward_pair_matches_substitution(case, rename, twist):
     F, z, p = case
-    # on the cover the pair is (z, p) itself, as in cover_star, or (x, y)
+    # on the cover the pair is (z, p) itself, as in moyal_star, or (x, y)
     x, y = ("x", "y") if rename else (z, p)
     even = pullback_pair_oracle(F, z, p, x, y)
     fast, generic = _push_both(even, (x, y, z, p))

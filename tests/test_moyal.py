@@ -43,6 +43,7 @@ from oracles import (
 )
 
 XY = ("x", "y")
+ZP = ("z", "p")
 I = GaussianRational(0, 1)
 
 
@@ -79,6 +80,31 @@ def test_space_rejects_bad_forms():
         SymplecticSpace.block([("x", "y", 0)])  # degenerate
     with pytest.raises(NameCollision):
         SymplecticSpace.block([("x", "x", 1)])
+    # a chart pair carries the form dp^dz, scale -1, and nothing else
+    for scale in (1, 2, I, GaussianRational(-1, 1)):
+        with pytest.raises(NotSymplectic):
+            SymplecticSpace(XY, [scale], chart=[0])
+    with pytest.raises(NotSymplectic):
+        SymplecticSpace(XY, [-1], chart=[1])  # no second pair
+
+
+def test_cotangent_space_marks_its_chart_pairs():
+    space = SymplecticSpace.cotangent((("z1", "p1"), ("z2", "p2")), (("u1", "v1"),))
+    assert space.vars == ("z1", "p1", "z2", "p2", "u1", "v1")
+    assert space.scales == (-1, -1, 1) and space.chart == {0, 1}
+    # the chart kind is part of the space: same form, different star
+    plain = SymplecticSpace.block([("z1", "p1", -1), ("z2", "p2", -1), ("u1", "v1", 1)])
+    assert plain.brackets == space.brackets and plain.chart == frozenset()
+    assert plain != space and SymplecticSpace(plain.vars, plain.scales, [1, 0]) == space
+    assert hash(SymplecticSpace(plain.vars, plain.scales, [1, 0])) == hash(space)
+    # z^2 * p^2: the h-terms agree with the flat star of dp^dz, the h^2 terms do not
+    zp = SymplecticSpace.cotangent((("z", "p"),))
+    z2, p2 = (HSeries.constant(RationalFunction.variable(ZP, v) ** 2, 2) for v in ZP)
+    on_chart = moyal_star(MoyalContext(zp, 2), z2, p2)
+    flat = moyal_star(MoyalContext(SymplecticSpace.block([("z", "p", -1)]), 2), z2, p2)
+    assert on_chart.coeffs[:2] == flat.coeffs[:2]
+    assert (on_chart.coeffs[2], flat.coeffs[2]) == (RationalFunction.constant(ZP, Fraction(-3, 4)),
+                                                    RationalFunction.constant(ZP, Fraction(-1, 2)))
 
 
 def test_poisson_examples():

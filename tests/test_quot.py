@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moyalquot import quot
+from moyalquot import moyal, quot
 from moyalquot.errors import (
     BadPermutation,
     InvalidPoint,
@@ -18,7 +18,6 @@ from moyalquot.quot import (
     ProductContext,
     QuotCellPoint,
     SymSeries,
-    cover_star,
     is_invariant,
     permute,
     product_star,
@@ -53,6 +52,14 @@ def ctx22(order=4):
     return ProductContext(d=2, r=2, order=order)
 
 
+def chart_star(chart_pairs, order, f, g):
+    """moyal_star on f's variables, the named pairs as chart pairs and the rest flat."""
+    pairs = list(zip(f.vars[::2], f.vars[1::2]))
+    chart = [pairs.index(tuple(pair)) for pair in chart_pairs]
+    space = SymplecticSpace(f.vars, [-1 if k in chart else 1 for k in range(len(pairs))], chart)
+    return moyal_star(MoyalContext(space, order), f, g)
+
+
 def poly_series(ctx, terms, order=None):
     order = ctx.order if order is None else order
     return HSeries.constant(
@@ -69,9 +76,28 @@ def test_context_shape():
         ProductContext(d=0, r=1, order=2)
 
 
+def test_context_fields_are_built_once():
+    ctx = ctx22()
+    for name in ("chart_pairs", "flat_pairs", "vars", "space"):
+        assert getattr(ctx, name) is getattr(ctx, name)
+    assert ctx.space == SymplecticSpace.cotangent(ctx.chart_pairs, ctx.flat_pairs)
+    assert ctx.space.vars is ctx.vars
+    # equality, hash and repr see (d, r, order) only
+    twin = ctx22()
+    assert twin == ctx and hash(twin) == hash(ctx) == hash((2, 2, 4))
+    assert ctx != ctx22(order=3) and ctx != ctx21()
+    assert repr(ctx) == "ProductContext(d=2, r=2, order=4)"
+
+
+def test_context_negative_order_is_order_too_large():
+    # as for MoyalContext: a domain error, which the suites report as a case
+    with pytest.raises(OrderTooLarge):
+        ProductContext(d=1, r=1, order=-1)
+
+
 def test_block_space_brackets():
     ctx = ctx22(order=0)
-    space = ctx.block_space()
+    space = ctx.space
     mctx = MoyalContext(space, 0)
     vs = ctx.vars
     z1, p1 = (RationalFunction.variable(vs, n) for n in ("z1", "p1"))
@@ -110,7 +136,7 @@ def test_product_star_single_chart_block_matches_chart_star():
     ctx = ProductContext(d=1, r=1, order=4)
     stars = [(ctx.chart_pairs[0], lambda f, g: product_star(ctx, f, g))]
     for pair in (("z", "p"), ("x", "y"), ("y", "x"), ("x1", "y1")):
-        stars.append((pair, lambda f, g, pair=pair: cover_star((pair,), 4, f, g)))
+        stars.append((pair, lambda f, g, pair=pair: chart_star((pair,), 4, f, g)))
     plane = ("s", "t")
     s = SampleStream("quot-single-block")
     for pair, star in stars:
@@ -138,11 +164,11 @@ def test_cover_star_refuses_a_short_operand(chart_pairs, flat_pairs):
     short, full = HSeries.variable(vs, vs[0], 1), HSeries.variable(vs, vs[1], 3)
     for f, g in ((short, full), (full, short)):
         with pytest.raises(OrderTooLarge):
-            cover_star(chart_pairs, 3, f, g)
+            chart_star(chart_pairs, 3, f, g)
         if chart_pairs == _CELL.chart_pairs:
             with pytest.raises(OrderTooLarge):
                 product_star(_CELL, f, g)
-    assert cover_star(chart_pairs, 1, short, full).order == 1
+    assert chart_star(chart_pairs, 1, short, full).order == 1
 
 
 def test_product_star_single_flat_block_matches_moyal():
@@ -368,7 +394,7 @@ def test_quot_cell_star_examples():
 
     comm = quot_cell_star(ctx, e1, P1).value - quot_cell_star(ctx, P1, e1).value
     assert comm.coeffs[1] == RationalFunction.constant(ctx.vars, -2 * I)
-    block = MoyalContext(ctx.block_space(), ctx.order)
+    block = MoyalContext(ctx.space, ctx.order)
     assert comm.coeffs[1] == I * poisson_bracket(
         block, e1.value.coeffs[0], P1.value.coeffs[0]
     )
@@ -503,7 +529,7 @@ def cover_route_oracle(chart_pairs, order, f: HSeries, g: HSeries) -> HSeries:
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cover_cases())
 def test_chart_kind_matches_the_cover_route(case):
-    assert cover_star(*case) == cover_route_oracle(*case)
+    assert chart_star(*case) == cover_route_oracle(*case)
 
 
 def test_laurent_operands_never_visit_the_cover(monkeypatch):
@@ -518,11 +544,49 @@ def test_laurent_operands_never_visit_the_cover(monkeypatch):
          HSeries([p1 * p2 / z2, z1 ** 3, u1 * u1 / p2, 1 / v1])),
         ((ZP,), HSeries([z * z / p, z, p, 1 / z]), HSeries([p ** -3, z, p / z, z * p])),
     ]
-    expected = [cover_star(pairs, 3, f, g) for pairs, f, g in cases]
-    monkeypatch.setattr(quot, "sigma_pullback_pair", refused)
-    monkeypatch.setattr(quot, "pushforward_even_pair", refused)
-    assert [cover_star(pairs, 3, f, g) for pairs, f, g in cases] == expected
+    expected = [chart_star(pairs, 3, f, g) for pairs, f, g in cases]
+    monkeypatch.setattr(moyal, "sigma_pullback_pair", refused)
+    monkeypatch.setattr(moyal, "pushforward_even_pair", refused)
+    assert [chart_star(pairs, 3, f, g) for pairs, f, g in cases] == expected
+    assert product_star(ctx, *cases[0][1:]) == expected[0]
     for pairs, f, g in cases:
         first = RationalFunction.variable(f.vars, pairs[0][0])
         with pytest.raises(AssertionError, match="cover map called"):
-            cover_star(pairs, 3, HSeries((1 / (first + 1),) + f.coeffs[1:]), g)
+            chart_star(pairs, 3, HSeries((1 / (first + 1),) + f.coeffs[1:]), g)
+
+
+# -- the cover route for operands off the kernel ------------------------------------------
+
+
+@st.composite
+def affine_cover_cases(draw):
+    """A product layout with d <= 3 and operands whose coefficients are Laurent
+    polynomials, some over an affine form in one chart variable, such as
+    1/(z1 + c) or 1/(p2 - c)."""
+    ctx = ProductContext(draw(st.integers(1, 3)), draw(st.integers(1, 2)), 0)
+    vs, n = ctx.vars, len(ctx.vars)
+    order = draw(st.integers(0, 2 if n <= 4 else 1))  # keeps the oracle quick
+    terms = st.dictionaries(_exponents(n), st.sampled_from(COEFFS), max_size=2)
+
+    def coefficient(affine):
+        value = laurent(vs, draw(terms))
+        if affine or draw(st.booleans()):
+            x = RationalFunction.variable(vs, vs[draw(st.integers(0, 2 * ctx.d - 1))])
+            value = (value + 1) / (x + draw(st.sampled_from(COEFFS)))
+        return value
+
+    def series(first_affine):  # the left operand always leaves the kernel
+        return HSeries([coefficient(first_affine and k == 0) for k in range(order + 1)])
+
+    return ctx.chart_pairs, order, series(True), series(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(affine_cover_cases())
+def test_cover_route_matches_the_oracle_off_the_kernel(case):
+    chart_pairs, order, f, g = case
+    got = chart_star(*case)
+    assert got == cover_route_oracle(*case)
+    d = len(chart_pairs)
+    ctx = ProductContext(d, len(f.vars) // (2 * d), order)
+    assert product_star(ctx, f, g) == got
