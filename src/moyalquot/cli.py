@@ -7,7 +7,8 @@ and an option value that does is joined to its option: --support=-1,2.
 --d and --r below 1 are usage errors on every command.
 The default truncation order comes from --order, then the MOYALQUOT_ORDER
 environment variable, then 6; an order above MAX_ORDER is a usage error,
-and so is a space or suite with more than MAX_VARIABLES variables (2*d*r).
+and so is a space, suite or point with more than MAX_VARIABLES variables
+(2*d*r).
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ DEFAULT_ORDER = 6
 # the x*y star at this order takes well under a second; rational stars below
 # it have no bound yet
 MAX_ORDER = 1000
-# the 2*d*r variables of --space flatN|product and of verify.  Polynomial stars
+# the 2*d*r variables of --space flatN|product, of verify and of a
+# validate-point point, 2 * (d + flat pairs).  Polynomial stars
 # and `verify theorem1 --samples 1` grow about quadratically with them; at this
 # many the latter takes 0.02-0.04 s for every d <= 6 on a 2-core machine.
 # Stars of rational operands that leave the Laurent kernel are not bounded by
@@ -148,7 +150,6 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--d", type=_positive_int, default=2)
         p.add_argument("--r", type=_positive_int, default=2)
-        p.add_argument("--output", choices=("text", "structured"), default="text")
 
     star = sub.add_parser("star", help="star product of two expressions")
     add_common(star)
@@ -169,7 +170,6 @@ def _build_parser() -> _Parser:
     verify.add_argument("--d", type=_positive_int, default=2)
     verify.add_argument("--r", type=_positive_int, default=2)
     verify.add_argument("--atlas", default=None)
-    verify.add_argument("--output", choices=("text", "structured"), default="text")
 
     tr = sub.add_parser("transport", help="move a chart function to another chart")
     tr.add_argument("expression")
@@ -177,11 +177,9 @@ def _build_parser() -> _Parser:
     tr.add_argument("--from", dest="source", required=True)
     tr.add_argument("--to", dest="target", required=True)
     tr.add_argument("--order", type=int, default=None)
-    tr.add_argument("--output", choices=("text", "structured"), default="text")
 
     va = sub.add_parser("validate-atlas", help="validate an atlas file")
     va.add_argument("atlas")
-    va.add_argument("--output", choices=("text", "structured"), default="text")
 
     vp = sub.add_parser("validate-point", help="validate open-cell point coordinates")
     vp.add_argument("--d", type=_positive_int, default=None)
@@ -189,8 +187,9 @@ def _build_parser() -> _Parser:
     vp.add_argument("--support", required=True, help="comma-separated entries")
     vp.add_argument("--covectors", required=True, help="comma-separated entries")
     vp.add_argument("--flat", default="", help="comma-separated pairs, flattened")
-    vp.add_argument("--output", choices=("text", "structured"), default="text")
 
+    for p in sub.choices.values():
+        p.add_argument("--output", choices=("text", "structured"), default="text")
     return parser
 
 
@@ -319,6 +318,9 @@ def _cmd_validate_point(args) -> int:
         (flat_values[2 * k], flat_values[2 * k + 1])
         for k in range(len(flat_values) // 2)
     )
+    # the duplicate-support check compares every pair of support entries
+    _check_variables(2 * (len(support) + len(flat)),
+                     f"a point with d = {len(support)} and {len(flat)} flat pairs")
     if args.d is not None and len(support) != args.d:
         raise UsageFailure(f"--d {args.d} does not match {len(support)} support entries")
     if args.r is not None:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gaussian import GaussianRational
 from .rational import RationalFunction
-from .series import HSeries
+from .series import HSeries, h_product
 
 
 # -- tokenizer --------------------------------------------------------------------
@@ -232,14 +232,7 @@ def _trimmed(coeffs: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
 
 
 def _hmul(left: _HPoly, right: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
-    out = [RationalFunction.zero(variables)] * (len(left) + len(right) - 1)
-    for i, a in enumerate(left):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(right):
-            if not b.is_zero():
-                out[i + j] = out[i + j] + a * b
-    return _trimmed(out, variables)
+    return _trimmed(h_product(left, right), variables)
 
 
 def _binary(op: str, left: _HPoly, right: _HPoly, variables: Tuple[str, ...]) -> _HPoly:

@@ -33,9 +33,9 @@ dp^dz, whose star is the flat one conjugated by the quadric cover (x/y,
 -y^2/2), {x, y} = 1: the cover sends z^a p^b to (-1/2)^b x^a y^(2b-a) and
 x^A y^B back to (-2)^m z^A p^m, m = (A+B)/2, so the chart series is the flat
 one with b, d replaced by 2b - a, 2d - c and s by -2, and the same output
-exponents; Laurent operands never leave the chart.  Other operands on a
-space with chart pairs are pulled back, multiplied on the flat cover by the
-paths below, and pushed forward.
+exponents; Laurent operands never leave the chart.  Other operands are
+pulled back on the chart pairs they use, multiplied on the flat cover by the
+paths below, and pushed forward on the same pairs.
 
 The product is covariant under affine symplectic changes of coordinates, so
 denominators that are powers of at most two affine forms l, l' are monomials
@@ -485,10 +485,10 @@ def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
     """Moyal-Weyl star product truncated at the context order.
 
     On a space with chart pairs it is the product conjugated by the quadric
-    cover on each of them: Laurent operands take the kernel on the chart, and
-    other operands are pulled back (z -> z/p, p -> -p^2/2, names kept),
-    multiplied on the cover, where every chart pair has bracket 1, and pushed
-    forward again."""
+    cover on each chart pair the operands use: Laurent operands take the
+    kernel on the chart, and other operands are pulled back (z -> z/p,
+    p -> -p^2/2, names kept), multiplied on the cover, where every chart pair
+    has bracket 1, and pushed forward again."""
     if f.vars != ctx.space.vars or g.vars != ctx.space.vars:
         raise VariableMismatch("operands do not live on the context space")
     if f.order < ctx.order or g.order < ctx.order:
@@ -503,7 +503,10 @@ def _star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
     if all(len(c.den.terms) == 1 for c in used):
         return _laurent_star(ctx, used)
     if space.chart:
-        pairs = [space.vars[2 * k:2 * k + 2] for k in sorted(space.chart)]
+        # both pair maps are the identity on a pair that no operand uses
+        touched = {i // 2 for c in used for poly in (c.num, c.den) for e in poly.terms
+                   for i, a in enumerate(e) if a}
+        pairs = [space.vars[2 * k:2 * k + 2] for k in sorted(space.chart & touched)]
 
         def pull(c: RationalFunction) -> RationalFunction:
             for z, p in pairs:

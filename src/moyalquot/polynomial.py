@@ -305,15 +305,9 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        pieces = []
-        for exp, coeff in self.sorted_terms():
-            sign, body = coeff_term_text(coeff, self._monomial_text(exp))
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = [first_body if first_sign == "+" else f"-{first_body}"]
-        for sign, body in pieces[1:]:
-            out.append(f" {sign} {body}")
-        return "".join(out)
+        return join_signed(
+            [coeff_term_text(coeff, self._monomial_text(exp)) for exp, coeff in self.sorted_terms()]
+        )
 
     def __repr__(self) -> str:
         return f"Polynomial({self.vars!r}, {self})"
@@ -324,6 +318,12 @@ def _fraction_text(value: Fraction, multiplied: bool) -> str:
     if multiplied and value.denominator != 1:
         return f"({text})"
     return text
+
+
+def join_signed(pieces: Sequence[Tuple[str, str]]) -> str:
+    """Join (sign, body) terms as `a - b + c`, the first sign written only if negative."""
+    (sign, body), rest = pieces[0], pieces[1:]
+    return "".join([body if sign == "+" else f"-{body}"] + [f" {s} {b}" for s, b in rest])
 
 
 def coeff_term_text(coeff: GaussianRational, monomial: str, multiplied: bool = False) -> Tuple[str, str]:

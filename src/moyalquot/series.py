@@ -8,11 +8,11 @@ arithmetic truncates to the smaller order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational
-from .polynomial import Polynomial, coeff_term_text
+from .polynomial import Polynomial, coeff_term_text, join_signed
 from .rational import RationalFunction
 
 
@@ -117,18 +117,7 @@ class HSeries:
             scalar = GaussianRational.coerce(other)
             return self.map_coefficients(lambda c: c * scalar)
         a, b = self._align(other)
-        n = a.order
-        zero = RationalFunction.zero(a.vars)
-        out = [zero] * (n + 1)
-        for i, ci in enumerate(a.coeffs):
-            if ci.is_zero():
-                continue
-            for j in range(0, n + 1 - i):
-                cj = b.coeffs[j]
-                if cj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + ci * cj
-        return HSeries(tuple(out))
+        return HSeries(h_product(a.coeffs, b.coeffs, a.order + 1))
 
     __rmul__ = __mul__
 
@@ -143,21 +132,25 @@ class HSeries:
         return hash(self.coeffs)
 
     def __str__(self) -> str:
-        pieces = []
-        for power, coeff in enumerate(self.coeffs):
-            if coeff.is_zero():
-                continue
-            pieces.append(_series_term_text(coeff, power))
-        if not pieces:
-            return "0"
-        first_sign, first_body = pieces[0]
-        out = [first_body if first_sign == "+" else f"-{first_body}"]
-        for sign, body in pieces[1:]:
-            out.append(f" {sign} {body}")
-        return "".join(out)
+        pieces = [_series_term_text(c, k) for k, c in enumerate(self.coeffs) if not c.is_zero()]
+        return join_signed(pieces) if pieces else "0"
 
     def __repr__(self) -> str:
         return f"HSeries({self})"
+
+
+def h_product(left: Sequence[RationalFunction], right: Sequence[RationalFunction],
+              length: Optional[int] = None) -> List[RationalFunction]:
+    """The product of two polynomials in h given by their coefficient lists:
+    exact, or its first `length` coefficients."""
+    out = [RationalFunction.zero(left[0].vars)] * (length or len(left) + len(right) - 1)
+    for i, a in enumerate(left[: len(out)]):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(right[: len(out) - i]):
+            if not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return out
 
 
 def _series_term_text(coeff: RationalFunction, power: int) -> Tuple[str, str]:

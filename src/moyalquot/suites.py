@@ -1,8 +1,10 @@
 """Seeded verification suites binding all modules into reproducible reports.
 
-Each suite runs a fixed list of named cases and records the first
-counterexample of each; `_sampled` gives a case its seeded stream, its loop
-over samples and the `sample k` prefix of a failure.  Reports are
+Each suite declares its cases as rows and records the first counterexample
+of each.  One runner, `_run`, owns what the rows share: it names each
+sampled case's stream "<seed>:<suite>:<label>", gives it `cfg.samples`
+samples unless the row sets its own count, loops over them with the
+`sample k` prefix of a failure, and builds the report.  Reports are
 deterministic functions of (seed, size flags): cases are sorted by
 description before rendering, so the output is byte-stable.
 """
@@ -10,7 +12,7 @@ description before rendering, so the output is byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .atlas import (
     KChartFunction,
@@ -58,6 +60,9 @@ I = GaussianRational(0, 1)
 # takes 0.08 s at d = 6 on a 2-core machine (0.56 s with d! copies); the cap
 # stays until the star's cost is bounded before any work
 MAX_SUITE_D = 6
+# the flat spaces of the poisson and equivariance suites
+_PLANE = SymplecticSpace.standard(("x", "y"))
+_BLOCK = SymplecticSpace.standard(("x1", "y1", "x2", "y2"))
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,6 @@ class VerificationReport:
         }
 
 
-def _report(suite: str, cfg: SuiteConfig, cases: List[CaseResult]) -> VerificationReport:
-    ordered = tuple(sorted(cases, key=lambda c: c.description))
-    return VerificationReport(suite=suite, seed=cfg.seed, cases=ordered)
-
-
 def _case(description: str, check: Callable[[], Optional[str]]) -> CaseResult:
     try:
         counterexample = check()
@@ -172,8 +172,34 @@ def _sampled(
     return _case(f"{description} ({samples} samples)", run)
 
 
+def _run(suite: str, cfg: SuiteConfig, rows: Sequence[tuple],
+         fixed: Sequence[Tuple[str, Callable[[], Optional[str]]]] = ()) -> VerificationReport:
+    """The report of `suite` over its fixed `(description, check)` cases and its
+    sampled rows `(label, description, check[, samples[, before]])`.
+
+    A row draws from the stream "<seed>:<suite>:<label>" over `samples`
+    samples, cfg.samples unless given; `before` is as in `_sampled`."""
+    cases = [_case(description, check) for description, check in fixed]
+    for label, description, check, *rest in rows:
+        samples = rest[0] if rest else cfg.samples
+        before = rest[1] if len(rest) > 1 else None
+        cases.append(_sampled(description, samples, f"{cfg.seed}:{suite}:{label}", check, before))
+    ordered = tuple(sorted(cases, key=lambda c: c.description))
+    return VerificationReport(suite=suite, seed=cfg.seed, cases=ordered)
+
+
 def _constant(p: Polynomial, order: int) -> HSeries:
     return HSeries.constant(RationalFunction.from_polynomial(p), order)
+
+
+def _commutator_check(comm: HSeries, ctx: MoyalContext,
+                      f0: RationalFunction, g0: RationalFunction) -> Optional[str]:
+    """None when the commutator `comm` has no scalar term and h-term i{f0, g0};
+    the bracket is taken only once the scalar term vanishes."""
+    if not comm.coeffs[0].is_zero():
+        return f"scalar term {comm.coeffs[0]}"
+    expected = I * poisson_bracket(ctx, f0, g0)
+    return None if comm.coeffs[1] == expected else f"h-term {comm.coeffs[1]} != {expected}"
 
 
 # -- axioms ----------------------------------------------------------------------
@@ -202,31 +228,21 @@ def run_axioms(cfg: SuiteConfig) -> VerificationReport:
 
     def commutator_term(s: SampleStream, k: int) -> Optional[str]:
         f, g = draw(s, comm_ctx.order), draw(s, comm_ctx.order)
-        comm = star_commutator(comm_ctx, f, g)
-        if not comm.coeffs[0].is_zero():
-            return f"scalar term {comm.coeffs[0]}"
-        expected = I * poisson_bracket(ctx, f.coeffs[0], g.coeffs[0])
-        if comm.coeffs[1] != expected:
-            return f"h-term {comm.coeffs[1]} != {expected}"
-        return None
+        return _commutator_check(star_commutator(comm_ctx, f, g), ctx, f.coeffs[0], g.coeffs[0])
 
-    cases = [
-        _sampled(description, cfg.samples, f"{cfg.seed}:axioms:{label}", check)
-        for label, check, description in (
-            ("scalar", scalar_term, "scalar term of the product equals the pointwise product"),
-            ("unit", unit_law, "unit law holds on both sides"),
-            ("commutator", commutator_term,
-             "commutator h-term is i times the bracket of the scalar terms"),
-        )
-    ]
-    return _report("axioms", cfg, cases)
+    return _run("axioms", cfg, [
+        ("scalar", "scalar term of the product equals the pointwise product", scalar_term),
+        ("unit", "unit law holds on both sides", unit_law),
+        ("commutator", "commutator h-term is i times the bracket of the scalar terms",
+         commutator_term),
+    ])
 
 
 # -- poisson ----------------------------------------------------------------------
 
 
 def run_poisson(cfg: SuiteConfig) -> VerificationReport:
-    def cases_on(space: SymplecticSpace, label: str, monomial_den: bool) -> List[CaseResult]:
+    def rows_on(space: SymplecticSpace, label: str, monomial_den: bool) -> List[tuple]:
         ctx = MoyalContext(space, 0)
 
         def bracket(f: RationalFunction, g: RationalFunction) -> RationalFunction:
@@ -258,21 +274,12 @@ def run_poisson(cfg: SuiteConfig) -> VerificationReport:
             return None if total.is_zero() else f"f = {f}, g = {g}, h = {h}"
 
         return [
-            _sampled(
-                f"{law} on the {label} space",
-                cfg.samples, f"{cfg.seed}:poisson:{label}:{case}", check,
-            )
-            for law, case, check in (
-                ("antisymmetry", "antisymmetry", antisymmetry),
-                ("Leibniz rule", "leibniz", leibniz),
-                ("Jacobi identity", "jacobi", jacobi),
-            )
+            (f"{label}:antisymmetry", f"antisymmetry on the {label} space", antisymmetry),
+            (f"{label}:leibniz", f"Leibniz rule on the {label} space", leibniz),
+            (f"{label}:jacobi", f"Jacobi identity on the {label} space", jacobi),
         ]
 
-    plane = SymplecticSpace.standard(("x", "y"))
-    block = SymplecticSpace.standard(("x1", "y1", "x2", "y2"))
-    cases = cases_on(plane, "plane", False) + cases_on(block, "block", True)
-    return _report("poisson", cfg, cases)
+    return _run("poisson", cfg, rows_on(_PLANE, "plane", False) + rows_on(_BLOCK, "block", True))
 
 
 # -- associativity ------------------------------------------------------------------
@@ -300,24 +307,18 @@ def run_associativity(cfg: SuiteConfig) -> VerificationReport:
             return f"f = {f.coeffs[0]}, g = {g.coeffs[0]}, h = {h.coeffs[0]}"
         return None
 
-    cases = [
-        _sampled(
-            "polynomial triples associate exactly at full order",
-            cfg.samples, f"{cfg.seed}:associativity:poly", polynomial_case,
-        ),
-        _sampled(
-            f"rational triples associate through order {cfg.order}",
-            max(1, cfg.samples // 4), f"{cfg.seed}:associativity:rational", rational_case,
-        ),
-    ]
-    return _report("associativity", cfg, cases)
+    return _run("associativity", cfg, [
+        ("poly", "polynomial triples associate exactly at full order", polynomial_case),
+        ("rational", f"rational triples associate through order {cfg.order}", rational_case,
+         max(1, cfg.samples // 4)),
+    ])
 
 
 # -- equivariance ----------------------------------------------------------------------
 
 
 def run_equivariance(cfg: SuiteConfig) -> VerificationReport:
-    def shear_case(space: SymplecticSpace, label: str, where: str, samples: int) -> CaseResult:
+    def shear_check(space: SymplecticSpace) -> Callable[[SampleStream, int], Optional[str]]:
         ctx = MoyalContext(space, 4)
 
         def check(s: SampleStream, k: int) -> Optional[str]:
@@ -328,18 +329,13 @@ def run_equivariance(cfg: SuiteConfig) -> VerificationReport:
                 return f"G = {G.matrix}, f = {f.coeffs[0]}, g = {g.coeffs[0]}"
             return None
 
-        return _sampled(
-            f"shear products act equivariantly on {where}",
-            samples, f"{cfg.seed}:equivariance:{label}", check,
-        )
+        return check
 
-    plane = SymplecticSpace.standard(("x", "y"))
-    block = SymplecticSpace.standard(("x1", "y1", "x2", "y2"))
-    cases = [
-        shear_case(plane, "plane", "the plane", cfg.samples),
-        shear_case(block, "block", "the block space", max(1, cfg.samples // 2)),
-    ]
-    return _report("equivariance", cfg, cases)
+    return _run("equivariance", cfg, [
+        ("plane", "shear products act equivariantly on the plane", shear_check(_PLANE)),
+        ("block", "shear products act equivariantly on the block space", shear_check(_BLOCK),
+         max(1, cfg.samples // 2)),
+    ])
 
 
 # -- lemma1 -----------------------------------------------------------------------------
@@ -405,19 +401,12 @@ def run_lemma1(cfg: SuiteConfig) -> VerificationReport:
             return f"F = {F}, G = {G}"
         return None
 
-    cases = [
-        _case("pullback of the Liouville form is the standard area form", form_identity),
-    ] + [
-        _sampled(description, cfg.samples, f"{cfg.seed}:lemma1:{label}", check, before)
-        for label, check, before, description in (
-            ("equivariance", equivariance, None,
-             "cover map intertwines the linear and lifted actions"),
-            ("roundtrip", round_trip, None, "pushforward and pullback invert each other"),
-            ("bracket", bracket_compatibility, unit_bracket,
-             "chart bracket matches the transported plane bracket"),
-        )
-    ]
-    return _report("lemma1", cfg, cases)
+    return _run("lemma1", cfg, [
+        ("equivariance", "cover map intertwines the linear and lifted actions", equivariance),
+        ("roundtrip", "pushforward and pullback invert each other", round_trip),
+        ("bracket", "chart bracket matches the transported plane bracket",
+         bracket_compatibility, cfg.samples, unit_bracket),
+    ], fixed=[("pullback of the Liouville form is the standard area form", form_identity)])
 
 
 # -- cocycle ------------------------------------------------------------------------------
@@ -454,16 +443,11 @@ def run_cocycle(cfg: SuiteConfig) -> VerificationReport:
         back = transport(atlas, transport(atlas, f, dst), src)
         return None if back.value == f.value else f"{src}->{dst}->{src}, f = {f.value.coeffs[0]}"
 
-    cases = [
-        _case("atlas validates cleanly", validity),
-    ] + [
-        _sampled(description, cfg.samples, f"{cfg.seed}:cocycle:{label}", check, two_way)
-        for label, check, description in (
-            ("independence", independence, "transport commutes with the glued star product"),
-            ("roundtrip", round_trip, "transport round trips are the identity"),
-        )
-    ]
-    return _report("cocycle", cfg, cases)
+    return _run("cocycle", cfg, [
+        ("independence", "transport commutes with the glued star product", independence,
+         cfg.samples, two_way),
+        ("roundtrip", "transport round trips are the identity", round_trip, cfg.samples, two_way),
+    ], fixed=[("atlas validates cleanly", validity)])
 
 
 # -- evenness ------------------------------------------------------------------------------
@@ -492,14 +476,10 @@ def run_evenness(cfg: SuiteConfig) -> VerificationReport:
             return str(exc)
         return None
 
-    cases = [
-        _sampled(description, cfg.samples, f"{cfg.seed}:evenness:{label}", check)
-        for label, check, description in (
-            ("closure", closure, "star of even pairs has even coefficients"),
-            ("pushforward", pushforward_total, "every coefficient pushes forward to the chart"),
-        )
-    ]
-    return _report("evenness", cfg, cases)
+    return _run("evenness", cfg, [
+        ("closure", "star of even pairs has even coefficients", closure),
+        ("pushforward", "every coefficient pushes forward to the chart", pushforward_total),
+    ])
 
 
 # -- symmetric -------------------------------------------------------------------------------
@@ -570,16 +550,12 @@ def run_symmetric(cfg: SuiteConfig) -> VerificationReport:
             return f"{' + '.join(z for z, _ in ctx.chart_pairs)} failed the invariance check"
         return None
 
-    cases = [
-        _sampled(description, cfg.samples, f"{cfg.seed}:symmetric:{label}", check)
-        for label, check, description in (
-            ("idempotent", idempotent, "symmetrization is idempotent"),
-            ("invariant", invariant_output, "symmetrized series pass the invariance check"),
-            ("composition", composition, "permutation action composes"),
-            ("divisor", divisor_invariance, "support divisor ignores ordering"),
-        )
-    ] + [_case("asymmetric series are detected", detects_asymmetry)]
-    return _report("symmetric", cfg, cases)
+    return _run("symmetric", cfg, [
+        ("idempotent", "symmetrization is idempotent", idempotent),
+        ("invariant", "symmetrized series pass the invariance check", invariant_output),
+        ("composition", "permutation action composes", composition),
+        ("divisor", "support divisor ignores ordering", divisor_invariance),
+    ], fixed=[("asymmetric series are detected", detects_asymmetry)])
 
 
 # -- theorem1 ---------------------------------------------------------------------------------
@@ -623,12 +599,7 @@ def run_theorem1(cfg: SuiteConfig) -> VerificationReport:
     def commutator(s: SampleStream, k: int) -> Optional[str]:
         f, g = (invariant_series(s, comm_ctx.order) for _ in range(2))
         comm = quot_cell_star(comm_ctx, f, g).value - quot_cell_star(comm_ctx, g, f).value
-        if not comm.coeffs[0].is_zero():
-            return f"scalar term {comm.coeffs[0]}"
-        expected = I * poisson_bracket(block_ctx, f.value.coeffs[0], g.value.coeffs[0])
-        if comm.coeffs[1] != expected:
-            return f"h-term {comm.coeffs[1]} != {expected}"
-        return None
+        return _commutator_check(comm, block_ctx, f.value.coeffs[0], g.value.coeffs[0])
 
     def associativity(s: SampleStream, k: int) -> Optional[str]:
         f, g, h = (invariant_series(s) for _ in range(3))
@@ -646,20 +617,15 @@ def run_theorem1(cfg: SuiteConfig) -> VerificationReport:
             return f"f = {f_small}, g = {g_small}"
         return None
 
-    cases = [
-        _sampled(description, samples, f"{cfg.seed}:theorem1:{label}", check)
-        for label, check, samples, description in (
-            ("closure", closure, cfg.samples, "cell star of invariant pairs stays invariant"),
-            ("scalar", scalar_term, cfg.samples, "scalar term equals the pointwise product"),
-            ("unit", unit_law, cfg.samples, "unit law holds on both sides"),
-            ("commutator", commutator, cfg.samples,
-             "commutator h-term matches the block bracket"),
-            ("associativity", associativity, min(20, cfg.samples),
-             f"cell star associates through order {order}"),
-            ("cross", cross_factor, cfg.samples, "operands on disjoint factors commute exactly"),
-        )
-    ]
-    return _report("theorem1", cfg, cases)
+    return _run("theorem1", cfg, [
+        ("closure", "cell star of invariant pairs stays invariant", closure),
+        ("scalar", "scalar term equals the pointwise product", scalar_term),
+        ("unit", "unit law holds on both sides", unit_law),
+        ("commutator", "commutator h-term matches the block bracket", commutator),
+        ("associativity", f"cell star associates through order {order}", associativity,
+         min(20, cfg.samples)),
+        ("cross", "operands on disjoint factors commute exactly", cross_factor),
+    ])
 
 
 SUITES: Dict[str, Callable[[SuiteConfig], VerificationReport]] = {

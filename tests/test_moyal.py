@@ -29,7 +29,8 @@ from moyalquot.moyal import (
     poisson_bracket,
     star_commutator,
 )
-from moyalquot.quot import ProductContext, quot_cell_star, symmetrize
+from moyalquot.expr import parse_series
+from moyalquot.quot import ProductContext, product_star, quot_cell_star, symmetrize
 from moyalquot.sampling import SampleStream
 
 from oracles import (
@@ -641,3 +642,27 @@ def test_frame_cost_does_not_grow_with_unused_pairs(monkeypatch, capsys):
         counts.add(len(calls))
     assert len(printed) == 1
     assert len(counts) == 1
+
+
+def test_cover_route_visits_only_the_chart_pairs_the_operands_use(monkeypatch):
+    # 1/(z1 + 1) takes the cover route; every other chart pair is spare
+    visited = []
+
+    def counted(real):
+        def pair_map(value, *names):
+            visited.append(names[:2])
+            return real(value, *names)
+
+        return pair_map
+
+    for name in ("sigma_pullback_pair", "pushforward_even_pair"):
+        monkeypatch.setattr(moyal, name, counted(getattr(moyal, name)))
+    reference = None
+    for d in range(1, 7):
+        ctx = ProductContext(d=d, r=1, order=4)
+        f, g = (parse_series(text, ctx.vars, 4) for text in ("z1^2*p1 + 1/(z1 + 1)", "p1^2 + z1"))
+        visited.clear()
+        product = product_star(ctx, f, g)
+        assert visited and set(visited) == {("z1", "p1")}, d
+        reference = reference or product
+        assert _renamed(reference, ("z1", "p1"), ctx.vars) == product, d

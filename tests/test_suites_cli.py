@@ -16,6 +16,7 @@ from moyalquot.suites import MAX_SUITE_D, SuiteConfig, run_suite, SUITES
 from moyalquot.errors import UnknownSuite, UsageFailure
 from moyalquot.expr import parse_series
 from moyalquot.rational import RationalFunction
+from moyalquot.sampling import SampleStream
 from moyalquot.series import HSeries
 
 
@@ -377,6 +378,26 @@ def test_cli_variable_count_above_the_cap_is_refused(capsys):
     assert run(["star", "--space", "kchart", "--d", "1000000", "--r", "1000000", "z", "p"]) == 0
 
 
+def test_cli_validate_point_variable_count_is_capped(capsys):
+    # a point has 2 * (d + flat pairs) variables; its duplicate-support check
+    # compares every pair of support entries
+    def point(d, flat_pairs):
+        return ["validate-point", "--support=" + ",".join(map(str, range(d))),
+                "--covectors=" + ",".join(["1"] * d), "--flat=" + ",".join(["0"] * 2 * flat_pairs)]
+
+    half = cli.MAX_VARIABLES // 2
+    for d, flat_pairs in ((half, 0), (half // 2, half // 2)):
+        assert run(point(d, flat_pairs)) == 0
+        assert capsys.readouterr() == ("point: valid\n", "")
+    for d, flat_pairs in ((half + 1, 0), (half // 2, half // 2 + 1), (2000, 0)):
+        started = time.perf_counter()
+        assert run(point(d, flat_pairs)) == 4
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr() == ("", (
+            f"usage error: a point with d = {d} and {flat_pairs} flat pairs gives "
+            f"{2 * (d + flat_pairs)} variables, more than {cli.MAX_VARIABLES}\n"))
+
+
 # operands on the space's first pair (Q, P): polynomial, Laurent, affine
 # denominator, a pole, h (refused by poisson) and an unknown name
 _OPERANDS = ("Q*P + 2*Q^2", "Q^2/P^3 - i*P/Q", "1/(Q + P + 1)", "1/0", "h", "w9")
@@ -574,6 +595,32 @@ def test_cli_verify_reports_match_golden(name, argv, capsys):
     code = run(argv)
     assert capsys.readouterr().out == expected
     assert code == (1 if "FAIL" in expected else 0)
+
+
+def test_cli_verify_structured_report_matches_golden(capsys):
+    expected = (VERIFY_GOLDEN / "theorem1_seed1_samples3.json").read_text()
+    assert run(["verify", "theorem1", *_GOLDEN_ARGS, "--output", "structured"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_suites_open_the_pinned_sample_streams(monkeypatch):
+    # a changed stream changes what a suite tests, and its report may still pass
+    opened = []
+    real = SampleStream.__init__
+
+    def recording(self, seed):
+        opened.append(str(seed))
+        real(self, seed)
+
+    monkeypatch.setattr(SampleStream, "__init__", recording)
+    streams = {}
+    for d, r in ((2, 2), (3, 1)):
+        for suite in sorted(SUITES):
+            opened.clear()
+            run_suite(suite, SuiteConfig(seed=7, samples=2, d=d, r=r))
+            streams[f"{suite} d={d} r={r}"] = list(opened)
+    pinned = VERIFY_GOLDEN / "sample_streams_seed7_samples2.json"
+    assert streams == json.loads(pinned.read_text())
 
 
 def test_planted_moyal_fault_fails_with_exact_counterexamples(monkeypatch):
