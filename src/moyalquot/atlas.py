@@ -25,6 +25,7 @@ from .gaussian import ONE as G_ONE, ZERO as G_ZERO
 from .geometry import pushforward_even_pair, sigma_pullback_pair
 from .moyal import Matrix, MoyalContext, SymplecticSpace, as_matrix, det2, mat_identity
 from .moyal import mat_mul, moyal_star, proj_eq
+from .polynomial import affine_forms
 from .quot import ValidationReport
 from .series import HSeries, hs_equal
 
@@ -126,8 +127,9 @@ def transport(atlas: ProjectiveAtlas, f: KChartFunction, target: str) -> KChartF
         return f
     dst_vars = atlas.chart_vars(target)
     matrix = atlas.transition(target, f.chart)
-    unscale = ((G_ONE, G_ZERO, G_ZERO), (G_ZERO, det2(matrix).inverse(), G_ZERO))
-    linear = tuple(row + (G_ZERO,) for row in matrix)
+    unscale = affine_forms(src_vars, ((G_ONE, G_ZERO, G_ZERO),
+                                      (G_ZERO, det2(matrix).inverse(), G_ZERO)))
+    linear = affine_forms(src_vars, [row + (G_ZERO,) for row in matrix])
 
     def move(c):
         cover = sigma_pullback_pair(c.compose_linear(unscale), *src_vars, *src_vars)

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from functools import lru_cache
 from math import comb, factorial
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
@@ -67,7 +67,7 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
 from .geometry import pushforward_even_pair, sigma_pullback_pair
-from .polynomial import Polynomial
+from .polynomial import Polynomial, affine_forms, sum_terms
 from .rational import RationalFunction, rf_sum
 from .series import HSeries
 
@@ -240,20 +240,16 @@ class _DerivTable:
         return value
 
 
-# numerators keyed by the denominator pair (of the f factor, of the g factor)
-_Groups = Dict[Tuple[Polynomial, Polynomial], Polynomial]
-
-
 def _entries(space: SymplecticSpace, tf: _DerivTable, tg: _DerivTable):
     """The bracket entries (a, b, {x_a, x_b}) with x_a in f and x_b in g."""
     return [entry for entry in space.brackets if entry[0] in tf.uses and entry[1] in tg.uses]
 
 
-def _bidiff(entries, tf: _DerivTable, tg: _DerivTable, k: int,
-            scale: GaussianRational, groups: _Groups) -> _Groups:
-    """Add scale * D^k(f, g) to groups, one numerator per denominator pair."""
+def _bidiff(entries, tf: _DerivTable, tg: _DerivTable, k: int, scale: GaussianRational):
+    """The terms of scale * D^k(f, g), each a numerator keyed by its denominator
+    pair (of the f factor, of the g factor)."""
     if any(t.root.den.is_one() and t.root.num.total_degree() < k for t in (tf, tg)):
-        return groups  # zero, or a polynomial of degree below k
+        return  # zero, or a polynomial of degree below k
     n = len(tf.vars)
     for combo in combinations_with_replacement(range(len(entries)), k):
         alpha = [0] * n
@@ -272,14 +268,12 @@ def _bidiff(entries, tf: _DerivTable, tg: _DerivTable, k: int,
         gb = tg.get(tuple(beta))
         if gb.is_zero():
             continue
-        key = (fa.den, gb.den)
-        term = (fa.num * (coeff * mult)) * gb.num
-        groups[key] = groups[key] + term if key in groups else term
-    return groups
+        yield (fa.den, gb.den), (fa.num * (coeff * mult)) * gb.num
 
 
-def _sum_groups(space: SymplecticSpace, groups: _Groups) -> RationalFunction:
-    return rf_sum(space.vars, ((num, df * dg) for (df, dg), num in groups.items()))
+def _sum_groups(space: SymplecticSpace, terms) -> RationalFunction:
+    """The sum of _bidiff terms: one numerator per denominator pair, then one rf_sum."""
+    return rf_sum(space.vars, ((num, df * dg) for (df, dg), num in sum_terms(terms).items()))
 
 
 def poisson_bracket(ctx: MoyalContext, f: RationalFunction, g: RationalFunction) -> RationalFunction:
@@ -296,7 +290,7 @@ def bidiff_power(ctx: MoyalContext, f: RationalFunction, g: RationalFunction, k:
         if h.vars != space.vars:
             raise VariableMismatch(f"function over {h.vars} does not match space {space.vars}")
     tf, tg = _DerivTable(space.vars, f), _DerivTable(space.vars, g)
-    return _sum_groups(space, _bidiff(_entries(space, tf, tg), tf, tg, k, G_ONE, {}))
+    return _sum_groups(space, _bidiff(_entries(space, tf, tg), tf, tg, k, G_ONE))
 
 
 @lru_cache(maxsize=16)
@@ -323,9 +317,10 @@ def _falling(a: int, n: int) -> List[int]:
     return out
 
 
-def _from_laurent(variables: Tuple[str, ...], terms) -> RationalFunction:
-    """Canonical form of a Laurent polynomial: shift every exponent to >= 0."""
-    terms = {e: c for e, c in terms.items() if not c.is_zero()}
+def _from_laurent(variables: Tuple[str, ...], pairs) -> RationalFunction:
+    """Canonical form of the sum of (Laurent exponent, coefficient) pairs: shift
+    every exponent to >= 0."""
+    terms = sum_terms(pairs)
     if not terms:
         return RationalFunction.zero(variables)
     shift = tuple(max(0, -min(column)) for column in zip(*terms))
@@ -367,7 +362,7 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSerie
             cache[key] = [(k, rows[s][k] * v) for k, v in enumerate(totals) if v]
         return cache[key]
 
-    out: List[Dict[Tuple[int, ...], GaussianRational]] = [{} for _ in range(n + 1)]
+    out: List[List[Tuple[Tuple[int, ...], GaussianRational]]] = [[] for _ in range(n + 1)]
     for i, fi in enumerate(fs):
         for j, gj in enumerate(gs[: n + 1 - i]):
             budget = n - i - j
@@ -389,9 +384,8 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSerie
                             if h + k <= budget
                         ]
                     for h, e, coeff in states:
-                        bucket = out[i + j + h]
-                        bucket[e] = bucket[e] + coeff if e in bucket else coeff
-    return HSeries(tuple(_from_laurent(space.vars, terms) for terms in out))
+                        out[i + j + h].append((e, coeff))
+    return HSeries(tuple(_from_laurent(space.vars, pairs) for pairs in out))
 
 
 # an affine form: the coefficients of the variables, then the constant
@@ -399,7 +393,9 @@ Form = Tuple[GaussianRational, ...]
 
 # A frame whose forms mix many variables makes sparse numerators dense, and
 # the kernel and the way back then cost more than derivatives: past this
-# growth in numerator terms the product takes derivatives instead.
+# growth in numerator terms the product takes derivatives instead.  Without
+# it the dense flat4 product of test_frame_falls_back_to_bidiff takes 110 s
+# at order 1, against 0.03 s through derivatives.
 FRAME_GROWTH = 4
 
 
@@ -417,13 +413,15 @@ def _affine_root(den: Polynomial) -> Optional[Form]:
     form = form.monic()
     if form ** m != den:
         return None
-    units = [tuple(int(i == k) for i in range(len(lead))) for k in range(len(lead) + 1)]
-    return tuple(form.terms.get(e, G_ZERO) for e in units)
+    row = [G_ZERO] * (len(lead) + 1)
+    for e, c in form.terms.items():  # x_i on its unit exponent, the constant last
+        row[e.index(1) if any(e) else -1] = c
+    return tuple(row)
 
 
 def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
-    """(frame space, rows into the frame, rows back) for a Darboux frame in which
-    every denominator is a monomial; None if there is none.
+    """(frame space, forms into the frame, forms back) for a Darboux frame in
+    which every denominator is a monomial; None if there is none.
 
     The denominators must be powers of at most two affine forms.  The forms
     become frame coordinates: a pair with scale 1/{l, l'}, two q's when they
@@ -478,7 +476,8 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
         row = [v for q, p, c in frame[:m // 2] for v in (bracket(x, p) / c, -bracket(x, q) / c)]
         row += [G_ZERO] * (n - m)
         into.append(tuple(row) + (-sum((r * f[n] for r, f in zip(row, back)), G_ZERO),))
-    return SymplecticSpace(space.vars, [c.inverse() for _, _, c in frame]), into, back
+    frame_space = SymplecticSpace(space.vars, [c.inverse() for _, _, c in frame])
+    return frame_space, affine_forms(space.vars, into), affine_forms(space.vars, back)
 
 
 def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
@@ -535,14 +534,13 @@ def _star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
     tg = [_DerivTable(space.vars, c) for c in used[n + 1:]]
     entries = {(i, j): _entries(space, tf[i], tg[j])
                for i in range(n + 1) for j in range(n + 1 - i)}
-    out = []
-    for m in range(n + 1):
-        groups: _Groups = {}
-        for i in range(m + 1):
-            for j in range(m - i + 1):
-                _bidiff(entries[i, j], tf[i], tg[j], m - i - j, scalars[m - i - j], groups)
-        out.append(_sum_groups(space, groups))
-    return HSeries(tuple(out))
+    return HSeries(tuple(
+        _sum_groups(space, chain.from_iterable(
+            _bidiff(entries[i, j], tf[i], tg[j], m - i - j, scalars[m - i - j])
+            for i in range(m + 1) for j in range(m - i + 1)
+        ))
+        for m in range(n + 1)
+    ))
 
 
 def star_commutator(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
@@ -557,5 +555,5 @@ def apply_symplectic(ctx: MoyalContext, G: LinearSymplectic, f: HSeries) -> HSer
         raise NotSymplectic("map was validated against a different space")
     if f.vars != space.vars:
         raise VariableMismatch("series does not live on the context space")
-    rows = tuple(row + (G_ZERO,) for row in G.matrix)
-    return f.map_coefficients(lambda c: c.compose_linear(rows))
+    forms = affine_forms(space.vars, [row + (G_ZERO,) for row in G.matrix])
+    return f.map_coefficients(lambda c: c.compose_linear(forms))

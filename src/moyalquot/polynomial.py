@@ -6,20 +6,28 @@ coefficients; the zero polynomial stores no terms.  The term order used for
 printing, leading-term extraction and canonical forms is graded lexicographic
 with respect to the declared variable order.
 
+Sums of terms go through one accumulator, `sum_terms`, which drops the
+coefficients that sum to zero once, at the end.
+
 The gcd has two fast paths that dominate in practice: extraction of a
 common monomial factor, and a direct exact-division test when one argument
-may divide the other.  With one variable it runs the Euclidean algorithm;
-otherwise it splits off the content in a main variable and takes the gcd of
-the primitive parts by Brown's evaluation/interpolation algorithm, certified
-by exact division.  There is no pseudo-remainder (PRS) fallback: the
-evaluation loop always ends, since only finitely many points are unlucky.
+may divide the other.  With one variable it runs the Euclidean algorithm on
+the sparse terms; otherwise it splits off the content in a main variable and
+takes the gcd of the primitive parts by Brown's evaluation/interpolation
+algorithm, certified by exact division.  There is no pseudo-remainder (PRS)
+fallback: the evaluation loop always ends, since only finitely many points
+are unlucky.  A primitive-PRS gcd in place of Brown's algorithm would be
+shorter, but it took 2.1 s instead of 0.6 s on the 692 gcds of a seed-1
+`flat-rational` benchmark round, and over 2 s on single calls that Brown's
+algorithm ends in 9 ms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import UnknownVariable, VariableMismatch, ZeroDenominator
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
@@ -34,6 +42,18 @@ def _grlex_key(exp: Exponent):
 
 def _coerce_coeff(value) -> GaussianRational:
     return GaussianRational.coerce(value)
+
+
+def sum_terms(pairs: Iterable[Tuple[Hashable, GaussianRational]]) -> dict:
+    """The (key, coefficient) pairs with the coefficients of equal keys summed.
+
+    Sparse term sums go through here, all but exact division's heap walk,
+    which must see a cancelled term at once; sums that come to zero are
+    dropped once, at the end."""
+    out: dict = {}
+    for key, coeff in pairs:
+        out[key] = out[key] + coeff if key in out else coeff
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 class Polynomial:
@@ -165,14 +185,8 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce_operand(other)
         self._check_same_vars(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            c = out.get(exp, G_ZERO) + coeff
-            if c.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = c
-        return Polynomial._raw(self.vars, out)
+        terms = sum_terms(chain(self.terms.items(), other.terms.items()))
+        return Polynomial._raw(self.vars, terms)
 
     __radd__ = __add__
 
@@ -193,16 +207,10 @@ class Polynomial:
             return Polynomial._raw(self.vars, {e: v * c for e, v in self.terms.items()})
         other = self._coerce_operand(other)
         self._check_same_vars(other)
-        out: Terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(exp, G_ZERO) + c1 * c2
-                if c.is_zero():
-                    out.pop(exp, None)
-                else:
-                    out[exp] = c
-        return Polynomial._raw(self.vars, out)
+        return Polynomial._raw(self.vars, sum_terms(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -224,42 +232,40 @@ class Polynomial:
     # -- calculus and evaluation ---------------------------------------------
 
     def derivative(self, name: str) -> "Polynomial":
+        # lowering one exponent maps distinct terms to distinct terms: no sum
         idx = self._index(name)
-        out: Terms = {}
-        for exp, coeff in self.terms.items():
-            e = exp[idx]
-            if not e:
-                continue
-            new = list(exp)
-            new[idx] = e - 1
-            key = tuple(new)
-            c = out.get(key, G_ZERO) + coeff * e
-            if c.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c
-        return Polynomial._raw(self.vars, out)
+        return Polynomial._raw(self.vars, {
+            exp[:idx] + (exp[idx] - 1,) + exp[idx + 1:]: coeff * exp[idx]
+            for exp, coeff in self.terms.items() if exp[idx]
+        })
 
     def compose(self, images: Sequence, powers: Optional[list] = None):
         """Put images[i] for variable i; the result has the images' kind, polynomial or rational.
 
         `powers` keeps the powers of the images built so far, for later calls
         with the same images."""
-        kind, target = type(images[0]), images[0].vars
+        target = images[0].vars
         if powers is None:
             powers = []
         if not powers:
             powers.extend([None, image] for image in images)
-        total = kind.zero(target)
+        one, monomials = type(images[0]).one(target), []
         for exp, coeff in self.terms.items():
-            mono = None
+            mono = one
             for image, row, e in zip(images, powers, exp):
                 if e:
                     while len(row) <= e:
                         row.append(row[-1] * image)
-                    mono = row[e] if mono is None else mono * row[e]
-            total = total + (kind.constant(target, coeff) if mono is None else mono * coeff)
-        return total
+                    mono = row[e] if mono is one else mono * row[e]
+            monomials.append((mono, coeff))
+        if isinstance(one, Polynomial):
+            return Polynomial._raw(target, sum_terms(
+                (e, c * coeff) for mono, coeff in monomials for e, c in mono.terms.items()
+            ))
+        from .rational import rf_sum  # rational functions are built on this module
+
+        return rf_sum(target, ((mono.num * coeff, mono.den) for mono, coeff in monomials),
+                      reduced=True)
 
     # -- variable plumbing -----------------------------------------------------
 
@@ -362,6 +368,17 @@ def _imag_text(mag: Fraction) -> str:
     return "i" if mag == 1 else f"{_fraction_text(mag, True)}*i"
 
 
+def affine_forms(variables: Sequence[str], rows) -> list:
+    """sum_j row[j] x_j + row[n] for each row of n coefficients and then a constant."""
+    vs = tuple(variables)
+    zero = (0,) * len(vs)
+    return [  # x_j on its unit exponent, the constant on zero
+        Polynomial._raw(vs, {(zero[:j] + (1,) + zero[j + 1:] if j < len(vs) else zero): c
+                             for j, c in enumerate(row) if not c.is_zero()})
+        for row in rows
+    ]
+
+
 # -- exact division -----------------------------------------------------------
 
 
@@ -420,22 +437,13 @@ def poly_divexact(p: Polynomial, d: Polynomial) -> Polynomial:
 
 
 def _occurring(p: Polynomial) -> frozenset:
-    seen = set()
-    for exp in p.terms:
-        for idx, e in enumerate(exp):
-            if e:
-                seen.add(idx)
-    return frozenset(seen)
+    """The indices of the variables that p uses."""
+    return frozenset(idx for exp in p.terms for idx, e in enumerate(exp) if e)
 
 
 def _min_exponents(p: Polynomial) -> Exponent:
-    mins = None
-    for exp in p.terms:
-        if mins is None:
-            mins = list(exp)
-        else:
-            mins = [min(a, b) for a, b in zip(mins, exp)]
-    return tuple(mins)
+    """The exponents of the greatest monomial that divides p, nonzero."""
+    return tuple(map(min, zip(*p.terms)))
 
 
 def _shift_down(p: Polynomial, shift: Exponent) -> Polynomial:
@@ -447,57 +455,23 @@ def _shift_down(p: Polynomial, shift: Exponent) -> Polynomial:
     )
 
 
-def _univar_dense(p: Polynomial, idx: int) -> list:
-    deg = max(exp[idx] for exp in p.terms)
-    coeffs = [G_ZERO] * (deg + 1)
-    for exp, coeff in p.terms.items():
-        coeffs[exp[idx]] = coeff
-    return coeffs
-
-
-def _dense_trim(c: list) -> list:
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
-def _dense_mod_monic(a: list, b: list) -> list:
-    """Remainder of dense univariate division by a monic divisor."""
-    a = list(a)
-    while len(a) >= len(b):
-        factor = a[-1]
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b[:-1]):
-            a[i + shift] = a[i + shift] - factor * bc
-        a.pop()
-        _dense_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _dense_monic(c: list) -> list:
-    inv = c[-1].inverse()
-    return [v * inv for v in c]
-
-
 def _univar_gcd(p: Polynomial, q: Polynomial, idx: int) -> Polynomial:
-    # each divisor is normalized to monic, which keeps coefficient sizes tame
-    a = _dense_trim(_univar_dense(p, idx))
-    b = _dense_trim(_univar_dense(q, idx))
-    while b:
-        b = _dense_monic(b)
-        a, b = b, _dense_mod_monic(a, b)
-    a = _dense_monic(a)
-    terms: Terms = {}
-    zero = [0] * len(p.vars)
-    for e, coeff in enumerate(a):
-        if coeff.is_zero():
-            continue
-        exp = list(zero)
-        exp[idx] = e
-        terms[tuple(exp)] = coeff
-    return Polynomial._raw(p.vars, terms)
+    """Euclid on the terms of p and q, nonzero and in the variable at idx alone.
+
+    Each divisor is made monic, which keeps coefficient sizes tame; with one
+    variable the exponent tuples order as their degrees."""
+    a, b = p, q.monic()
+    while b.terms:
+        rem, top = a.terms, max(b.terms)
+        while rem and (lead := max(rem)) >= top:
+            # the shifted divisor cancels the leading term of the remainder
+            shift = tuple(x - y for x, y in zip(lead, top))
+            factor = -rem[lead]
+            rem = sum_terms(chain(rem.items(), (
+                (tuple(x + y for x, y in zip(e, shift)), factor * c) for e, c in b.terms.items()
+            )))
+        a, b = b, Polynomial._raw(p.vars, rem).monic()
+    return a
 
 
 def _coefficients_in(p: Polynomial, idx: int) -> Dict[int, Polynomial]:
@@ -537,25 +511,11 @@ def _primitive_in(p: Polynomial, idx: int) -> Polynomial:
 
 def _eval_var(p: Polynomial, idx: int, t: GaussianRational) -> Polynomial:
     """Partial evaluation of one variable; the tuple keeps its slot at 0."""
-    powers = {0: G_ONE}
-    out: Terms = {}
-    for exp, coeff in p.terms.items():
-        e = exp[idx]
-        value = powers.get(e)
-        if value is None:
-            value = powers[e] = t ** e
-        if e:
-            new = list(exp)
-            new[idx] = 0
-            key = tuple(new)
-        else:
-            key = exp
-        c = out.get(key, G_ZERO) + coeff * value
-        if c.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = c
-    return Polynomial._raw(p.vars, out)
+    powers = [t ** e for e in range(p.degree_in(p.vars[idx]) + 1)]
+    return Polynomial._raw(p.vars, sum_terms(
+        (exp[:idx] + (0,) + exp[idx + 1:], coeff * powers[exp[idx]])
+        for exp, coeff in p.terms.items()
+    ))
 
 
 def _interpolate(images, vidx: int, variables: Tuple[str, ...]) -> Polynomial:

@@ -19,12 +19,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations as all_permutations
 from math import factorial
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import BadPermutation, InvalidPoint, NotInvariant, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational
 from .moyal import MoyalContext, SymplecticSpace, _from_laurent, _laurent_terms, moyal_star
-from .polynomial import Polynomial
+from .polynomial import Polynomial, sum_terms
 from .rational import RationalFunction
 from .series import HSeries
 
@@ -116,15 +116,14 @@ def symmetrize(ctx: ProductContext, f: HSeries) -> SymSeries:
             copies = (permute(ctx, p, HSeries((c,))).coeffs[0]
                       for p in all_permutations(range(1, d + 1)))
             return sum(copies, RationalFunction.zero(c.vars)) * (GaussianRational(1) / factorial(d))
-        orbits: Dict[Tuple, GaussianRational] = {}
-        for exp, value in _laurent_terms(c):
-            key = (tuple(sorted(zip(exp[0:2 * d:2], exp[1:2 * d:2]))), exp[2 * d:])
-            orbits[key] = orbits[key] + value if key in orbits else value
-        terms = {}
+        orbits = sum_terms(
+            ((tuple(sorted(zip(exp[0:2 * d:2], exp[1:2 * d:2]))), exp[2 * d:]), value)
+            for exp, value in _laurent_terms(c)
+        )
+        terms = []
         for (blocks, flat), value in orbits.items():
             orbit = list(_arrangements(Counter(blocks), d))
-            for image in orbit:
-                terms[sum(image, ()) + flat] = value / len(orbit)
+            terms += [(sum(image, ()) + flat, value / len(orbit)) for image in orbit]
         return _from_laurent(c.vars, terms)
 
     return SymSeries(f.map_coefficients(lambda c: c if c.is_zero() else average(c)))

@@ -205,22 +205,14 @@ class RationalFunction:
             raise SubstitutionPole("denominator is identically zero after composition")
         return num_val / den_val
 
-    def compose_linear(self, rows: Sequence[Sequence[GaussianRational]],
+    def compose_linear(self, forms: Sequence[Polynomial],
                        powers: Optional[list] = None) -> "RationalFunction":
-        """self after x_i -> sum_j rows[i][j] x_j + rows[i][n], an invertible affine map.
+        """self after x_i -> forms[i], affine forms of an invertible map (see
+        `affine_forms`); `powers` is as in `Polynomial.compose`.
 
-        Each row holds n coefficients and then a constant; `powers` is as in
-        `Polynomial.compose`.  No gcd: a ring automorphism keeps numerator and
-        denominator coprime."""
+        No gcd: a ring automorphism keeps numerator and denominator coprime."""
         if self.is_zero():
             return self
-        n = len(self.vars)
-        zero = (0,) * n
-        forms = [  # x_j on its unit exponent, the constant rows[i][n] on zero
-            Polynomial._raw(self.vars, {(zero[:j] + (1,) + zero[j + 1:] if j < n else zero): c
-                                        for j, c in enumerate(row) if not c.is_zero()})
-            for row in rows
-        ]
         powers = [] if powers is None else powers
         return RationalFunction._from_coprime(self.num.compose(forms, powers),
                                               self.den.compose(forms, powers))

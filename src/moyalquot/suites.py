@@ -60,6 +60,10 @@ I = GaussianRational(0, 1)
 # takes 0.08 s at d = 6 on a 2-core machine (0.56 s with d! copies); the cap
 # stays until the star's cost is bounded before any work
 MAX_SUITE_D = 6
+# at the default order one sample takes at most about 0.04 s (theorem1 at
+# d = 6; 0.02 s or less for most suites at d = 2) on a 2-core machine, so a
+# run at the cap ends within minutes
+MAX_SAMPLES = 10000
 # the flat spaces of the poisson and equivariance suites
 _PLANE = SymplecticSpace.standard(("x", "y"))
 _BLOCK = SymplecticSpace.standard(("x1", "y1", "x2", "y2"))
@@ -77,6 +81,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise UsageFailure(f"samples must be at least 1, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise UsageFailure(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
         if self.d > MAX_SUITE_D:
             raise UsageFailure(f"d must be at most {MAX_SUITE_D}, got {self.d}")
 

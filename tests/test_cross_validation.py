@@ -7,8 +7,12 @@ rational points.  Skipped when sympy is not installed.
 
 import itertools
 import random
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sp = pytest.importorskip("sympy")
 
@@ -16,7 +20,8 @@ from moyalquot.atlas import KChartFunction, star_on_K
 from moyalquot.errors import ZeroDenominator
 from moyalquot.expr import parse_rational
 from moyalquot.moyal import MoyalContext, SymplecticSpace, moyal_star, poisson_bracket
-from moyalquot.polynomial import Polynomial
+from moyalquot.gaussian import GaussianRational
+from moyalquot.polynomial import Polynomial, poly_gcd
 from moyalquot.rational import RationalFunction
 from moyalquot.sampling import SampleStream
 from moyalquot.series import HSeries
@@ -40,18 +45,19 @@ def sympy_star(f, g, order):
     return total
 
 
-def to_sympy(series):
-    def poly_expr(p):
-        expr = 0
-        for exp, coeff in p.terms.items():
-            mono = sp.Integer(1)
-            for name, deg in zip(p.vars, exp):
-                mono *= sp.Symbol(name) ** deg
-            expr += (
-                sp.Rational(coeff.a, coeff.den) + sp.Rational(coeff.b, coeff.den) * sp.I
-            ) * mono
-        return expr
+def poly_expr(p):
+    expr = 0
+    for exp, coeff in p.terms.items():
+        mono = sp.Integer(1)
+        for name, deg in zip(p.vars, exp):
+            mono *= sp.Symbol(name) ** deg
+        expr += (
+            sp.Rational(coeff.a, coeff.den) + sp.Rational(coeff.b, coeff.den) * sp.I
+        ) * mono
+    return expr
 
+
+def to_sympy(series):
     return sum(
         poly_expr(c.num) / poly_expr(c.den) * H ** m
         for m, c in enumerate(series.coeffs)
@@ -227,3 +233,72 @@ def test_parser_matches_sympy():
         assert agree(to_sympy(HSeries.constant(mine, 0)), reference, [X, Y]), text
         checked += 1
     assert checked >= 50
+
+
+# -- the polynomial layer against sympy over Q(i) --------------------------------------
+
+XYZ = ("x", "y", "z")
+COEFFICIENTS = [GaussianRational(*c) for c in
+                ((1,), (-1,), (2,), (Fraction(1, 2),), (0, 1), (1, -1), (-3, 2))]
+
+
+@st.composite
+def layer_polys(draw, nvars, slots=None, min_terms=1, max_terms=3):
+    """A nonzero polynomial in the first nvars of x, y, z, with exponents only in `slots`."""
+    slots = range(nvars) if slots is None else slots
+    exps = st.tuples(*[st.integers(0, 2) if i in slots else st.just(0) for i in range(nvars)])
+    terms = draw(st.dictionaries(exps, st.sampled_from(COEFFICIENTS),
+                                 min_size=min_terms, max_size=max_terms))
+    return Polynomial(XYZ[:nvars], terms)
+
+
+@st.composite
+def planted_gcd_pairs(draw):
+    """(p, q) with planted common factors; a factor in one variable alone makes
+    that variable's content, so the univariate base case of the modular gcd runs."""
+    nvars = draw(st.integers(1, 3))
+    factor = st.one_of(layer_polys(nvars, min_terms=2),
+                       *[layer_polys(nvars, (i,), min_terms=2) for i in range(nvars)])
+    common, left, right = (draw(st.lists(factor, min_size=1, max_size=2)) for _ in range(3))
+    return reduce(mul, common + left), reduce(mul, common + right)
+
+
+def sympy_poly(p):
+    return sp.Poly(poly_expr(p), *[sp.Symbol(v) for v in p.vars], domain=sp.QQ_I)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(planted_gcd_pairs())
+def test_gcd_matches_sympy(pair):
+    p, q = pair
+    g = poly_gcd(p, q)
+    assert sympy_poly(g).monic() == sp.gcd(sympy_poly(p), sympy_poly(q)).monic(), (p, q)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[layer_polys(n, max_terms=4)] * 2)))
+def test_ring_operations_match_sympy(polys):
+    p, q = polys
+    assert sp.expand(poly_expr(p) + poly_expr(q) - poly_expr(p + q)) == 0
+    assert sp.expand(poly_expr(p) * poly_expr(q) - poly_expr(p * q)) == 0
+    for name in p.vars:
+        assert sp.expand(sp.diff(poly_expr(p), name) - poly_expr(p.derivative(name))) == 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    layer_polys(n), st.lists(layer_polys(n, max_terms=2), min_size=3, max_size=3))))
+def test_compose_matches_sympy(case):
+    p, (q, r, s) = case
+    symbols = [sp.Symbol(v) for v in p.vars]
+    images = [q, r, s][: len(symbols)]
+    composed = poly_expr(p).subs(dict(zip(symbols, map(poly_expr, images))), simultaneous=True)
+    assert sp.expand(composed - poly_expr(p.compose(images))) == 0
+    # rational images take one canonical sum
+    quotients = [RationalFunction(q, r), RationalFunction.from_polynomial(s),
+                 RationalFunction(r, q)]
+    got = p.compose(quotients[: len(symbols)])
+    num, den = sp.fraction(sp.together(poly_expr(p).subs(
+        {v: poly_expr(c.num) / poly_expr(c.den) for v, c in zip(symbols, quotients)},
+        simultaneous=True)))
+    assert sp.expand(num * poly_expr(got.den) - den * poly_expr(got.num)) == 0

@@ -644,6 +644,27 @@ def test_frame_cost_does_not_grow_with_unused_pairs(monkeypatch, capsys):
     assert len(counts) == 1
 
 
+def test_frame_builds_its_forms_once_per_product(monkeypatch, capsys):
+    # the order sets how many coefficients each map composes, not how many forms it builds
+    real, built = moyal.affine_forms, []
+
+    def counted(variables, rows):
+        forms = real(variables, rows)
+        built.append(len(forms))
+        return forms
+
+    monkeypatch.setattr(moyal, "affine_forms", counted)
+    totals = set()
+    for order in (1, 4, 8):
+        built.clear()
+        argv = ["star", "--space", "flatN", "--d", "8", "--order", str(order), "--",
+                "x1*y1 + 1/(x1+y2)", "1/x2 + y1"]
+        assert cli.run(argv) == 0
+        totals.add(tuple(built))
+    capsys.readouterr()
+    assert totals == {(16, 16)}  # into the frame and back, one form per variable
+
+
 def test_cover_route_visits_only_the_chart_pairs_the_operands_use(monkeypatch):
     # 1/(z1 + 1) takes the cover route; every other chart pair is spare
     visited = []

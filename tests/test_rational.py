@@ -11,7 +11,7 @@ from moyalquot.errors import (
     ZeroDenominator,
 )
 from moyalquot.gaussian import GaussianRational
-from moyalquot.polynomial import Polynomial
+from moyalquot.polynomial import Polynomial, affine_forms
 from moyalquot.expr import parse_rational
 from moyalquot.rational import RationalFunction, rf_normalize
 
@@ -267,4 +267,4 @@ def test_compose_linear_matches_substitute(f, rows, constants):
                  for row, c in zip(rows, constants))
     x, y = (RationalFunction.variable(XY, v) for v in XY)
     bindings = {v: x * a + y * b + c for v, (a, b, c) in zip(XY, rows)}
-    assert f.compose_linear(rows) == f.substitute(bindings)
+    assert f.compose_linear(affine_forms(XY, rows)) == f.substitute(bindings)

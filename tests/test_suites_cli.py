@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from moyalquot import cli, suites
 from moyalquot.cli import run
-from moyalquot.suites import MAX_SUITE_D, SuiteConfig, run_suite, SUITES
+from moyalquot.suites import MAX_SAMPLES, MAX_SUITE_D, SuiteConfig, run_suite, SUITES
 from moyalquot.errors import UnknownSuite, UsageFailure
 from moyalquot.expr import parse_series
 from moyalquot.rational import RationalFunction
@@ -67,6 +67,17 @@ def test_suite_d_is_bounded_before_any_work(capsys):
     assert run(["verify", "symmetric", "--d", "10", "--samples", "1"]) == 4
     assert time.perf_counter() - started < 1
     assert capsys.readouterr().err == f"usage error: d must be at most {MAX_SUITE_D}, got 10\n"
+
+
+def test_suite_samples_are_bounded_before_any_work(capsys):
+    assert SuiteConfig(samples=MAX_SAMPLES).samples == MAX_SAMPLES  # built, never run
+    with pytest.raises(UsageFailure):
+        SuiteConfig(samples=MAX_SAMPLES + 1)
+    started = time.perf_counter()
+    assert run(["verify", "axioms", "--samples", "1000000000"]) == 4
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == (
+        f"usage error: samples must be at most {MAX_SAMPLES}, got 1000000000\n")
 
 
 def test_symmetric_suite_passes_beyond_two_chart_pairs():
