@@ -18,9 +18,11 @@ from .errors import (
     AtlasFormatError,
     ChartMismatch,
     DegenerateMatrix,
+    ExprSyntaxError,
     MissingTransition,
     VariableMismatch,
 )
+from .expr import _tokenize, parse_gaussian
 from .gaussian import ONE as G_ONE, ZERO as G_ZERO
 from .geometry import pushforward_even_pair, sigma_pullback_pair
 from .moyal import Matrix, MoyalContext, SymplecticSpace, as_matrix, det2, mat_identity
@@ -43,13 +45,16 @@ class ProjectiveAtlas:
         for cid, pair in self.charts.items():
             if len(pair) != 2 or pair[0] == pair[1]:
                 raise AtlasFormatError(f"chart {cid!r} needs two distinct variables")
+            for name in pair:
+                if not _is_variable_name(name):
+                    raise AtlasFormatError(f"chart {cid!r}: {name!r} is not a variable name")
         coerced = {}
         for (src, dst), matrix in self.transitions.items():
             if src not in self.charts or dst not in self.charts:
                 raise AtlasFormatError(f"transition {src}->{dst} references unknown charts")
             m = as_matrix(matrix)
             if len(m) != 2 or any(len(row) != 2 for row in m):
-                raise ValueError("transition matrices are 2x2")
+                raise AtlasFormatError(f"transition {src}->{dst} is not a 2x2 matrix")
             coerced[src, dst] = m
         object.__setattr__(self, "transitions", coerced)
 
@@ -66,6 +71,14 @@ class ProjectiveAtlas:
         if det2(matrix).is_zero():
             raise DegenerateMatrix(f"transition {src}->{dst} is degenerate")
         return matrix
+
+
+def _is_variable_name(name: str) -> bool:
+    """Whether the grammar reads `name` back as one variable, not as h or i."""
+    try:
+        return [t.kind for t in _tokenize(name)] == ["ident", "end"] and name not in ("h", "i")
+    except ExprSyntaxError:
+        return False
 
 
 def standard_cp1_atlas() -> ProjectiveAtlas:
@@ -177,8 +190,6 @@ def parse_atlas(text: str) -> ProjectiveAtlas:
     Transitions are kept as written: a matrix and its nonzero multiples are
     one Mobius map.  Degenerate ones are held, for validation to report.
     """
-    from .expr import parse_gaussian
-
     charts: Dict[str, Tuple[str, str]] = {}
     transitions: Dict[TransitionKey, Matrix] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -40,11 +40,13 @@ paths below, and pushed forward on the same pairs.
 The product is covariant under affine symplectic changes of coordinates, so
 denominators that are powers of at most two affine forms l, l' are monomials
 in a Darboux frame that holds them: (l, l') as one pair when {l, l'} = s != 0
-(scale 1/s), both as q's when they commute, l alone when l' = l.  Symplectic
-Gram-Schmidt on the pairs the forms touch completes the frame, other pairs
-stay, x_i = sum_k ({x_i, p_k} q_k - {x_i, q_k} p_k) / {q_k, p_k} + c_i
-writes x back in it, and the operands move in and the kernel's result moves
-out by affine composition.  An automorphism keeps numerator and denominator
+(scale 1/s), both as q's when they commute, l alone when l' = l.  Forms are
+sparse linear polynomials, and their bracket reads their unit terms.
+Symplectic Gram-Schmidt on the pairs the forms touch completes the frame, its
+pair t in the variables of touched pair t while every other pair stays,
+x_i = sum_k ({x_i, p_k} q_k - {x_i, q_k} p_k) / {q_k, p_k} + c_i writes x
+back in it, and the operands move in and the kernel's result moves out by
+affine composition.  An automorphism keeps numerator and denominator
 coprime, so no gcd runs; l is found without one, as (d/dx_j)^(m-1) D,
 checked by l^m = D.  Forms with equal linear parts and different constants,
 three directions (a star of a star), and frames that make the numerators
@@ -67,7 +69,7 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
 from .geometry import pushforward_even_pair, sigma_pullback_pair
-from .polynomial import Polynomial, affine_forms, sum_terms
+from .polynomial import Polynomial, _occurring, affine_forms, sum_terms
 from .rational import RationalFunction, rf_sum
 from .series import HSeries
 
@@ -158,12 +160,12 @@ class SymplecticSpace:
     def dim(self) -> int:
         return len(self.vars)
 
-    def bracket(
-        self, u: Sequence[GaussianRational], v: Sequence[GaussianRational]
-    ) -> GaussianRational:
-        """{sum u_a x_a, sum v_b x_b} for coefficient rows u, v; entries past
-        the variables, such as the constant of an affine form, are ignored."""
-        return sum((u[a] * v[b] * value for a, b, value in self.brackets), G_ZERO)
+    def bracket(self, u: Polynomial, v: Polynomial) -> GaussianRational:
+        """{u, v} for affine forms u, v over the space's variables: their unit
+        terms against the bivector entries; the constants do not enter."""
+        lu, lv = ({e.index(1): c for e, c in w.terms.items() if any(e)} for w in (u, v))
+        return sum((c * lv[a ^ 1] * self.brackets[a][2] for a, c in lu.items() if a ^ 1 in lv),
+                   G_ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticSpace):
@@ -195,21 +197,23 @@ class MoyalContext:
 class LinearSymplectic:
     """A matrix acting on the variables, checked to preserve the form.
 
-    Row i gives the new x_i as a combination of the old variables.  The map
-    is symplectic when the rows keep the coordinate brackets: M pi M^T = pi
-    for the bracket matrix pi, which in the group Sp is M^T omega M = omega."""
+    Row i gives the new x_i as a combination of the old variables, kept also
+    as the linear form `forms[i]`.  The map is symplectic when the forms keep
+    the coordinate brackets: M pi M^T = pi for the bracket matrix pi, which in
+    the group Sp is M^T omega M = omega."""
 
-    __slots__ = ("matrix", "space")
+    __slots__ = ("matrix", "forms", "space")
 
     def __init__(self, matrix: Sequence[Sequence[object]], space: SymplecticSpace):
         m = as_matrix(matrix)
         if len(m) != space.dim or any(len(row) != space.dim for row in m):
             raise NotSymplectic("matrix shape does not match the space")
-        unit = mat_identity(space.dim)
-        if any(space.bracket(m[i], m[j]) != space.bracket(unit[i], unit[j])
+        forms = affine_forms(space.vars, [row + (G_ZERO,) for row in m])
+        if any(space.bracket(forms[i], forms[j]) != (space.brackets[i][2] if j == i ^ 1 else 0)
                for i in range(space.dim) for j in range(i)):
             raise NotSymplectic("matrix does not preserve the symplectic form")
         self.matrix = m
+        self.forms = forms
         self.space = space
 
     def __repr__(self) -> str:
@@ -225,7 +229,7 @@ class _DerivTable:
         self.vars = variables
         self.root = root
         # a derivative never adds a variable, so every entry uses only these
-        self.uses = {i for p in (root.num, root.den) for e in p.terms for i, v in enumerate(e) if v}
+        self.uses = _occurring(root.num) | _occurring(root.den)
         self.table: Dict[Tuple[int, ...], RationalFunction] = {(0,) * len(variables): root}
 
     def get(self, alpha: Tuple[int, ...]) -> RationalFunction:
@@ -388,9 +392,6 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSerie
     return HSeries(tuple(_from_laurent(space.vars, pairs) for pairs in out))
 
 
-# an affine form: the coefficients of the variables, then the constant
-Form = Tuple[GaussianRational, ...]
-
 # A frame whose forms mix many variables makes sparse numerators dense, and
 # the kernel and the way back then cost more than derivatives: past this
 # growth in numerator terms the product takes derivatives instead.  Without
@@ -399,7 +400,7 @@ Form = Tuple[GaussianRational, ...]
 FRAME_GROWTH = 4
 
 
-def _affine_root(den: Polynomial) -> Optional[Form]:
+def _affine_root(den: Polynomial) -> Optional[Polynomial]:
     """The monic affine form l with den = l^m, m = deg den; None if there is none.
 
     l leads with x_j^m, and (d/dx_j)^(m-1) den is proportional to l."""
@@ -411,12 +412,7 @@ def _affine_root(den: Polynomial) -> Optional[Form]:
     for _ in range(m - 1):
         form = form.derivative(den.vars[j])
     form = form.monic()
-    if form ** m != den:
-        return None
-    row = [G_ZERO] * (len(lead) + 1)
-    for e, c in form.terms.items():  # x_i on its unit exponent, the constant last
-        row[e.index(1) if any(e) else -1] = c
-    return tuple(row)
+    return form if form ** m == den else None
 
 
 def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
@@ -427,23 +423,23 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     become frame coordinates: a pair with scale 1/{l, l'}, two q's when they
     commute, or one q.  Symplectic Gram-Schmidt over the Darboux pairs that
     the forms touch completes them, projecting each candidate against each
-    new pair once; every other pair commutes with them and maps to itself."""
+    new pair once.  Frame pair t takes the variables of touched pair t; every
+    other pair commutes with them and maps to itself."""
     roots = list(dict.fromkeys(_affine_root(c.den) for c in used if not c.den.is_one()))
     if None in roots or len(roots) > 2:
         return None
-    n = space.dim
-    bracket = space.bracket
-    coords = [tuple(G_ONE if i == j else G_ZERO for i in range(n + 1)) for j in range(n)]
-    touched = [k for k in range(n // 2) if any(r[2 * k] or r[2 * k + 1] for r in roots)]
-    candidates = [coords[i] for k in touched for i in (2 * k, 2 * k + 1)]
-    frame: List[Tuple[Form, Form, GaussianRational]] = []
+    vs, bracket = space.vars, space.bracket
+    touched = sorted({i // 2 for r in roots for i in _occurring(r)})
+    slots = [i for k in touched for i in (2 * k, 2 * k + 1)]
+    units = [Polynomial.variable(vs, x) for x in vs]
+    candidates = [units[i] for i in slots]
+    frame: List[Tuple[Polynomial, Polynomial, GaussianRational]] = []
 
-    def add(q: Form, p: Form) -> None:
+    def add(q: Polynomial, p: Polynomial) -> None:
         c = bracket(q, p)
         frame.append((q, p, c))
         for j, v in enumerate(candidates if len(frame) < len(touched) else ()):  # orthogonalize
-            tq, tp = bracket(v, p) / c, bracket(v, q) / c
-            candidates[j] = tuple(a - tq * x + tp * y for a, x, y in zip(v, q, p))
+            candidates[j] = v - q * (bracket(v, p) / c) + p * (bracket(v, q) / c)
 
     first, *pending = roots
     if pending and bracket(first, pending[0]):
@@ -451,7 +447,7 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     elif pending:
         # commuting forms: each u below commutes with the second; pair one with the first
         beta = [bracket(pending[0], x) for x in candidates]
-        partners = (tuple(beta[j] * a - beta[k] * b for a, b in zip(x, y))
+        partners = (x * beta[j] - y * beta[k]
                     for j, y in enumerate(candidates) for k, x in enumerate(candidates))
         u = next((u for u in partners if bracket(first, u)), None)
         if u is None:
@@ -460,24 +456,18 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     else:
         pending = [first]
     while len(frame) < len(touched):
-        q = pending.pop() if pending else next(v for v in candidates if any(v[:n]))
+        q = pending.pop() if pending else next(v for v in candidates if not v.is_constant())
         add(q, next(v for v in candidates if bracket(q, v)))
-    m = 2 * len(frame)
-    rest = [k for k in range(n // 2) if k not in touched]
-    frame += [(coords[2 * k], coords[2 * k + 1], space.scales[k].inverse()) for k in rest]
-    back = [form for q, p, _ in frame for form in (q, p)]
-    # x_i = sum_k ({x_i, p_k} q_k - {x_i, q_k} p_k) / {q_k, p_k} + constant
-    into = []
-    place = {k: m + 2 * t for t, k in enumerate(rest)}
-    for i, x in enumerate(coords):
-        if i // 2 in place:
-            into.append(coords[place[i // 2] + i % 2])
-            continue
-        row = [v for q, p, c in frame[:m // 2] for v in (bracket(x, p) / c, -bracket(x, q) / c)]
-        row += [G_ZERO] * (n - m)
-        into.append(tuple(row) + (-sum((r * f[n] for r, f in zip(row, back)), G_ZERO),))
-    frame_space = SymplecticSpace(space.vars, [c.inverse() for _, _, c in frame])
-    return frame_space, affine_forms(space.vars, into), affine_forms(space.vars, back)
+    scales, into, back = list(space.scales), list(units), list(units)
+    for k, (q, p, c) in zip(touched, frame):
+        scales[k], back[2 * k], back[2 * k + 1] = c.inverse(), q, p
+    frame_space = SymplecticSpace(vs, scales)
+    centered = {a: units[a] - back[a].terms.get((0,) * len(vs), G_ZERO) for a in slots}
+    # x_i = sum over the frame slots a, b = a ^ 1, of {x_i, X_b} / {X_a, X_b} (X_a - X_a(0))
+    for i in slots:
+        into[i] = sum((centered[a] * (bracket(units[i], back[a ^ 1]) / frame_space.brackets[a][2])
+                       for a in slots), Polynomial.zero(vs))
+    return frame_space, into, back
 
 
 def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
@@ -503,8 +493,7 @@ def _star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
         return _laurent_star(ctx, used)
     if space.chart:
         # both pair maps are the identity on a pair that no operand uses
-        touched = {i // 2 for c in used for poly in (c.num, c.den) for e in poly.terms
-                   for i, a in enumerate(e) if a}
+        touched = {i // 2 for c in used for poly in (c.num, c.den) for i in _occurring(poly)}
         pairs = [space.vars[2 * k:2 * k + 2] for k in sorted(space.chart & touched)]
 
         def pull(c: RationalFunction) -> RationalFunction:
@@ -555,5 +544,4 @@ def apply_symplectic(ctx: MoyalContext, G: LinearSymplectic, f: HSeries) -> HSer
         raise NotSymplectic("map was validated against a different space")
     if f.vars != space.vars:
         raise VariableMismatch("series does not live on the context space")
-    forms = affine_forms(space.vars, [row + (G_ZERO,) for row in G.matrix])
-    return f.map_coefficients(lambda c: c.compose_linear(forms))
+    return f.map_coefficients(lambda c: c.compose_linear(G.forms))

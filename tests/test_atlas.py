@@ -464,3 +464,33 @@ def test_bundled_file_matches_factory(tmp_path):
     path = tmp_path / "copy.atlas"
     path.write_text(resources.files("moyalquot").joinpath("data/cp1.atlas").read_text())
     assert load_atlas(path) == factory
+
+
+@pytest.mark.parametrize("chart", ["chart A z h", "chart B w i", "chart B 1w q", "chart B w-x q"])
+@pytest.mark.parametrize("command", [
+    ["validate-atlas", "{path}"],
+    ["transport", "--atlas", "{path}", "--from", "A", "--to", "B", "z*p"],
+    ["verify", "cocycle", "--atlas", "{path}"],
+])
+def test_chart_variables_the_grammar_cannot_read_are_parse_errors(tmp_path, capsys, chart,
+                                                                  command):
+    from moyalquot import cli
+
+    charts = {"A": "chart A z p", "B": "chart B w q"}
+    charts[chart.split()[1]] = chart
+    path = tmp_path / "bad.atlas"
+    path.write_text("\n".join([*charts.values(), "transition A B 0 i i 0",
+                               "transition B A 0 i i 0"]) + "\n")
+    assert cli.run([arg.format(path=path) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: chart ")
+    assert "is not a variable name" in captured.err
+
+
+def test_transition_of_the_wrong_shape_is_a_format_error():
+    with pytest.raises(AtlasFormatError, match="2x2"):
+        ProjectiveAtlas({"A": ("z", "p")}, {("A", "A"): ((1, 0, 0), (0, 1, 0))})
+    with pytest.raises(AtlasFormatError, match="not a variable name"):
+        ProjectiveAtlas({"A": ("z", "p"), "B": ("w", "i")}, {})
+    assert ProjectiveAtlas({"A": ("z_1", "p1")}, {}).charts == {"A": ("z_1", "p1")}

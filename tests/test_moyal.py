@@ -60,14 +60,18 @@ def test_standard_space_form():
     space = SymplecticSpace.standard(XY)
     assert omega_matrix(space) == ((0, 1), (-1, 0))
     assert space.brackets == ((0, 1, 1), (1, 0, -1))
-    assert space.bracket((1, 0), (0, 1)) == 1 and space.bracket((2, 3), (5, 7)) == -1
+    x, y = (Polynomial.variable(XY, v) for v in XY)
+    assert space.bracket(x, y) == 1 and space.bracket(2 * x + 3 * y, 5 * x + 7 * y) == -1
     # a Darboux pair with omega(q, p) = s has bracket 1/s
+    UV = ("x", "y", "u", "v")
     scaled = SymplecticSpace.block([("x", "y", 2), ("u", "v", I)])
     assert scaled.scales == (2, I)
     half = GaussianRational(1) / 2
     assert scaled.brackets == ((0, 1, half), (1, 0, -half), (2, 3, -I), (3, 2, I))
-    # rows may carry a constant past the variables, as affine forms do
-    assert scaled.bracket((1, 0, 1, 0, 9), (0, 1, 0, 1, 9)) == half - I
+    # the constants of affine forms do not enter
+    x, y, u, v = (Polynomial.variable(UV, name) for name in UV)
+    assert scaled.bracket(x + u + 9, y + v + 9) == half - I
+    assert scaled.bracket(x + 9, u + 9) == 0 and scaled.bracket(x, x + 1) == 0
 
 
 def test_space_rejects_bad_forms():
@@ -520,6 +524,31 @@ def test_frame_star_matches_bidiff(case):
     assert moyal_star(ctx, f, g) == star_by_bidiff_oracle(ctx, f, g)
 
 
+@st.composite
+def bracket_cases(draw):
+    if draw(st.booleans()):  # scaled flat pairs
+        space = SymplecticSpace.block([(f"q{t}", f"p{t}", draw(st.sampled_from(SCALES)))
+                                       for t in range(draw(st.integers(1, 3)))])
+    else:  # chart pairs, then flat pairs
+        chart, flat = (range(draw(st.integers(low, 2))) for low in (1, 0))
+        space = SymplecticSpace.cotangent([(f"z{t}", f"p{t}") for t in chart],
+                                          [(f"u{t}", f"v{t}") for t in flat])
+    n = space.dim
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(0,) * n]
+    form = st.lists(st.sampled_from(COEFFS), min_size=n + 1, max_size=n + 1).map(
+        lambda row: Polynomial(space.vars, dict(zip(units, row))))
+    return space, draw(form), draw(form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_cases())
+def test_bracket_of_forms_matches_poisson_bracket(case):
+    space, u, v = case
+    expected = poisson_bracket(MoyalContext(space, 0), RationalFunction.from_polynomial(u),
+                               RationalFunction.from_polynomial(v))
+    assert space.bracket(u, v) == expected.constant_value()
+
+
 def _guard_derivative(monkeypatch):
     def refused(self, name):
         raise AssertionError("derivative taken")
@@ -644,25 +673,26 @@ def test_frame_cost_does_not_grow_with_unused_pairs(monkeypatch, capsys):
     assert len(counts) == 1
 
 
-def test_frame_builds_its_forms_once_per_product(monkeypatch, capsys):
-    # the order sets how many coefficients each map composes, not how many forms it builds
-    real, built = moyal.affine_forms, []
-
-    def counted(variables, rows):
-        forms = real(variables, rows)
-        built.append(len(forms))
-        return forms
-
-    monkeypatch.setattr(moyal, "affine_forms", counted)
-    totals = set()
-    for order in (1, 4, 8):
-        built.clear()
-        argv = ["star", "--space", "flatN", "--d", "8", "--order", str(order), "--",
-                "x1*y1 + 1/(x1+y2)", "1/x2 + y1"]
-        assert cli.run(argv) == 0
-        totals.add(tuple(built))
-    capsys.readouterr()
-    assert totals == {(16, 16)}  # into the frame and back, one form per variable
+@pytest.mark.parametrize("scales", ["flat", "scaled"])
+def test_frame_keeps_every_untouched_pair(scales):
+    # the forms x2 + y3 + 1 and x3 - i touch pairs 2 and 3 of 64, the 128-variable cap;
+    # the frame takes their variables, and pair 1 and pairs 4..64 stay
+    vs = tuple(v for t in range(1, 65) for v in (f"x{t}", f"y{t}"))
+    space = SymplecticSpace(vs, [1 if scales == "flat" else SCALES[t % len(SCALES)]
+                                 for t in range(64)])
+    x2, y2, x3, y3 = (RationalFunction.variable(vs, v) for v in ("x2", "y2", "x3", "y3"))
+    frame_space, into, back = moyal._affine_frame(space, [x2 * y2 + 1 / (x2 + y3 + 1),
+                                                             1 / (x3 - I) + y2])
+    units = [Polynomial.variable(vs, v) for v in vs]
+    untouched = [0, 1] + list(range(6, 128))
+    assert all(into[i] == units[i] == back[i] for i in untouched)
+    assert all(frame_space.scales[k] == space.scales[k] for k in (0, *range(3, 64)))
+    assert frame_space.vars == vs and not frame_space.chart
+    # the two maps are inverse to each other, and the frame is Darboux in its scales
+    assert [form.compose(into) for form in back] == units
+    assert all(space.bracket(back[a], back[b]) == value for a, b, value in frame_space.brackets)
+    assert all(space.bracket(back[a], back[b]) == 0
+               for a in range(128) for b in range(2, 6) if b != a ^ 1)
 
 
 def test_cover_route_visits_only_the_chart_pairs_the_operands_use(monkeypatch):

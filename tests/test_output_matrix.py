@@ -41,6 +41,9 @@ CASES = [
     "star --space flatN --d 3 --order 4 -- 'x1*y1 + 1/(x1+y2)' '1/x2 + y1'",
     "star --space flatN --d 16 --order 8 -- 'x1*y1 + 1/(x1+y2)' '1/x2 + y1'",
     "star --space flatN --d 2 --order 3 --output structured -- '1/(x1+x2)^2' 'y1/(x1-x2+1)'",
+    # the frame on inner pairs, which keep their variables: a pairing, a commuting pair
+    "star --space flatN --d 4 --order 4 -- '1/(x2+y3)' 'x3/(x3-2*y2+1)'",
+    "star --space flatN --d 4 --order 4 -- 'y2/(x2+x3)^2' 'y3*y4/(x2-x3+i)'",
     # derivatives: parallel forms, then non-affine denominators
     "star --space flat2 --order 4 -- '1/(x+1)' '1/(x-1)'",
     "star --space flat2 --order 4 -- 'y/(y+1-i)' 'x/(y+3*i)'",
