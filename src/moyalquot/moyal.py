@@ -24,9 +24,13 @@ one pair (q, p, s), with [a]_n = a (a-1) ... (a-n+1) and any signs of a..d,
     q^a p^b * q^c p^d = sum_k (i h / 2)^k / k!  s^-k  q^(a+c-k) p^(b+d-k)
                         * sum_j C(k, j) (-1)^j [a]_(k-j) [b]_j [c]_j [d]_(k-j).
 
-Shifting each variable's exponents up by its most negative one gives the
-canonical form with no gcd: the denominator is a monic monomial, and some
-term attains each minimum, so no variable divides the numerator.
+The inner sums are integers, cached across calls by `_pair_series`.  The
+kernel carries Gaussian integers over each coefficient's lcm denominator
+through the pair states, so no gcd and no Gaussian product runs per state,
+and normalizes each output term once.  Shifting each variable's exponents up
+by its most negative one gives the canonical form with no gcd: the
+denominator is a monic monomial, and some term attains each minimum, so no
+variable divides the numerator.
 
 A pair is flat, with its scale s, or a cotangent-chart pair (z, p), form
 dp^dz, whose star is the flat one conjugated by the quadric cover (x/y,
@@ -63,7 +67,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
+from operator import add, sub
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
@@ -310,7 +315,9 @@ def _star_scalars(order: int, scale: GaussianRational = G_ONE) -> Tuple[Gaussian
 def _laurent_terms(c: RationalFunction) -> List[Tuple[Tuple[int, ...], GaussianRational]]:
     """The terms of c over its monomial, monic denominator, as Laurent exponents."""
     (shift,) = c.den.terms
-    return [(tuple(e - s for e, s in zip(exp, shift)), v) for exp, v in c.num.terms.items()]
+    if not any(shift):
+        return list(c.num.terms.items())
+    return [(tuple(map(sub, exp, shift)), v) for exp, v in c.num.terms.items()]
 
 
 def _falling(a: int, n: int) -> List[int]:
@@ -328,9 +335,25 @@ def _from_laurent(variables: Tuple[str, ...], pairs) -> RationalFunction:
     if not terms:
         return RationalFunction.zero(variables)
     shift = tuple(max(0, -min(column)) for column in zip(*terms))
-    num = {tuple(e + s for e, s in zip(exp, shift)): c for exp, c in terms.items()}
+    num = {tuple(map(add, exp, shift)): c for exp, c in terms.items()} if any(shift) else terms
     den = Polynomial._raw(variables, {shift: G_ONE})
     return RationalFunction._trusted(Polynomial._raw(variables, num), den)
+
+
+@lru_cache(maxsize=4096)
+def _pair_series(order: int, a: int, b: int, c: int, d: int) -> Tuple[Tuple[int, int], ...]:
+    """The nonzero (k, sum_j C(k, j) (-1)^j [a]_(k-j) [b]_j [c]_j [d]_(k-j)), k <= order:
+    the integer series of q^a p^b * q^c p^d before its scalar row."""
+    fa, fb, fc, fd = (_falling(e, order) for e in (a, b, c, d))
+    # [e]_t = 0 for t > e >= 0, so j and k - j stop at such an exponent
+    top_j = min(order, b if b >= 0 else order, c if c >= 0 else order)
+    top_kj = min(order, a if a >= 0 else order, d if d >= 0 else order)
+    totals = (
+        sum((-1) ** j * comb(k, j) * fa[k - j] * fb[j] * fc[j] * fd[k - j]
+            for j in range(max(0, k - top_kj), min(k, top_j) + 1))
+        for k in range(order + 1)
+    )
+    return tuple((k, v) for k, v in enumerate(totals) if v)
 
 
 def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
@@ -338,57 +361,57 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSerie
 
     `used` holds the coefficients of f, then those of g, up to the order.  A
     pair is flat with its scale, or a chart pair of the space; a pair that
-    neither monomial touches is the factor 1 and is skipped."""
+    neither monomial touches is the factor 1 and is skipped.  Each coefficient
+    is Gaussian integers over its lcm denominator, and a state carries an
+    integer M: in one scale class, pairs whose k_t sum to K share row[K]
+    times K!/prod k_t!, which M builds up by C(K + k, k)."""
     space, n = ctx.space, ctx.order
-    laurent = [_laurent_terms(c) for c in used]
-    fs, gs = laurent[: n + 1], laurent[n + 1:]
+    ints = []
+    for c in used:
+        terms = _laurent_terms(c)
+        den = lcm(*(v.den for _, v in terms)) if terms else 1
+        ints.append((den, [(e, v.a * (den // v.den), v.b * (den // v.den)) for e, v in terms]))
     scales = [GaussianRational(-2) if t in space.chart else s for t, s in enumerate(space.scales)]
     distinct = list(dict.fromkeys(scales))
     rows = [_star_scalars(n, s) for s in distinct]
     kinds = [(distinct.index(s), t in space.chart) for t, s in enumerate(scales)]
-    cache: Dict[Tuple[int, ...], List[Tuple[int, GaussianRational]]] = {}
-
-    def pair_series(s: int, a: int, b: int, c: int, d: int):
-        """Nonzero (k, coefficient) of q^a p^b * q^c p^d at scale row s, for k <= n."""
-        key = (s, a, b, c, d)
-        if key not in cache:
-            fa, fb, fc, fd = (_falling(e, n) for e in (a, b, c, d))
-            # [e]_t = 0 for t > e >= 0, so j and k - j stop at such an exponent
-            top_j = min(n, b if b >= 0 else n, c if c >= 0 else n)
-            top_kj = min(n, a if a >= 0 else n, d if d >= 0 else n)
-            totals = [
-                sum(
-                    (-1) ** j * comb(k, j) * fa[k - j] * fb[j] * fc[j] * fd[k - j]
-                    for j in range(max(0, k - top_kj), min(k, top_j) + 1)
-                )
-                for k in range(n + 1)
-            ]
-            cache[key] = [(k, rows[s][k] * v) for k, v in enumerate(totals) if v]
-        return cache[key]
-
-    out: List[List[Tuple[Tuple[int, ...], GaussianRational]]] = [[] for _ in range(n + 1)]
-    for i, fi in enumerate(fs):
-        for j, gj in enumerate(gs[: n + 1 - i]):
+    # (f index, g index, k per scale class, exponent) -> [real, imaginary] integers
+    acc: Dict[tuple, List[int]] = {}
+    for i, (_, fi) in enumerate(ints[: n + 1]):
+        for j, (_, gj) in enumerate(ints[n + 1: 2 * n + 2 - i]):
             budget = n - i - j
-            for ea, ca in fi:
-                for eb, cb in gj:
-                    # (h-power, exponent, coefficient) over the pairs so far
-                    states = [(0, (), ca * cb)]
+            for ea, fa, fb in fi:
+                for eb, ga, gb in gj:
+                    # (h-power, k per scale class, exponent, integer) over the pairs so far;
+                    # every series starts with (0, 1), which keeps each state as it is
+                    states = [(0, (0,) * len(rows), tuple(map(add, ea, eb)), 1)]
                     for t, (s, is_chart) in enumerate(kinds):
                         a, b, c, d = ea[2 * t], ea[2 * t + 1], eb[2 * t], eb[2 * t + 1]
-                        if not (a or b or c or d):  # the series is 1 at k = 0
-                            states = [(h, e + (0, 0), coeff) for h, e, coeff in states]
+                        if not (a or b or c or d):
                             continue
-                        series = (pair_series(s, a, 2 * b - a, c, 2 * d - c) if is_chart
-                                  else pair_series(s, a, b, c, d))
-                        states = [
-                            (h + k, e + (a + c - k, b + d - k), coeff * value)
-                            for h, e, coeff in states
-                            for k, value in series
+                        series = (_pair_series(n, a, 2 * b - a, c, 2 * d - c) if is_chart
+                                  else _pair_series(n, a, b, c, d))
+                        states += [
+                            (h + k, ks[:s] + (ks[s] + k,) + ks[s + 1:],
+                             e[:2 * t] + (e[2 * t] - k, e[2 * t + 1] - k) + e[2 * t + 2:],
+                             m * v * comb(ks[s] + k, k))
+                            for h, ks, e, m in states
+                            for k, v in series[1:]
                             if h + k <= budget
                         ]
-                    for h, e, coeff in states:
-                        out[i + j + h].append((e, coeff))
+                    re, im = fa * ga - fb * gb, fa * gb + fb * ga
+                    for _, ks, e, m in states:
+                        cell = acc.setdefault((i, j, ks, e), [0, 0])
+                        cell[0] += re * m
+                        cell[1] += im * m
+    products: Dict[Tuple[int, ...], GaussianRational] = {}  # the row product of class totals
+    out: List[List[Tuple[Tuple[int, ...], GaussianRational]]] = [[] for _ in range(n + 1)]
+    for (i, j, ks, e), (re, im) in acc.items():
+        if ks not in products:
+            products[ks] = prod((r[k] for r, k in zip(rows, ks)), start=G_ONE)
+        row, den = products[ks], ints[i][0] * ints[n + 1 + j][0]
+        out[i + j + sum(ks)].append((e, GaussianRational._make(  # one normalization per term
+            re * row.a - im * row.b, re * row.b + im * row.a, den * row.den)))
     return HSeries(tuple(_from_laurent(space.vars, pairs) for pairs in out))
 
 

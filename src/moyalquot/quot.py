@@ -123,7 +123,8 @@ def symmetrize(ctx: ProductContext, f: HSeries) -> SymSeries:
         terms = []
         for (blocks, flat), value in orbits.items():
             orbit = list(_arrangements(Counter(blocks), d))
-            terms += [(sum(image, ()) + flat, value / len(orbit)) for image in orbit]
+            mean = value / len(orbit)
+            terms += [(sum(image, ()) + flat, mean) for image in orbit]
         return _from_laurent(c.vars, terms)
 
     return SymSeries(f.map_coefficients(lambda c: c if c.is_zero() else average(c)))

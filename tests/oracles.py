@@ -18,7 +18,10 @@ bidiff oracle are also the route moyal_star leaves for Laurent operands on
 chart pairs, which it multiplies on the chart.  The symmetrization oracles add the d!
 permuted copies of a series as rational functions and compare permuted copies
 with the series, where the library sums orbits of Laurent exponents and checks
-invariance term by term.  `padded` and `laurent` build test inputs.
+invariance term by term.  The Laurent oracle is the kernel's earlier loop: a
+Gaussian-rational coefficient per pair state, each series row scaled per pair,
+where the library carries integers and normalizes once per output term.
+`padded` and `laurent` build test inputs.
 """
 
 from fractions import Fraction
@@ -29,7 +32,15 @@ from moyalquot.atlas import KChartFunction, ProjectiveAtlas
 from moyalquot.errors import NotEven
 from moyalquot.gaussian import GaussianRational
 from moyalquot.geometry import cotangent_lift
-from moyalquot.moyal import LinearSymplectic, MoyalContext, bidiff_power
+from moyalquot.moyal import (
+    LinearSymplectic,
+    MoyalContext,
+    _falling,
+    _from_laurent,
+    _laurent_terms,
+    _star_scalars,
+    bidiff_power,
+)
 from moyalquot.polynomial import Polynomial
 from moyalquot.quot import ProductContext, permute
 from moyalquot.rational import RationalFunction, rf_normalize
@@ -93,6 +104,52 @@ def star_by_bidiff_oracle(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
                 term = term + scalar * bidiff_power(ctx, f.coeffs[i], g.coeffs[j], k)
         coeffs.append(term)
     return HSeries(coeffs)
+
+
+def laurent_star_oracle(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
+    """f*g for Laurent operands, per-pair series multiplied as Gaussian rationals."""
+    space, n = ctx.space, ctx.order
+    used = f.coeffs[: n + 1] + g.coeffs[: n + 1]
+    laurent_terms = [_laurent_terms(c) for c in used]
+    fs, gs = laurent_terms[: n + 1], laurent_terms[n + 1:]
+    scales = [GaussianRational(-2) if t in space.chart else s for t, s in enumerate(space.scales)]
+    distinct = list(dict.fromkeys(scales))
+    rows = [_star_scalars(n, s) for s in distinct]
+    kinds = [(distinct.index(s), t in space.chart) for t, s in enumerate(scales)]
+    cache = {}
+
+    def pair_series(s, a, b, c, d):
+        key = (s, a, b, c, d)
+        if key not in cache:
+            fa, fb, fc, fd = (_falling(e, n) for e in (a, b, c, d))
+            totals = [
+                sum((-1) ** j * comb(k, j) * fa[k - j] * fb[j] * fc[j] * fd[k - j]
+                    for j in range(k + 1))
+                for k in range(n + 1)
+            ]
+            cache[key] = [(k, rows[s][k] * v) for k, v in enumerate(totals) if v]
+        return cache[key]
+
+    out = [[] for _ in range(n + 1)]
+    for i, fi in enumerate(fs):
+        for j, gj in enumerate(gs[: n + 1 - i]):
+            budget = n - i - j
+            for ea, ca in fi:
+                for eb, cb in gj:
+                    states = [(0, (), ca * cb)]
+                    for t, (s, is_chart) in enumerate(kinds):
+                        a, b, c, d = ea[2 * t], ea[2 * t + 1], eb[2 * t], eb[2 * t + 1]
+                        series = (pair_series(s, a, 2 * b - a, c, 2 * d - c) if is_chart
+                                  else pair_series(s, a, b, c, d))
+                        states = [
+                            (h + k, e + (a + c - k, b + d - k), coeff * value)
+                            for h, e, coeff in states
+                            for k, value in series
+                            if h + k <= budget
+                        ]
+                    for h, e, coeff in states:
+                        out[i + j + h].append((e, coeff))
+    return HSeries(tuple(_from_laurent(space.vars, pairs) for pairs in out))
 
 
 def pullback_pair_oracle(

@@ -3,7 +3,8 @@ of the two-dimensional product (see oracles.py), which is independent of the
 implementation's multiset expansion over bivector entries."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -37,6 +38,7 @@ from oracles import (
     apply_symplectic_oracle,
     form_pullback,
     laurent,
+    laurent_star_oracle,
     omega_matrix,
     padded,
     star_2d_oracle,
@@ -386,6 +388,103 @@ def laurent_star_cases(draw):
 def test_laurent_kernel_matches_bidiff(case):
     ctx, f, g = case
     assert moyal_star(ctx, f, g) == star_by_bidiff_oracle(ctx, f, g)
+
+
+# scale classes: chart pairs (at -2) and flat pairs at each scale, -1 among them
+KERNEL_KINDS = ("chart",) + SCALES
+# denominators whose lcm is large and differs from coefficient to coefficient
+KERNEL_COEFFS = COEFFS + (Fraction(1, 3), GaussianRational(Fraction(2, 7), Fraction(1, 5)),
+                          1 / GaussianRational(1, 1))
+
+
+def kernel_space(kinds) -> SymplecticSpace:
+    names = [(f"z{t}", f"p{t}") if kind == "chart" else (f"q{t}", f"v{t}")
+             for t, kind in enumerate(kinds)]
+    return SymplecticSpace([x for pair in names for x in pair],
+                           [-1 if kind == "chart" else kind for kind in kinds],
+                           [t for t, kind in enumerate(kinds) if kind == "chart"])
+
+
+@st.composite
+def kernel_cases(draw):
+    kinds = draw(st.lists(st.sampled_from(KERNEL_KINDS), min_size=1, max_size=3))
+    space = kernel_space(kinds)
+    order = draw(st.integers(0, 5 if len(kinds) < 3 else 3))
+    exponent = st.tuples(*[st.integers(-2, 3)] * space.dim)
+    coefficient = st.dictionaries(exponent, st.sampled_from(KERNEL_COEFFS), max_size=3)
+
+    def series(length):
+        return HSeries([laurent(space.vars, draw(coefficient)) for _ in range(length)])
+
+    # the left operand carries up to two orders more than the context
+    return MoyalContext(space, order), series(order + 1 + draw(st.integers(0, 2))), series(order + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_laurent_kernel_matches_gaussian_oracle(case):
+    ctx, f, g = case
+    assert moyal_star(ctx, f, g) == laurent_star_oracle(ctx, f, g)
+
+
+@pytest.mark.parametrize("kinds", [KERNEL_KINDS, ("chart", "chart", 2, 2), ("chart", 1, -1, 1)])
+def test_laurent_kernel_scale_classes(kinds):
+    # every class alone, then classes of two pairs that lower together
+    space = kernel_space(kinds)
+    ctx, pairs = MoyalContext(space, 4), len(kinds)
+    third, mixed, unit = KERNEL_COEFFS[-3:]
+    zero = RationalFunction.zero(space.vars)
+    f = HSeries([laurent(space.vars, {(1, 1) * pairs: third, (-1, 2) * pairs: mixed}), zero,
+                 laurent(space.vars, {(2, -1) * pairs: Fraction(2, 7)}), zero, zero, zero])
+    g = HSeries([laurent(space.vars, {(1, 1) * pairs: unit, (0, -2) * pairs: third}),
+                 *[laurent(space.vars, {(1, 0) * pairs: I})] * 4])
+    result = moyal_star(ctx, f, g)
+    assert result == laurent_star_oracle(ctx, f, g)
+    assert all(not c.is_zero() for c in result.coeffs)
+
+
+def test_laurent_kernel_multiplies_once_per_output_term(monkeypatch):
+    # one fixed cell star on Q(2,2) at order 4 with 131 output terms makes 28
+    # multiplications: 18 build the two scalar rows, and each of the 5 row
+    # products of class totals takes 2.  The Gaussian loop the kernel replaced
+    # made 510, one per pair state and series entry.
+    ctx = ProductContext(d=2, r=2, order=4)
+    s = SampleStream("laurent-kernel-count")
+    f, g = (symmetrize(ctx, const(s.polynomial(ctx.vars, 3, max_terms=12), 4)) for _ in range(2))
+    moyal._star_scalars.cache_clear()
+    real = GaussianRational.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counted)
+    monkeypatch.setattr(GaussianRational, "__rmul__", counted)
+    result = quot_cell_star(ctx, f, g)
+    monkeypatch.undo()
+    assert result.value == laurent_star_oracle(MoyalContext(ctx.space, 4), f.value, g.value)
+    assert len(calls) <= 32
+
+    # the integer series is cached at a fixed size, and each entry is the sum itself
+    series = moyal._pair_series
+    assert series.cache_info().maxsize == 4096
+
+    def falling(a, n):
+        out = 1
+        for t in range(n):
+            out *= a - t
+        return out
+
+    span = range(-2, 4)
+    for order in range(7):
+        for a, b, c, d in product(span, repeat=4):
+            fresh = [(k, sum((-1) ** j * comb(k, j) * falling(a, k - j) * falling(b, j)
+                             * falling(c, j) * falling(d, k - j) for j in range(k + 1)))
+                     for k in range(order + 1)]
+            expected = tuple((k, v) for k, v in fresh if v)
+            assert series(order, a, b, c, d) == expected
+            assert series(order, a, b, c, d) == expected  # now from the cache
 
 
 def test_star_takes_bidiff_for_a_non_laurent_coefficient(monkeypatch):
