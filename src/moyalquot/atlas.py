@@ -212,8 +212,6 @@ def parse_atlas(text: str) -> ProjectiveAtlas:
             src, dst = fields[1], fields[2]
             try:
                 a, b, c, d = (parse_gaussian(t) for t in fields[3:])
-            except AtlasFormatError:
-                raise
             except Exception as exc:
                 raise AtlasFormatError(f"line {lineno}: bad matrix entry ({exc})") from exc
             key = (src, dst)

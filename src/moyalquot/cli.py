@@ -31,15 +31,13 @@ from .atlas import (
 )
 from .errors import (
     DomainError,
-    MoyalQuotError,
     ParseFailure,
     UsageFailure,
 )
 from .expr import (
-    parse_expr,
-    lower_expr,
-    lower_rational,
     parse_gaussian,
+    parse_rational,
+    parse_series,
     rational_document,
     series_document,
 )
@@ -240,8 +238,8 @@ def _space(args) -> SymplecticSpace:
 def _cmd_star(args) -> int:
     order = _resolve_order(args.order)
     space = _space(args)
-    left = lower_expr(parse_expr(args.left, space.vars), space.vars, order)
-    right = lower_expr(parse_expr(args.right, space.vars), space.vars, order)
+    left = parse_series(args.left, space.vars, order)
+    right = parse_series(args.right, space.vars, order)
     if args.space == "product":
         ctx = ProductContext(d=args.d, r=args.r, order=order)
         result = quot_cell_star(ctx, SymSeries(left), SymSeries(right)).value
@@ -253,8 +251,8 @@ def _cmd_star(args) -> int:
 
 def _cmd_poisson(args) -> int:
     space = _space(args)
-    left = lower_rational(parse_expr(args.left, space.vars, allow_h=False), space.vars)
-    right = lower_rational(parse_expr(args.right, space.vars, allow_h=False), space.vars)
+    left = parse_rational(args.left, space.vars)
+    right = parse_rational(args.right, space.vars)
     result = poisson_bracket(MoyalContext(space, 0), left, right)
     _emit(args, str(result), rational_document(result, args.space))
     return EXIT_OK
@@ -279,7 +277,7 @@ def _cmd_transport(args) -> int:
     order = _resolve_order(args.order)
     atlas = _load_atlas_arg(args.atlas)
     source_vars = atlas.chart_vars(args.source)
-    series = lower_expr(parse_expr(args.expression, source_vars), source_vars, order)
+    series = parse_series(args.expression, source_vars, order)
     moved = transport(atlas, KChartFunction(args.source, series), args.target)
     _emit(
         args,
@@ -296,22 +294,17 @@ def _cmd_validate_atlas(args) -> int:
     return EXIT_OK if report.valid else EXIT_DOMAIN
 
 
-def _parse_entries(text: str, what: str):
+def _parse_entries(text: str):
     text = text.strip()
     if not text:
         return ()
-    try:
-        return tuple(parse_gaussian(piece) for piece in text.split(","))
-    except MoyalQuotError:
-        raise
-    except Exception as exc:
-        raise ParseFailure(f"bad {what} entry: {exc}")
+    return tuple(parse_gaussian(piece) for piece in text.split(","))
 
 
 def _cmd_validate_point(args) -> int:
-    support = _parse_entries(args.support, "support")
-    covectors = _parse_entries(args.covectors, "covector")
-    flat_values = _parse_entries(args.flat, "flat")
+    support = _parse_entries(args.support)
+    covectors = _parse_entries(args.covectors)
+    flat_values = _parse_entries(args.flat)
     if len(flat_values) % 2:
         raise UsageFailure("--flat needs an even number of entries (u, v pairs)")
     flat = tuple(

@@ -320,31 +320,19 @@ def lower_expr(program: Program, variables: Sequence[str], order: int) -> HSerie
     return HSeries(coeffs)
 
 
-def lower_rational(program: Program, variables: Sequence[str]) -> RationalFunction:
-    """Evaluate an h-free parsed program into a RationalFunction."""
-    vs = tuple(variables)
-    coeffs = _trimmed(_lower(program, vs), vs)
-    if len(coeffs) > 1:
-        raise HInDenominator("expected an h-free expression")
-    return coeffs[0]
-
-
 def parse_series(text: str, variables: Sequence[str], order: int) -> HSeries:
     return lower_expr(parse_expr(text, variables, allow_h=True), variables, order)
 
 
 def parse_rational(text: str, variables: Sequence[str]) -> RationalFunction:
-    return lower_rational(parse_expr(text, variables, allow_h=False), variables)
+    """Parse h-free expression text into a RationalFunction."""
+    vs = tuple(variables)
+    return _lower(parse_expr(text, vs, allow_h=False), vs)[0]
 
 
 def parse_gaussian(text: str) -> GaussianRational:
     """Parse a constant Gaussian-rational literal such as `-1/2` or `1+2*i`."""
-    from .errors import AtlasFormatError
-
-    value = parse_rational(text, ())
-    if not value.is_constant():
-        raise AtlasFormatError(f"{text!r} is not a constant")
-    return value.constant_value()
+    return parse_rational(text, ()).constant_value()
 
 
 # -- structured rendering -----------------------------------------------------------

@@ -47,8 +47,6 @@ class GaussianRational:
 
     @classmethod
     def _make(cls, a: int, b: int, den: int) -> "GaussianRational":
-        if den < 0:
-            a, b, den = -a, -b, -den
         g = _int_gcd(a, b, den)
         if g > 1:
             a //= g

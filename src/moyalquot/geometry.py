@@ -119,8 +119,6 @@ def _pair_rewrite(value, old, new, level, finish) -> RationalFunction:
     target = tuple(renamed.get(v, v) for v in vs)
     if len(set(target)) != len(target):
         raise VariableMismatch(f"renaming {old} to {new} collides in {vs}")
-    if value.is_zero():
-        return RationalFunction.zero(target)
     polys = (value.num.terms, value.den.terms)
     low = min(level(e[i], e[j]) for terms in polys for e in terms)
 

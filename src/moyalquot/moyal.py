@@ -345,12 +345,8 @@ def _pair_series(order: int, a: int, b: int, c: int, d: int) -> Tuple[Tuple[int,
     """The nonzero (k, sum_j C(k, j) (-1)^j [a]_(k-j) [b]_j [c]_j [d]_(k-j)), k <= order:
     the integer series of q^a p^b * q^c p^d before its scalar row."""
     fa, fb, fc, fd = (_falling(e, order) for e in (a, b, c, d))
-    # [e]_t = 0 for t > e >= 0, so j and k - j stop at such an exponent
-    top_j = min(order, b if b >= 0 else order, c if c >= 0 else order)
-    top_kj = min(order, a if a >= 0 else order, d if d >= 0 else order)
     totals = (
-        sum((-1) ** j * comb(k, j) * fa[k - j] * fb[j] * fc[j] * fd[k - j]
-            for j in range(max(0, k - top_kj), min(k, top_j) + 1))
+        sum((-1) ** j * comb(k, j) * fa[k - j] * fb[j] * fc[j] * fd[k - j] for j in range(k + 1))
         for k in range(order + 1)
     )
     return tuple((k, v) for k, v in enumerate(totals) if v)

@@ -387,9 +387,7 @@ def poly_try_divexact(p: Polynomial, d: Polynomial) -> Optional[Polynomial]:
     p._check_same_vars(d)
     if d.is_zero():
         raise ZeroDenominator("division by the zero polynomial")
-    if p.is_zero():
-        return Polynomial.zero(p.vars)
-    if d.is_constant():  # the loop below rescans the remainder at every step
+    if d.is_constant():  # one multiply per term instead of the heap walk below
         return p * d.constant_value().inverse()
     d_lead = max(d.terms, key=_grlex_key)
     d_coeff = d.terms[d_lead]

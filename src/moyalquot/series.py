@@ -161,10 +161,7 @@ def _series_term_text(coeff: RationalFunction, power: int) -> Tuple[str, str]:
             return "+", str(poly)
         if len(poly.terms) == 1:
             exp, c = next(iter(poly.terms.items()))
-            sign, body = coeff_term_text(c, poly._monomial_text(exp), multiplied=True)
-            if body == "1":
-                return sign, h
-            return sign, f"{body}*{h}"
+            return coeff_term_text(c, "*".join(filter(None, (poly._monomial_text(exp), h))))
         return "+", f"({poly})*{h}"
     num, den = coeff.num, coeff.den
     sign = "+"

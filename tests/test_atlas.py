@@ -429,6 +429,20 @@ def test_parse_atlas_errors():
         parse_atlas("chart A z p\nchart A w q\n")
     with pytest.raises(AtlasFormatError):
         parse_atlas("")
+    charts = "chart A z p\nchart B w q\n"
+    for text, message in (
+        (charts + "transition A B x 0 0 1\n",
+         "line 3: bad matrix entry (unknown identifier 'x' (offset 0))"),
+        (charts + "transition A B 1/0 0 0 1\n", "line 3: bad matrix entry (division by zero)"),
+        (charts + "transition A B 1 0 0 1 1\n",
+         "line 3: transition needs two charts and four entries"),
+        (charts + "transition A B 1 0 0 1\ntransition A B 2 0 0 1\n",
+         "line 4: duplicate transition A->B"),
+        ("chart A z z\n", "chart 'A' needs two distinct variables"),
+    ):
+        with pytest.raises(AtlasFormatError) as caught:
+            parse_atlas(text)
+        assert str(caught.value) == message
 
 
 def test_translation_atlas_from_file(tmp_path):

@@ -10,6 +10,7 @@ from moyalquot.errors import (
     DomainError,
     ExprSyntaxError,
     HInDenominator,
+    MoyalQuotError,
     OrderOverflow,
     UnknownIdentifier,
     ZeroDenominator,
@@ -237,3 +238,18 @@ def test_cli_grammar_fuzz(left, right):
             assert err == "" and out.endswith("\n")
             if argv[0] == "star":
                 assert str(parse_series(out, XY, 3)) == out[:-1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    _GRAMMAR,
+    _SOUP,
+    st.sampled_from(["1/0", "0^-1", "(" * 150 + "1" + ")" * 150, "7" * 5000, "\u00b2"]),
+))
+def test_parse_gaussian_raises_only_package_errors(text):
+    # the atlas and validate-point entries rely on this: nothing else escapes
+    try:
+        value = parse_gaussian(text)
+    except MoyalQuotError:
+        return
+    assert isinstance(value, GaussianRational)

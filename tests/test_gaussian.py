@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from moyalquot.gaussian import GaussianRational
 
@@ -62,3 +63,13 @@ def test_ring_axioms(a, b, c):
 def test_field_inverse(a):
     if not a.is_zero():
         assert a * a.inverse() == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gaussians, gaussians, st.integers(-4, 4))
+def test_results_are_reduced(a, b, e):
+    results = [a + b, a - b, a * b, a ** abs(e)]
+    if not b.is_zero():
+        results += [a / b, b.inverse(), b ** e]
+    for r in results:
+        assert r.den > 0 and gcd(r.a, r.b, r.den) == 1, (a, b, e, r.a, r.b, r.den)

@@ -279,6 +279,13 @@ def test_cli_validate_point_counts_flat_pairs(capsys):
     assert captured.err == "domain error: 1 flat pairs is not d(r-1) at d = 2\n"
 
 
+def test_cli_validate_point_bad_entry_is_a_parse_error(capsys):
+    assert run(["validate-point", "--support", "1,x", "--covectors", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: unknown identifier 'x' (offset 0)\n"
+
+
 def test_cli_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
     assert run(["validate-point", "--support", "0", "--covectors", "1"]) == 0
