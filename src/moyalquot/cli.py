@@ -119,21 +119,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_order() -> int:
-    raw = os.environ.get("MOYALQUOT_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageFailure(f"MOYALQUOT_ORDER must be an integer, got {raw!r}")
-    if value < 0:
-        raise UsageFailure("MOYALQUOT_ORDER must be nonnegative")
-    if value > MAX_ORDER:
-        raise UsageFailure(f"MOYALQUOT_ORDER must be at most {MAX_ORDER}, got {value}")
-    return value
-
-
 @cache
 def _build_parser() -> _Parser:
     """The parser, built once per process: parsing leaves it unchanged."""
@@ -197,12 +182,20 @@ def _check_variables(count: int, flags: str) -> None:
 
 
 def _resolve_order(value: Optional[int]) -> int:
+    name = "--order"
     if value is None:
-        return _default_order()
+        name = "MOYALQUOT_ORDER"
+        raw = os.environ.get(name)
+        if raw is None:
+            return DEFAULT_ORDER
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageFailure(f"{name} must be an integer, got {raw!r}")
     if value < 0:
-        raise UsageFailure("--order must be nonnegative")
+        raise UsageFailure(f"{name} must be nonnegative")
     if value > MAX_ORDER:
-        raise UsageFailure(f"--order must be at most {MAX_ORDER}, got {value}")
+        raise UsageFailure(f"{name} must be at most {MAX_ORDER}, got {value}")
     return value
 
 

@@ -231,14 +231,10 @@ def _trimmed(coeffs: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
     return out or [RationalFunction.zero(variables)]
 
 
-def _hmul(left: _HPoly, right: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
-    return _trimmed(h_product(left, right), variables)
-
-
 def _binary(op: str, left: _HPoly, right: _HPoly, variables: Tuple[str, ...]) -> _HPoly:
     """Combine two lowered operands under one of + - * /."""
     if op == "*":
-        return _hmul(left, right, variables)
+        return _trimmed(h_product(left, right), variables)
     if op == "/":
         if len(right) > 1:
             raise HInDenominator("the series parameter appeared in a denominator")
@@ -256,7 +252,7 @@ def _power(base: _HPoly, exponent: int, variables: Tuple[str, ...]) -> _HPoly:
     if exponent >= 0:
         result: _HPoly = [RationalFunction.one(variables)]
         for _ in range(exponent):
-            result = _hmul(result, base, variables)
+            result = _trimmed(h_product(result, base), variables)
         return result
     if len(base) > 1:
         raise HInDenominator("negative power of a series in h")

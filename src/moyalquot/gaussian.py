@@ -56,11 +56,10 @@ class GaussianRational:
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        result = cls._try_coerce(value)
+        if result is None:
+            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        return result
 
     @classmethod
     def _try_coerce(cls, value) -> Optional["GaussianRational"]:

@@ -40,10 +40,6 @@ def _grlex_key(exp: Exponent):
     return (sum(exp), exp)
 
 
-def _coerce_coeff(value) -> GaussianRational:
-    return GaussianRational.coerce(value)
-
-
 def sum_terms(pairs: Iterable[Tuple[Hashable, GaussianRational]]) -> dict:
     """The (key, coefficient) pairs with the coefficients of equal keys summed.
 
@@ -74,7 +70,7 @@ class Polynomial:
                 )
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = _coerce_coeff(coeff)
+            c = GaussianRational.coerce(coeff)
             if not c.is_zero():
                 cleaned[exp] = c
         self.vars = vs
@@ -97,7 +93,7 @@ class Polynomial:
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "Polynomial":
         vs = tuple(variables)
-        c = _coerce_coeff(value)
+        c = GaussianRational.coerce(value)
         if c.is_zero():
             return cls._raw(vs, {})
         return cls._raw(vs, {(0,) * len(vs): c})
@@ -201,7 +197,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _coerce_coeff(other)
+            c = GaussianRational.coerce(other)
             if c.is_zero():
                 return Polynomial.zero(self.vars)
             return Polynomial._raw(self.vars, {e: v * c for e, v in self.terms.items()})
@@ -271,19 +267,9 @@ class Polynomial:
 
     def with_variables(self, variables: Sequence[str]) -> "Polynomial":
         """Re-express over a superset (or reordering) of the current variables."""
-        vs = tuple(variables)
-        positions = []
-        for name in self.vars:
-            if name not in vs:
-                raise UnknownVariable(f"{name!r} missing from target variables {vs}")
-            positions.append(vs.index(name))
-        out: Terms = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * len(vs)
-            for pos, e in zip(positions, exp):
-                new[pos] = e
-            out[tuple(new)] = coeff
-        return Polynomial._raw(vs, out)
+        if not self.vars:
+            return Polynomial.constant(variables, self.constant_value())
+        return self.compose([Polynomial.variable(variables, name) for name in self.vars])
 
     # -- comparison and formatting ----------------------------------------------
 
@@ -294,10 +280,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            yield exp, self.terms[exp]
 
     def _monomial_text(self, exp: Exponent) -> str:
         factors = []
@@ -312,16 +294,17 @@ class Polynomial:
         if not self.terms:
             return "0"
         return join_signed(
-            [coeff_term_text(coeff, self._monomial_text(exp)) for exp, coeff in self.sorted_terms()]
+            [coeff_term_text(self.terms[exp], self._monomial_text(exp))
+             for exp in sorted(self.terms, key=_grlex_key, reverse=True)]
         )
 
     def __repr__(self) -> str:
         return f"Polynomial({self.vars!r}, {self})"
 
 
-def _fraction_text(value: Fraction, multiplied: bool) -> str:
+def _fraction_text(value: Fraction) -> str:
     text = str(value)
-    if multiplied and value.denominator != 1:
+    if value.denominator != 1:
         return f"({text})"
     return text
 
@@ -332,26 +315,21 @@ def join_signed(pieces: Sequence[Tuple[str, str]]) -> str:
     return "".join([body if sign == "+" else f"-{body}"] + [f" {s} {b}" for s, b in rest])
 
 
-def coeff_term_text(coeff: GaussianRational, monomial: str, multiplied: bool = False) -> Tuple[str, str]:
-    """Render coeff*monomial as (sign, body) with the sign pulled out.
-
-    `multiplied` forces fraction parentheses even for a bare coefficient,
-    for use inside larger products.
-    """
+def coeff_term_text(coeff: GaussianRational, monomial: str) -> Tuple[str, str]:
+    """Render coeff*monomial as (sign, body) with the sign pulled out."""
     coeff.check_printable()
     re, im = coeff.re, coeff.im
     if im == 0:
         sign = "+" if re >= 0 else "-"
         mag = abs(re)
         if monomial:
-            body = monomial if mag == 1 else f"{_fraction_text(mag, True)}*{monomial}"
+            body = monomial if mag == 1 else f"{_fraction_text(mag)}*{monomial}"
         else:
-            body = _fraction_text(mag, multiplied)
+            body = str(mag)
         return sign, body
     if re == 0:
         sign = "+" if im >= 0 else "-"
-        mag = abs(im)
-        base = "i" if mag == 1 else f"{_fraction_text(mag, True)}*i"
+        base = _imag_text(abs(im))
         return sign, f"{base}*{monomial}" if monomial else base
     # mixed a + b*i: extract the sign of the real part
     sign = "+" if re > 0 else "-"
@@ -365,7 +343,7 @@ def coeff_term_text(coeff: GaussianRational, monomial: str, multiplied: bool = F
 
 
 def _imag_text(mag: Fraction) -> str:
-    return "i" if mag == 1 else f"{_fraction_text(mag, True)}*i"
+    return "i" if mag == 1 else f"{_fraction_text(mag)}*i"
 
 
 def affine_forms(variables: Sequence[str], rows) -> list:

@@ -92,13 +92,6 @@ class SampleStream:
             return Polynomial.one(vs) + p
         return p
 
-    def nonzero_polynomial(self, variables, max_degree, max_terms: int = 4) -> Polynomial:
-        return self.polynomial(variables, max_degree, max_terms, allow_zero=False)
-
-    def monomial(self, variables: Sequence[str], max_degree: int) -> Polynomial:
-        vs = tuple(variables)
-        return Polynomial.monomial(vs, self.exponent(len(vs), max_degree))
-
     def rational_function(
         self,
         variables: Sequence[str],
@@ -106,11 +99,12 @@ class SampleStream:
         den_degree: int = 1,
         monomial_den: bool = False,
     ) -> RationalFunction:
-        num = self.polynomial(variables, num_degree)
+        vs = tuple(variables)
+        num = self.polynomial(vs, num_degree)
         if monomial_den:
-            den = self.monomial(variables, den_degree)
+            den = Polynomial.monomial(vs, self.exponent(len(vs), den_degree))
         else:
-            den = self.nonzero_polynomial(variables, den_degree, max_terms=2)
+            den = self.polynomial(vs, den_degree, max_terms=2, allow_zero=False)
         return RationalFunction(num, den)
 
     def even_polynomial(self, variables: Sequence[str], max_degree: int, max_terms: int = 4) -> Polynomial:
@@ -145,51 +139,28 @@ class SampleStream:
 
     # -- group elements -----------------------------------------------------------
 
-    def mobius_det1_matrix(self):
-        """Product of elementary shears in SL(2, Q(i))."""
-        m = mat_identity(2)
+    def _shears(self, n: int):
+        """A product of 2-4 shears [[I, S], [0, I]] or [[I, 0], [S, I]] in Sp(2n, Q(i)),
+        each S symmetric with its upper triangle drawn row-major from SHEAR_POOL,
+        in the interleaved (q1, p1, q2, p2, ...) basis; n = 1 gives SL(2)."""
+        m = mat_identity(2 * n)
         for _ in range(self.rng.randint(2, 4)):
-            t = self.shear_parameter()
-            if self.rng.random() < 0.5:
-                shear = ((GaussianRational(1), t), (GaussianRational(0), GaussianRational(1)))
-            else:
-                shear = ((GaussianRational(1), GaussianRational(0)), (t, GaussianRational(1)))
+            params = [(a, b, self.shear_parameter()) for a in range(n) for b in range(a, n)]
+            lower = self.rng.random() >= 0.5  # S below the diagonal: p_a += S_ab q_b
+            shear = [list(row) for row in mat_identity(2 * n)]
+            for a, b, t in params:
+                shear[2 * a + lower][2 * b + 1 - lower] = t
+                shear[2 * b + lower][2 * a + 1 - lower] = t
             m = mat_mul(m, shear)
         return m
 
-    def symplectic(self, space: SymplecticSpace) -> LinearSymplectic:
-        """A random element of Sp for the 2- or 4-dimensional standard space."""
-        if space.dim == 2:
-            return LinearSymplectic(self.mobius_det1_matrix(), space)
-        if space.dim == 4:
-            return LinearSymplectic(self._symplectic4_matrix(), space)
-        raise ValueError("samples are implemented for dimensions 2 and 4")
+    def mobius_det1_matrix(self):
+        """Product of elementary shears in SL(2, Q(i))."""
+        return self._shears(1)
 
-    def _symplectic4_matrix(self):
-        # Build in the (x1, x2, y1, y2) basis where the form is [[0, I], [-I, 0]]:
-        # [[I, S], [0, I]] and [[I, 0], [S, I]] are symplectic for symmetric S.
-        zero, one = GaussianRational(0), GaussianRational(1)
-        m = mat_identity(4)
-        for _ in range(self.rng.randint(2, 4)):
-            s00, s01, s11 = (self.shear_parameter() for _ in range(3))
-            if self.rng.random() < 0.5:
-                gen = (
-                    (one, zero, s00, s01),
-                    (zero, one, s01, s11),
-                    (zero, zero, one, zero),
-                    (zero, zero, zero, one),
-                )
-            else:
-                gen = (
-                    (one, zero, zero, zero),
-                    (zero, one, zero, zero),
-                    (s00, s01, one, zero),
-                    (s01, s11, zero, one),
-                )
-            m = mat_mul(m, gen)
-        # reindex from (x1, x2, y1, y2) to the interleaved (x1, y1, x2, y2)
-        sigma = (0, 2, 1, 3)
-        return tuple(tuple(m[sigma[i]][sigma[j]] for j in range(4)) for i in range(4))
+    def symplectic(self, space: SymplecticSpace) -> LinearSymplectic:
+        """A random element of Sp for a standard space."""
+        return LinearSymplectic(self._shears(space.dim // 2), space)
 
     def permutation(self, d: int) -> Tuple[int, ...]:
         perm = list(range(1, d + 1))

@@ -12,7 +12,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational
-from .polynomial import Polynomial, coeff_term_text, join_signed
+from .polynomial import coeff_term_text, join_signed
 from .rational import RationalFunction
 
 
@@ -79,13 +79,7 @@ class HSeries:
     def _coerce(self, other) -> "HSeries":
         if isinstance(other, HSeries):
             return other
-        if isinstance(other, RationalFunction):
-            return HSeries.constant(other, self.order)
-        if isinstance(other, Polynomial):
-            return HSeries.constant(RationalFunction.from_polynomial(other), self.order)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return HSeries.constant(RationalFunction.constant(self.vars, other), self.order)
-        raise TypeError(f"cannot combine series with {other!r}")
+        return HSeries.constant(self.coeffs[0]._coerce(other), self.order)
 
     def _align(self, other) -> Tuple["HSeries", "HSeries"]:
         other = self._coerce(other)
@@ -112,10 +106,7 @@ class HSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, RationalFunction)):
-            if isinstance(other, RationalFunction):
-                return self.map_coefficients(lambda c: c * other)
-            scalar = GaussianRational.coerce(other)
-            return self.map_coefficients(lambda c: c * scalar)
+            return self.map_coefficients(lambda c: c * other)
         a, b = self._align(other)
         return HSeries(h_product(a.coeffs, b.coeffs, a.order + 1))
 

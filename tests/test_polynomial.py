@@ -92,6 +92,16 @@ def test_with_variables_embedding():
     small = Polynomial(("x",), {(2,): 5})
     wide = small.with_variables(V)
     assert wide == build({(2, 0, 0): 5})
+    # a reordering
+    assert build({(2, 1, 0): 3, (0, 0, 1): -1}).with_variables(("z", "y", "x")) == Polynomial(
+        ("z", "y", "x"), {(0, 1, 2): 3, (1, 0, 0): -1}
+    )
+    # a constant over no variables
+    assert Polynomial.constant((), 7).with_variables(V) == Polynomial.constant(V, 7)
+    assert Polynomial.zero(()).with_variables(V) == Polynomial.zero(V)
+    # a target that lacks a variable
+    with pytest.raises(UnknownVariable):
+        build({(1, 0, 1): 1}).with_variables(("x", "y"))
 
 
 def test_divexact_roundtrip():

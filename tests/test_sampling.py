@@ -1,6 +1,26 @@
+"""Sample streams: determinism, group membership and the pinned values.
+
+The first samples of `mobius_det1_matrix` and `symplectic` are pinned in
+golden/sample_values.json, since a generator that drew other matrices would
+still pass every suite report.  Regenerate it, after checking that a change
+of the streams is meant:
+    PYTHONPATH=src python tests/test_sampling.py
+"""
+
+import json
+from pathlib import Path
+
 from moyalquot.moyal import SymplecticSpace
 from moyalquot.sampling import SampleStream
 from oracles import form_pullback, omega_matrix
+
+SAMPLE_VALUES = Path(__file__).parent / "golden" / "sample_values.json"
+MOBIUS_LABELS = ("mobius", "1:lemma1:equivariance", "7:lemma1:equivariance")
+SYMPLECTIC_SPACES = {
+    2: ("x", "y"),
+    4: ("x1", "y1", "x2", "y2"),
+    6: ("x1", "y1", "x2", "y2", "x3", "y3"),
+}
 
 
 def test_streams_are_deterministic():
@@ -39,7 +59,7 @@ def test_mobius_samples_have_det_one():
 
 
 def test_symplectic_samples_preserve_form():
-    for dim, vs in ((2, ("x", "y")), (4, ("x1", "y1", "x2", "y2"))):
+    for dim, vs in SYMPLECTIC_SPACES.items():
         space = SymplecticSpace.standard(vs)
         s = SampleStream(f"symplectic-{dim}")
         for _ in range(20):
@@ -52,3 +72,29 @@ def test_rational_function_monomial_denominator():
     for _ in range(20):
         r = s.rational_function(("x", "y"), 2, 2, monomial_den=True)
         assert len(r.den.terms) == 1
+
+
+def _text(matrix) -> list:
+    return [", ".join(str(entry) for entry in row) for row in matrix]
+
+
+def drawn_sample_values() -> dict:
+    """The first 30 samples of each pinned generator, as entry texts."""
+    mobius = {}
+    for label in MOBIUS_LABELS:
+        s = SampleStream(label)
+        mobius[label] = [_text(s.mobius_det1_matrix()) for _ in range(30)]
+    symplectic = {}
+    for dim in (2, 4):
+        space = SymplecticSpace.standard(SYMPLECTIC_SPACES[dim])
+        s = SampleStream(f"symplectic-{dim}")
+        symplectic[str(dim)] = [_text(s.symplectic(space).matrix) for _ in range(30)]
+    return {"mobius_det1_matrix": mobius, "symplectic": symplectic}
+
+
+def test_drawn_samples_match_the_pinned_values():
+    assert drawn_sample_values() == json.loads(SAMPLE_VALUES.read_text())
+
+
+if __name__ == "__main__":
+    SAMPLE_VALUES.write_text(json.dumps(drawn_sample_values(), indent=1) + "\n")

@@ -86,6 +86,18 @@ def test_symmetric_suite_passes_beyond_two_chart_pairs():
     assert "total: 5 passed, 0 failed" in result.stdout
 
 
+@pytest.mark.parametrize("suite,left_out,total", [
+    ("theorem1", "operands on disjoint factors commute exactly", 5),
+    ("symmetric", "asymmetric series are detected", 4),
+])
+def test_cases_with_nothing_to_check_at_d1_are_left_out(suite, left_out, total, capsys):
+    # at d = 1 these cases would check nothing, so they must not report a pass
+    assert run(["verify", suite, "--seed", "1", "--samples", "2", "--d", "1", "--r", "1"]) == 0
+    out = capsys.readouterr().out
+    assert left_out not in out
+    assert out.endswith(f"total: {total} passed, 0 failed\n")
+
+
 def test_reports_are_deterministic():
     cfg = SuiteConfig(seed=5, samples=8)
     first = run_suite("lemma1", cfg)
@@ -341,6 +353,7 @@ def test_cli_order_environment_variable():
     assert json.loads(result.stdout)["order"] == 3
     bad = run_cli("star", "x", "y", env_extra={"MOYALQUOT_ORDER": "many"})
     assert bad.returncode == 4
+    assert bad.stderr == "usage error: MOYALQUOT_ORDER must be an integer, got 'many'\n"
 
 
 def test_cli_order_above_the_cap_is_refused(capsys, monkeypatch):
@@ -356,11 +369,16 @@ def test_cli_order_above_the_cap_is_refused(capsys, monkeypatch):
         assert capsys.readouterr() == (
             "", f"usage error: --order must be at most {cli.MAX_ORDER}, got {order}\n"
         )
-    monkeypatch.setenv("MOYALQUOT_ORDER", over)
-    assert run(["star", "x", "y"]) == 4
-    assert capsys.readouterr().err == (
-        f"usage error: MOYALQUOT_ORDER must be at most {cli.MAX_ORDER}, got {over}\n"
-    )
+    assert run(["star", "--order", "-1", "x", "y"]) == 4
+    assert capsys.readouterr() == ("", "usage error: --order must be nonnegative\n")
+    for value, message in (
+        (over, f"must be at most {cli.MAX_ORDER}, got {over}"),
+        ("-1", "must be nonnegative"),
+        ("x", "must be an integer, got 'x'"),
+    ):
+        monkeypatch.setenv("MOYALQUOT_ORDER", value)
+        assert run(["star", "x", "y"]) == 4
+        assert capsys.readouterr() == ("", f"usage error: MOYALQUOT_ORDER {message}\n")
     # the cap itself is allowed
     assert run(["star", "--space", "flat2", "--order", str(cli.MAX_ORDER), "x", "y"]) == 0
     assert capsys.readouterr().out == "x*y + (1/2)*i*h\n"
