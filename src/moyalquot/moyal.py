@@ -44,16 +44,23 @@ paths below, and pushed forward on the same pairs.
 The product is covariant under affine symplectic changes of coordinates, so
 denominators that are powers of at most two affine forms l, l' are monomials
 in a Darboux frame that holds them: (l, l') as one pair when {l, l'} = s != 0
-(scale 1/s), both as q's when they commute, l alone when l' = l.  Forms are
-sparse linear polynomials, and their bracket reads their unit terms.
+(scale 1/s), both as q's when they commute, l alone when l' = l.  Two
+centers, l' = l + c with f's denominators in l and g's in l', take the frame
+pair (l, p) of l and two more variables: on f(l, p) and g(l', p) the operator
+is (d_l (x) d_p - d_p (x) d_l')/s, the one of the pairs (l, p) and (l', p') of
+scale s with f moved in as l, p' and g as l', p.  The kernel multiplies those,
+its class multinomial C(k, j) splitting the sum above by pair, and p' = p on
+the way back.  Forms are sparse linear polynomials, and their bracket reads
+their unit terms.
 Symplectic Gram-Schmidt on the pairs the forms touch completes the frame, its
 pair t in the variables of touched pair t while every other pair stays,
 x_i = sum_k ({x_i, p_k} q_k - {x_i, q_k} p_k) / {q_k, p_k} + c_i writes x
 back in it, and the operands move in and the kernel's result moves out by
-affine composition.  An automorphism keeps numerator and denominator
-coprime, so no gcd runs; l is found without one, as (d/dx_j)^(m-1) D,
-checked by l^m = D.  Forms with equal linear parts and different constants,
-three directions (a star of a star), and frames that make the numerators
+affine composition, p and p' both to p.  An automorphism keeps numerator and
+denominator coprime, so no gcd runs; with two centers only l or l' can
+divide a numerator, and exact division strips them.  l is found without a
+gcd, as (d/dx_j)^(m-1) D, checked by l^m = D.  Three directions (a star of a
+star), a coefficient over both centers, and frames that make the numerators
 much denser take the general path.
 
 Other operands take derivatives over the bracket entries of the variables
@@ -66,7 +73,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial, lcm, prod
 from operator import add, sub
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
@@ -74,7 +81,7 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
 from .geometry import pushforward_even_pair, sigma_pullback_pair
-from .polynomial import Polynomial, _occurring, affine_forms, sum_terms
+from .polynomial import Polynomial, _occurring, affine_forms, poly_try_divexact, sum_terms
 from .rational import RationalFunction, rf_sum
 from .series import HSeries
 
@@ -352,6 +359,15 @@ def _pair_series(order: int, a: int, b: int, c: int, d: int) -> Tuple[Tuple[int,
     return tuple((k, v) for k, v in enumerate(totals) if v)
 
 
+@lru_cache(maxsize=64)
+def _kernel_plan(space: SymplecticSpace, order: int):
+    """The rows of the scale classes (a chart pair's at -2), and per pair (class, chart?)."""
+    scales = [GaussianRational(-2) if t in space.chart else s for t, s in enumerate(space.scales)]
+    distinct = list(dict.fromkeys(scales))
+    return ([_star_scalars(order, s) for s in distinct],
+            [(distinct.index(s), t in space.chart) for t, s in enumerate(scales)])
+
+
 def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
     """The star of Laurent operands as a product of per-pair monomial series.
 
@@ -362,19 +378,16 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSerie
     integer M: in one scale class, pairs whose k_t sum to K share row[K]
     times K!/prod k_t!, which M builds up by C(K + k, k)."""
     space, n = ctx.space, ctx.order
+    rows, kinds = _kernel_plan(space, n)
     ints = []
     for c in used:
-        terms = _laurent_terms(c)
+        terms = _laurent_terms(c) if c.num.terms else []
         den = lcm(*(v.den for _, v in terms)) if terms else 1
         ints.append((den, [(e, v.a * (den // v.den), v.b * (den // v.den)) for e, v in terms]))
-    scales = [GaussianRational(-2) if t in space.chart else s for t, s in enumerate(space.scales)]
-    distinct = list(dict.fromkeys(scales))
-    rows = [_star_scalars(n, s) for s in distinct]
-    kinds = [(distinct.index(s), t in space.chart) for t, s in enumerate(scales)]
     # (f index, g index, k per scale class, exponent) -> [real, imaginary] integers
     acc: Dict[tuple, List[int]] = {}
     for i, (_, fi) in enumerate(ints[: n + 1]):
-        for j, (_, gj) in enumerate(ints[n + 1: 2 * n + 2 - i]):
+        for j, (_, gj) in enumerate(ints[n + 1: 2 * n + 2 - i] if fi else ()):
             budget = n - i - j
             for ea, fa, fb in fi:
                 for eb, ga, gb in gj:
@@ -408,7 +421,8 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSerie
         row, den = products[ks], ints[i][0] * ints[n + 1 + j][0]
         out[i + j + sum(ks)].append((e, GaussianRational._make(  # one normalization per term
             re * row.a - im * row.b, re * row.b + im * row.a, den * row.den)))
-    return HSeries(tuple(_from_laurent(space.vars, pairs) for pairs in out))
+    zero = RationalFunction.zero(space.vars)  # one zero for every empty coefficient
+    return HSeries(tuple(_from_laurent(space.vars, pairs) if pairs else zero for pairs in out))
 
 
 # A frame whose forms mix many variables makes sparse numerators dense, and
@@ -443,7 +457,11 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     commute, or one q.  Symplectic Gram-Schmidt over the Darboux pairs that
     the forms touch completes them, projecting each candidate against each
     new pair once.  Frame pair t takes the variables of touched pair t; every
-    other pair commutes with them and maps to itself."""
+    other pair commutes with them and maps to itself.
+
+    Two centers u and w = u + delta take the frame of u with two more
+    variables w, p' (see the module docstring): `into` holds f's forms, then
+    g's, and `back` sends p and p' to p."""
     roots = list(dict.fromkeys(_affine_root(c.den) for c in used if not c.den.is_one()))
     if None in roots or len(roots) > 2:
         return None
@@ -461,19 +479,17 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
             candidates[j] = v - q * (bracket(v, p) / c) + p * (bracket(v, q) / c)
 
     first, *pending = roots
-    if pending and bracket(first, pending[0]):
+    shifted = pending if pending and (pending[0] - first).is_constant() else []
+    if shifted or not pending:
+        pending = [first]
+    elif bracket(first, pending[0]):
         add(first, pending.pop())
-    elif pending:
+    else:
         # commuting forms: each u below commutes with the second; pair one with the first
         beta = [bracket(pending[0], x) for x in candidates]
         partners = (x * beta[j] - y * beta[k]
                     for j, y in enumerate(candidates) for k, x in enumerate(candidates))
-        u = next((u for u in partners if bracket(first, u)), None)
-        if u is None:
-            return None  # equal linear parts, different constants
-        add(first, u)
-    else:
-        pending = [first]
+        add(first, next(u for u in partners if bracket(first, u)))
     while len(frame) < len(touched):
         q = pending.pop() if pending else next(v for v in candidates if not v.is_constant())
         add(q, next(v for v in candidates if bracket(q, v)))
@@ -486,7 +502,32 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     for i in slots:
         into[i] = sum((centered[a] * (bracket(units[i], back[a ^ 1]) / frame_space.brackets[a][2])
                        for a in slots), Polynomial.zero(vs))
+    if shifted:  # u is the q of slot q; w and p' take two new slots
+        q, m, delta = slots[0], len(vs), (shifted[0] - first).constant_value()
+        ext = vs + tuple(max(vs, key=len) + "'" * k for k in (1, 2))
+        xs, lifted = [Polynomial.variable(ext, x) for x in ext], []
+        # f's p is p', and g's q is w - delta; an untouched slot is its own unit
+        for images in (xs[:q + 1] + [xs[m + 1]] + xs[q + 2:m], xs[:q] + [xs[m] - delta] + xs[q + 1:m]):
+            powers: list = []
+            lifted += [form.compose(images, powers) if i in slots else xs[i]
+                       for i, form in enumerate(into)]
+        into, back = lifted, back + [shifted[0], back[q + 1]]
+        frame_space = SymplecticSpace(ext, scales + [scales[q // 2]])
     return frame_space, into, back
+
+
+def _two_centers_back(c: RationalFunction, back: Sequence[Polynomial],
+                      powers: list) -> RationalFunction:
+    """c, over the frame, w and p' with denominator u^A w^B, after X_a -> back[a].
+
+    Only the coprime u and w can divide the numerator, so each is divided out
+    while it divides exactly, with no gcd."""
+    num, shift = c.num.compose(back, powers), list(*c.den.terms)
+    for slot in range(len(shift)):
+        while shift[slot] and (quotient := poly_try_divexact(num, back[slot])) is not None:
+            num, shift[slot] = quotient, shift[slot] - 1
+    den = Polynomial._raw(c.vars, {tuple(shift): G_ONE}).compose(back, powers)
+    return RationalFunction._from_coprime(num, den)
 
 
 def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
@@ -515,28 +556,26 @@ def _star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
         touched = {i // 2 for c in used for poly in (c.num, c.den) for i in _occurring(poly)}
         pairs = [space.vars[2 * k:2 * k + 2] for k in sorted(space.chart & touched)]
 
-        def pull(c: RationalFunction) -> RationalFunction:
-            for z, p in pairs:
-                c = sigma_pullback_pair(c, z, p, z, p)
-            return c
-
-        def push(c: RationalFunction) -> RationalFunction:
-            for z, p in pairs:
-                c = pushforward_even_pair(c, z, p, z, p)
-            return c
+        def on_pairs(rewrite):  # a pair map of the cover on each of those pairs
+            return lambda c: reduce(lambda value, zp: rewrite(value, *zp, *zp), pairs, c)
 
         cover = SymplecticSpace(space.vars, [1 if k in space.chart else s
                                              for k, s in enumerate(space.scales)])
-        return _star(MoyalContext(cover, n), [pull(c) for c in used]).map_coefficients(push)
+        pulled = [on_pairs(sigma_pullback_pair)(c) for c in used]
+        return _star(MoyalContext(cover, n), pulled).map_coefficients(on_pairs(pushforward_even_pair))
     frame = _affine_frame(space, used)
     if frame is not None:
         frame_space, into, back = frame
-        powers_in, powers_back = [], []
-        moved = [c.compose_linear(into, powers_in) for c in used]
+        dim, powers, powers_back = space.dim, ([], []), []
+        # with two centers, g's forms follow f's; a coefficient with both is not Laurent
+        moved = [c.compose_linear(into[-dim:] if i > n else into[:dim], powers[i > n])
+                 for i, c in enumerate(used)]
         size, moved_size = (sum(len(c.num.terms) for c in cs) for cs in (used, moved))
-        if moved_size <= FRAME_GROWTH * size:
+        if moved_size <= FRAME_GROWTH * size and all(len(c.den.terms) == 1 for c in moved):
             product = _laurent_star(MoyalContext(frame_space, n), moved)
-            return product.map_coefficients(lambda c: c.compose_linear(back, powers_back))
+            if len(back) == dim:  # an invertible map: nothing cancels
+                return product.map_coefficients(lambda c: c.compose_linear(back, powers_back))
+            return product.map_coefficients(lambda c: _two_centers_back(c, back, powers_back))
     scalars = _star_scalars(n)
     tf = [_DerivTable(space.vars, c) for c in used[: n + 1]]
     tg = [_DerivTable(space.vars, c) for c in used[n + 1:]]

@@ -618,7 +618,7 @@ def frame_star_cases(draw):
 def test_frame_star_matches_bidiff(case):
     ctx, f, g, relation = case
     used = f.coeffs[: ctx.order + 1] + g.coeffs[: ctx.order + 1]
-    if relation != "shifted" and not all(len(c.den.terms) == 1 for c in used):
+    if not all(len(c.den.terms) == 1 for c in used):
         assert moyal._affine_frame(ctx.space, used) is not None
     assert moyal_star(ctx, f, g) == star_by_bidiff_oracle(ctx, f, g)
 
@@ -680,7 +680,6 @@ def test_frame_falls_back_to_bidiff(monkeypatch):
         "x1*y1^2*x2^2*y2/(x1 - (1/2 - 3*i)*y1 - x2 + (1/2 - 3*i)*y2 + 1)",
     )]
     cases = [
-        (ctx, HSeries.constant(1 / (x + 1), 2), HSeries.constant(1 / (x - 1), 2)),  # shifted
         (ctx, HSeries.constant(1 / (x * x + y * y), 2), f),  # not a power of an affine form
         (ctx, moyal_star(ctx, f, g), h),  # three directions: a star of a star
         (MoyalContext(SymplecticSpace.standard(x4), 1), *dense),
@@ -698,6 +697,70 @@ def test_frame_falls_back_to_bidiff(monkeypatch):
         assert taken, case
         monkeypatch.setattr(moyal, "_bidiff", real)
         assert product == star_by_bidiff_oracle(*case)
+
+
+def _shifted(vs, order, *texts):
+    from moyalquot.expr import parse_rational
+
+    ctx = MoyalContext(SymplecticSpace.standard(vs), order)
+    # "c0; c1; ..." lists the h-coefficients, and one text is a constant series
+    f, g = (HSeries([parse_rational(t, vs) for t in text.split(";")]) if ";" in text
+            else HSeries.constant(parse_rational(text, vs), order) for text in texts)
+    return ctx, f, g
+
+
+# forms with one linear part and different constants: f's denominators in one, g's in
+# the other, so the kernel takes them as two pairs of one scale on two more variables
+TWO_CENTER_CASES = {
+    "shifted": (XY, 2, "1/(x+1)", "1/(x-1)"),
+    "u cancels": (XY, 3, "y/(x+1)", "(x+1)/(x-1)"),
+    "w cancels": (XY, 3, "(x+1)*y/(x+1/2)", "x/(x+1)"),
+    "both cancel in part": (XY, 4, "y^2*(x-1)/(x+1)^2", "y*(x+1)^2/(x-1)^3"),
+    "polynomial coefficient": (XY, 2, "x*y^2; y/(x+1); x^2/(x+1)^2", "x/(x - 1) + y"),
+    "polynomial f": (XY, 3, "x^2*y + y^3", "x/(x - 1) + y^2/(x - 1)^2"),
+    "flat4": (("x1", "y1", "x2", "y2"), 0, "y2/(x1+y2)", "y2/(x1+y2+1)"),
+}
+
+
+def _kernel_widths(monkeypatch):
+    """The number of variables of each kernel call's space, recorded as calls come."""
+    widths, real = [], moyal._laurent_star
+    monkeypatch.setattr(moyal, "_laurent_star",
+                        lambda ctx, used: widths.append(ctx.space.dim) or real(ctx, used))
+    return widths
+
+
+@pytest.mark.parametrize("name", sorted(TWO_CENTER_CASES))
+def test_two_center_star_matches_bidiff(name, monkeypatch):
+    ctx, f, g = _shifted(*TWO_CENTER_CASES[name])
+    widths = _kernel_widths(monkeypatch)
+    monkeypatch.setattr(moyal, "_bidiff", lambda *args: pytest.fail("derivatives taken"))
+    product = moyal_star(ctx, f, g)
+    monkeypatch.undo()
+    # "polynomial f" has one center, in g: the frame of one form
+    two_centers = name != "polynomial f"
+    assert widths == [ctx.space.dim + 2 * two_centers]
+    assert product == star_by_bidiff_oracle(ctx, f, g)
+
+
+def test_equal_constants_keep_the_one_form_frame(monkeypatch):
+    # equal constants are one form: no second center, and the text that the one-form
+    # frame printed before two centers had a frame
+    ctx, f, g = _shifted(XY, 2, "y/(x+1)", "x*y^2/(x+1)^2")
+    expected = ("(x*y^3)/(x^3 + 3*x^2 + 3*x + 1) - ((1/2)*i*y^2)/(x^3 + 3*x^2 + 3*x + 1)*h"
+                " - ((1/2)*y)/(x^5 + 5*x^4 + 10*x^3 + 10*x^2 + 5*x + 1)*h^2")
+    widths = _kernel_widths(monkeypatch)
+    product = moyal_star(ctx, f, g)
+    assert widths == [2] and str(product) == expected
+    assert product == star_by_bidiff_oracle(ctx, f, g)
+
+
+def test_a_coefficient_over_both_centers_takes_derivatives(monkeypatch):
+    # f holds both centers, so it is not Laurent in the frame of either
+    ctx, f, g = _shifted(XY, 1, "y/(x+1); 1/(x-1)", "x/(x+1)")
+    widths = _kernel_widths(monkeypatch)
+    assert moyal_star(ctx, f, g) == star_by_bidiff_oracle(ctx, f, g)
+    assert widths == []
 
 
 # -- the general path over the variables the operands use ------------------------------
