@@ -29,6 +29,7 @@ from .moyal import Matrix, MoyalContext, SymplecticSpace, as_matrix, det2, mat_i
 from .moyal import mat_mul, moyal_star, proj_eq
 from .polynomial import affine_forms
 from .quot import ValidationReport
+from .rational import RationalFunction
 from .series import HSeries, hs_equal
 
 TransitionKey = Tuple[str, str]
@@ -145,6 +146,8 @@ def transport(atlas: ProjectiveAtlas, f: KChartFunction, target: str) -> KChartF
     linear = affine_forms(src_vars, [row + (G_ZERO,) for row in matrix])
 
     def move(c):
+        if c.is_zero():
+            return RationalFunction.zero(dst_vars)
         cover = sigma_pullback_pair(c.compose_linear(unscale), *src_vars, *src_vars)
         return pushforward_even_pair(cover.compose_linear(linear), *src_vars, *dst_vars)
 

@@ -300,10 +300,7 @@ def _cmd_validate_point(args) -> int:
     flat_values = _parse_entries(args.flat)
     if len(flat_values) % 2:
         raise UsageFailure("--flat needs an even number of entries (u, v pairs)")
-    flat = tuple(
-        (flat_values[2 * k], flat_values[2 * k + 1])
-        for k in range(len(flat_values) // 2)
-    )
+    flat = tuple(zip(flat_values[::2], flat_values[1::2]))
     # the duplicate-support check compares every pair of support entries
     _check_variables(2 * (len(support) + len(flat)),
                      f"a point with d = {len(support)} and {len(flat)} flat pairs")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 from typing import Optional, Union
 
 from .errors import DomainError
@@ -30,9 +30,7 @@ class GaussianRational:
             self.den = 1
             return
         fre, fim = Fraction(re), Fraction(im)
-        den = fre.denominator * fim.denominator // _int_gcd(
-            fre.denominator, fim.denominator
-        )
+        den = lcm(fre.denominator, fim.denominator)
         self.a = fre.numerator * (den // fre.denominator)
         self.b = fim.numerator * (den // fim.denominator)
         self.den = den
@@ -120,10 +118,7 @@ class GaussianRational:
         )
 
     def __rsub__(self, other):
-        other = GaussianRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -(self - other)
 
     def __mul__(self, other):
         other = GaussianRational._try_coerce(other)

@@ -58,13 +58,10 @@ def cotangent_lift(
     det = a * d - b * c
     if det.is_zero():
         raise DegenerateMatrix("matrix determinant is zero")
-    vs = tuple(zp)
-    z = Polynomial.variable(vs, vs[0])
-    p = Polynomial.variable(vs, vs[1])
-    num_z = z * a + Polynomial.constant(vs, b)
-    den_z = z * c + Polynomial.constant(vs, d)
-    big_z = RationalFunction(num_z, den_z)
-    big_p = RationalFunction(p * den_z * den_z, Polynomial.constant(vs, det))
+    z, p = (Polynomial.variable(zp, v) for v in zp)
+    den_z = z * c + d  # the constants are coerced onto the pair's variables
+    big_z = RationalFunction(z * a + b, den_z)
+    big_p = RationalFunction(p * den_z * den_z, Polynomial.constant(zp, det))
     return big_z, big_p
 
 
@@ -84,21 +81,15 @@ def is_even(value: RationalFunction) -> bool:
     if value.is_zero():
         return True
     pn = parity(value.num)
-    pd = parity(value.den)
-    return pn is not None and pd is not None and pn == pd
+    return pn is not None and pn == parity(value.den)
 
 
 def sigma_bindings(
     zp: Sequence[str] = ("z", "p"), xy: Sequence[str] = ("x", "y")
 ) -> Dict[str, RationalFunction]:
     """Bindings realizing (z, p) = (x/y, -y^2/2) for substitution."""
-    xs = tuple(xy)
-    x = RationalFunction.variable(xs, xs[0])
-    y = RationalFunction.variable(xs, xs[1])
-    return {
-        zp[0]: x / y,
-        zp[1]: y * y * Fraction(-1, 2),
-    }
+    x, y = (RationalFunction.variable(xy, v) for v in xy)
+    return {zp[0]: x / y, zp[1]: y * y * Fraction(-1, 2)}
 
 
 def _pair_rewrite(value, old, new, level, finish) -> RationalFunction:

@@ -42,26 +42,24 @@ pulled back on the chart pairs they use, multiplied on the flat cover by the
 paths below, and pushed forward on the same pairs.
 
 The product is covariant under affine symplectic changes of coordinates, so
-denominators that are powers of at most two affine forms l, l' are monomials
-in a Darboux frame that holds them: (l, l') as one pair when {l, l'} = s != 0
-(scale 1/s), both as q's when they commute, l alone when l' = l.  Two
-centers, l' = l + c with f's denominators in l and g's in l', take the frame
-pair (l, p) of l and two more variables: on f(l, p) and g(l', p) the operator
-is (d_l (x) d_p - d_p (x) d_l')/s, the one of the pairs (l, p) and (l', p') of
-scale s with f moved in as l, p' and g as l', p.  The kernel multiplies those,
-its class multinomial C(k, j) splitting the sum above by pair, and p' = p on
-the way back.  Forms are sparse linear polynomials, and their bracket reads
-their unit terms.
-Symplectic Gram-Schmidt on the pairs the forms touch completes the frame, its
-pair t in the variables of touched pair t while every other pair stays,
-x_i = sum_k ({x_i, p_k} q_k - {x_i, q_k} p_k) / {q_k, p_k} + c_i writes x
-back in it, and the operands move in and the kernel's result moves out by
-affine composition, p and p' both to p.  An automorphism keeps numerator and
-denominator coprime, so no gcd runs; with two centers only l or l' can
-divide a numerator, and exact division strips them.  l is found without a
-gcd, as (d/dx_j)^(m-1) D, checked by l^m = D.  Three directions (a star of a
-star), a coefficient over both centers, and frames that make the numerators
-much denser take the general path.
+denominators that are products of at most two affine forms l, l' are
+monomials in a Darboux frame that holds them.  Each distinct denominator is
+split once (`_affine_factors`), and a power r^k of a split r takes r's
+forms.  Only numerators move into the frame, by affine composition; a
+denominator becomes the monomial of its split, and the kernel's result moves
+back by composition.  An automorphism keeps numerator and denominator
+coprime, so no gcd runs.  Two centers, l' = l + c with f's denominators in l
+and g's in l', take the frame pair (l, p) of l and two more variables: on
+f(l, p) and g(l', p) the operator is (d_l (x) d_p - d_p (x) d_l')/s, the one
+of the pairs (l, p) and (l', p') of scale s with f moved in as l, p' and g
+as l', p.  The kernel multiplies those, its class multinomial C(k, j)
+splitting the sum above by pair, and p' = p on the way back, where only l
+or l' can divide a numerator: each is tested on its hyperplane, then divided
+out exactly.  Forms are sparse linear polynomials, and their bracket reads
+their unit terms.  Denominators that do not split by contents, such as
+those of a star of a star over x + y and x - y, three forms, a coefficient
+over both centers, and frames that make the numerators much denser take the
+general path.
 
 Other operands take derivatives over the bracket entries of the variables
 they use, each over its known denominator; the terms of one h-power are
@@ -81,7 +79,8 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
 from .geometry import pushforward_even_pair, sigma_pullback_pair
-from .polynomial import Polynomial, _occurring, affine_forms, poly_try_divexact, sum_terms
+from .polynomial import (Polynomial, _content_in, _occurring, affine_forms, poly_divexact,
+                         poly_try_divexact, sum_terms)
 from .rational import RationalFunction, rf_sum
 from .series import HSeries
 
@@ -433,40 +432,65 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSerie
 FRAME_GROWTH = 4
 
 
-def _affine_root(den: Polynomial) -> Optional[Polynomial]:
-    """The monic affine form l with den = l^m, m = deg den; None if there is none.
+def _affine_factors(den: Polynomial) -> Optional[Dict[Polynomial, int]]:
+    """{monic affine form l: m} with den = prod l^m; None if there is none.
 
-    l leads with x_j^m, and (d/dx_j)^(m-1) den is proportional to l."""
-    lead = den.leading_exponent()
-    (j, m), *rest = [(j, e) for j, e in enumerate(lead) if e]
+    A content of den in one variable that is not constant splits den in two,
+    and each part splits again.  A part that does not split is l^m: l leads
+    with x_j^m, and (d/dx_j)^(m-1) den is proportional to l."""
+    if den.total_degree() < 2:  # 1, or a form
+        return {den: 1} if den.total_degree() else {}
+    for idx in sorted(_occurring(den)):
+        content = _content_in(den, idx)
+        if not content.is_constant():
+            parts = [_affine_factors(part) for part in (content, poly_divexact(den, content))]
+            return None if None in parts else {**parts[0], **parts[1]}
+    (j, m), *rest = [(j, e) for j, e in enumerate(den.leading_exponent()) if e]
     if rest:
         return None
     form = den
     for _ in range(m - 1):
         form = form.derivative(den.vars[j])
     form = form.monic()
-    return form if form ** m == den else None
+    return {form: m} if form ** m == den else None
 
 
 def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
-    """(frame space, forms into the frame, forms back) for a Darboux frame in
-    which every denominator is a monomial; None if there is none.
+    """(frame space, forms into the frame, forms back, denominators) for a
+    Darboux frame in which every denominator is a monomial, or None; `used`
+    holds f's coefficients, then g's, and `denominators` their monomials.
 
-    The denominators must be powers of at most two affine forms.  The forms
-    become frame coordinates: a pair with scale 1/{l, l'}, two q's when they
-    commute, or one q.  Symplectic Gram-Schmidt over the Darboux pairs that
-    the forms touch completes them, projecting each candidate against each
-    new pair once.  Frame pair t takes the variables of touched pair t; every
-    other pair commutes with them and maps to itself.
-
-    Two centers u and w = u + delta take the frame of u with two more
-    variables w, p' (see the module docstring): `into` holds f's forms, then
-    g's, and `back` sends p and p' to p."""
-    roots = list(dict.fromkeys(_affine_root(c.den) for c in used if not c.den.is_one()))
-    if None in roots or len(roots) > 2:
-        return None
+    The forms become frame coordinates: a pair with scale 1/{l, l'}, two q's
+    when they commute, or one q.  Symplectic Gram-Schmidt over the Darboux
+    pairs that the forms touch completes them, projecting each candidate
+    against each new pair once.  Frame pair t takes the variables of touched
+    pair t; every other pair maps to itself.  With two centers u, w (see the
+    module docstring), `into` holds f's forms, then g's, and `back` sends p
+    and p' to p."""
+    splits: Dict[Polynomial, Dict[Polynomial, int]] = {}
+    rows: Dict[Polynomial, List[Polynomial]] = {}  # powers of the dens split from scratch
+    for den in sorted(dict.fromkeys(c.den for c in used if c.num.terms), key=Polynomial.total_degree):
+        for r, row in rows.items():
+            k, rest = divmod(den.total_degree(), r.total_degree())
+            while not rest and len(row) < k:
+                row.append(row[-1] * r)
+            if not rest and row[k - 1] == den:
+                splits[den] = {form: m * k for form, m in splits[r].items()}
+                break
+        else:
+            splits[den] = split = _affine_factors(den)
+            if split is None:
+                return None
+            if split:
+                rows[den] = [den]
+    n, split_of = len(used) // 2 - 1, [splits[c.den] if c.num.terms else {} for c in used]
+    first, *pending = dict.fromkeys(form for split in split_of for form in split)
+    shifted = pending if pending and (pending[0] - first).is_constant() else []
+    if len(pending) > 1 or shifted and any(
+            split.keys() - {shifted[0] if i > n else first} for i, split in enumerate(split_of)):
+        return None  # three forms, or two centers not one to each operand
     vs, bracket = space.vars, space.bracket
-    touched = sorted({i // 2 for r in roots for i in _occurring(r)})
+    touched = sorted({i // 2 for r in (first, *pending) for i in _occurring(r)})
     slots = [i for k in touched for i in (2 * k, 2 * k + 1)]
     units = [Polynomial.variable(vs, x) for x in vs]
     candidates = [units[i] for i in slots]
@@ -478,8 +502,6 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
         for j, v in enumerate(candidates if len(frame) < len(touched) else ()):  # orthogonalize
             candidates[j] = v - q * (bracket(v, p) / c) + p * (bracket(v, q) / c)
 
-    first, *pending = roots
-    shifted = pending if pending and (pending[0] - first).is_constant() else []
     if shifted or not pending:
         pending = [first]
     elif bracket(first, pending[0]):
@@ -502,8 +524,10 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     for i in slots:
         into[i] = sum((centered[a] * (bracket(units[i], back[a ^ 1]) / frame_space.brackets[a][2])
                        for a in slots), Polynomial.zero(vs))
+    sides = [{back[a]: a for a in slots}] * 2
     if shifted:  # u is the q of slot q; w and p' take two new slots
         q, m, delta = slots[0], len(vs), (shifted[0] - first).constant_value()
+        sides = [{first: q}, {shifted[0]: m}]
         ext = vs + tuple(max(vs, key=len) + "'" * k for k in (1, 2))
         xs, lifted = [Polynomial.variable(ext, x) for x in ext], []
         # f's p is p', and g's q is w - delta; an untouched slot is its own unit
@@ -513,21 +537,36 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
                        for i, form in enumerate(into)]
         into, back = lifted, back + [shifted[0], back[q + 1]]
         frame_space = SymplecticSpace(ext, scales + [scales[q // 2]])
-    return frame_space, into, back
+    unit, dens = Polynomial.one(frame_space.vars), []
+    for i, split in enumerate(split_of):
+        exp = [0] * len(frame_space.vars)
+        for form, m in split.items():
+            exp[sides[i > n][form]] = m
+        dens.append(Polynomial._raw(frame_space.vars, {tuple(exp): G_ONE}) if split else unit)
+    return frame_space, into, back, dens
 
 
-def _two_centers_back(c: RationalFunction, back: Sequence[Polynomial],
-                      powers: list) -> RationalFunction:
-    """c, over the frame, w and p' with denominator u^A w^B, after X_a -> back[a].
+def _two_centers_back(product: HSeries, back: Sequence[Polynomial]) -> HSeries:
+    """The kernel's product over the frame, w and p', its denominators u^A w^B,
+    after X_a -> back[a].  Only the coprime u and w can divide a numerator: u
+    when the frame numerator vanishes at X_u = 0, X_w = delta and p' = p (w at
+    X_u = -delta, X_w = 0), and then it is divided out while it divides exactly."""
+    m, powers = len(back) - 2, []
+    q = back.index(back[m + 1]) - 1  # p' goes to p, the partner of u
+    delta = (back[m] - back[q]).constant_value()
 
-    Only the coprime u and w can divide the numerator, so each is divided out
-    while it divides exactly, with no gcd."""
-    num, shift = c.num.compose(back, powers), list(*c.den.terms)
-    for slot in range(len(shift)):
-        while shift[slot] and (quotient := poly_try_divexact(num, back[slot])) is not None:
-            num, shift[slot] = quotient, shift[slot] - 1
-    den = Polynomial._raw(c.vars, {tuple(shift): G_ONE}).compose(back, powers)
-    return RationalFunction._from_coprime(num, den)
+    def move(c: RationalFunction) -> RationalFunction:
+        num, shift = c.num.compose(back, powers), list(*c.den.terms)
+        for slot, other, at in ((q, m, delta), (m, q, -delta)):
+            if shift[slot] and not sum_terms(
+                    (e[:q] + (e[q + 1] + e[m + 1],) + e[q + 2:m], v * at ** e[other])
+                    for e, v in c.num.terms.items() if not e[slot]):
+                while shift[slot] and (quotient := poly_try_divexact(num, back[slot])) is not None:
+                    num, shift[slot] = quotient, shift[slot] - 1
+        den = Polynomial._raw(c.vars, {tuple(shift): G_ONE}).compose(back, powers)
+        return RationalFunction._from_coprime(num, den)
+
+    return product.map_coefficients(move)
 
 
 def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
@@ -556,8 +595,9 @@ def _star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
         touched = {i // 2 for c in used for poly in (c.num, c.den) for i in _occurring(poly)}
         pairs = [space.vars[2 * k:2 * k + 2] for k in sorted(space.chart & touched)]
 
-        def on_pairs(rewrite):  # a pair map of the cover on each of those pairs
-            return lambda c: reduce(lambda value, zp: rewrite(value, *zp, *zp), pairs, c)
+        def on_pairs(rewrite):  # a pair map of the cover on each of those pairs; 0 stays
+            return lambda c: c if c.is_zero() else reduce(
+                lambda value, zp: rewrite(value, *zp, *zp), pairs, c)
 
         cover = SymplecticSpace(space.vars, [1 if k in space.chart else s
                                              for k, s in enumerate(space.scales)])
@@ -565,17 +605,17 @@ def _star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
         return _star(MoyalContext(cover, n), pulled).map_coefficients(on_pairs(pushforward_even_pair))
     frame = _affine_frame(space, used)
     if frame is not None:
-        frame_space, into, back = frame
+        frame_space, into, back, dens = frame
         dim, powers, powers_back = space.dim, ([], []), []
-        # with two centers, g's forms follow f's; a coefficient with both is not Laurent
-        moved = [c.compose_linear(into[-dim:] if i > n else into[:dim], powers[i > n])
-                 for i, c in enumerate(used)]
-        size, moved_size = (sum(len(c.num.terms) for c in cs) for cs in (used, moved))
-        if moved_size <= FRAME_GROWTH * size and all(len(c.den.terms) == 1 for c in moved):
+        # with two centers, g's forms follow f's; the denominators are moved already
+        nums = [c.num.compose(into[-dim:] if i > n else into[:dim], powers[i > n])
+                for i, c in enumerate(used)]
+        if sum(len(p.terms) for p in nums) <= FRAME_GROWTH * sum(len(c.num.terms) for c in used):
+            moved = [RationalFunction._trusted(num, den) for num, den in zip(nums, dens)]
             product = _laurent_star(MoyalContext(frame_space, n), moved)
             if len(back) == dim:  # an invertible map: nothing cancels
                 return product.map_coefficients(lambda c: c.compose_linear(back, powers_back))
-            return product.map_coefficients(lambda c: _two_centers_back(c, back, powers_back))
+            return _two_centers_back(product, back)
     scalars = _star_scalars(n)
     tf = [_DerivTable(space.vars, c) for c in used[: n + 1]]
     tg = [_DerivTable(space.vars, c) for c in used[n + 1:]]

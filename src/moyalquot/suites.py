@@ -11,7 +11,7 @@ description before rendering, so the output is byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .atlas import (
@@ -125,14 +125,7 @@ class VerificationReport:
         return {
             "suite": self.suite,
             "seed": self.seed,
-            "cases": [
-                {
-                    "description": c.description,
-                    "passed": c.passed,
-                    "counterexample": c.counterexample,
-                }
-                for c in self.cases
-            ],
+            "cases": [asdict(c) for c in self.cases],
             "totals": {"passed": self.passed_count, "failed": self.failed_count},
         }
 
@@ -142,9 +135,7 @@ def _case(description: str, check: Callable[[], Optional[str]]) -> CaseResult:
         counterexample = check()
     except MoyalQuotError as exc:
         counterexample = f"{type(exc).__name__}: {exc}"
-    if counterexample is None:
-        return CaseResult(description, True)
-    return CaseResult(description, False, counterexample)
+    return CaseResult(description, counterexample is None, counterexample)
 
 
 def _sampled(
@@ -520,16 +511,11 @@ def run_symmetric(cfg: SuiteConfig) -> VerificationReport:
         return None
 
     def divisor_invariance(s: SampleStream, k: int) -> Optional[str]:
-        support = []
-        while len(support) < ctx.d:
-            value = s.gaussian()
-            if value not in support:
-                support.append(value)
-        covectors = []
-        while len(covectors) < ctx.d:
-            value = s.gaussian()
-            if not value.is_zero():
-                covectors.append(value)
+        support, covectors = [], []
+        for entries, fits in ((support, lambda v: v not in support), (covectors, bool)):
+            while len(entries) < ctx.d:
+                if fits(value := s.gaussian()):
+                    entries.append(value)
         flat = tuple((s.gaussian(), s.gaussian()) for _ in range(ctx.d * (ctx.r - 1)))
         pt = QuotCellPoint(tuple(support), tuple(covectors), flat)
         perm = s.permutation(ctx.d)

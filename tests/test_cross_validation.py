@@ -19,6 +19,7 @@ sp = pytest.importorskip("sympy")
 from moyalquot.atlas import KChartFunction, star_on_K
 from moyalquot.errors import ZeroDenominator
 from moyalquot.expr import parse_rational
+from moyalquot import moyal
 from moyalquot.moyal import MoyalContext, SymplecticSpace, moyal_star, poisson_bracket
 from moyalquot.gaussian import GaussianRational
 from moyalquot.polynomial import Polynomial, poly_gcd
@@ -302,3 +303,56 @@ def test_compose_matches_sympy(case):
         {v: poly_expr(c.num) / poly_expr(c.den) for v, c in zip(symbols, quotients)},
         simultaneous=True)))
     assert sp.expand(num * poly_expr(got.den) - den * poly_expr(got.num)) == 0
+
+
+# -- the affine factor split against sympy over Q(i) -------------------------------------
+
+CENTERS = COEFFICIENTS + [GaussianRational(0)]
+
+
+@st.composite
+def form_products(draw, nvars, disjoint=False):
+    """(den, forms): the expanded product of 1-3 Gaussian-centred affine forms in the
+    first nvars of x, y, z, with multiplicities 1-4; with `disjoint` no two forms share
+    a variable."""
+    if disjoint:
+        owner = draw(st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars))
+        groups = [[i for i in range(nvars) if owner[i] == o] for o in sorted(set(owner))]
+    else:
+        groups = [draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=nvars,
+                                unique=True)) for _ in range(draw(st.integers(1, 3)))]
+    forms = []
+    for group in groups:
+        terms = {tuple(int(i == j) for i in range(nvars)): draw(st.sampled_from(COEFFICIENTS))
+                 for j in group}
+        terms[(0,) * nvars] = draw(st.sampled_from(CENTERS))
+        forms.append((Polynomial(XYZ[:nvars], terms), draw(st.integers(1, 4))))
+    return reduce(mul, (form ** m for form, m in forms)).monic(), forms
+
+
+def split_text(split):
+    return sorted((str(sympy_poly(form).monic()), m) for form, m in split.items())
+
+
+# sympy factors over Q(i) slowly past two variables, so its side stays in x, y
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(form_products(2))
+def test_affine_factors_match_sympy(case):
+    den, _ = case
+    split = moyal._affine_factors(den)
+    if split is not None:
+        _, factors = sp.factor_list(poly_expr(den), X, Y, gaussian=True)
+        assert split_text(split) == sorted(
+            (str(sp.Poly(f, X, Y, domain=sp.QQ_I).monic()), m) for f, m in factors), den
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(form_products(3, disjoint=True))
+def test_affine_factors_split_forms_in_disjoint_variables(case):
+    den, forms = case
+    assert moyal._affine_factors(den) == {form.monic(): m for form, m in forms}, den
+
+
+def test_affine_factors_refuse_what_does_not_split():
+    assert moyal._affine_factors(parse_rational("x^2 + y^2", XY).num) is None
+    assert moyal._affine_factors(parse_rational("p^3 - 8*p", ("z", "p")).num) is None

@@ -30,7 +30,7 @@ from moyalquot.moyal import (
     poisson_bracket,
     star_commutator,
 )
-from moyalquot.expr import parse_series
+from moyalquot.expr import parse_rational, parse_series
 from moyalquot.quot import ProductContext, product_star, quot_cell_star, symmetrize
 from moyalquot.sampling import SampleStream
 
@@ -743,6 +743,49 @@ def test_two_center_star_matches_bidiff(name, monkeypatch):
     assert product == star_by_bidiff_oracle(ctx, f, g)
 
 
+# denominators that are products of forms in two directions take the frame of both forms
+PRODUCT_CASES = {
+    "product and polynomial": (XY, 3, "x*y/((x+1/2)^2*(y-i/3))", "x^2*y + y^3"),
+    "product and one form": (XY, 2, "y/((x+1/2)*(y-i/3))", "x/(y-i/3)^2"),
+    "powers of one product": (XY, 2, "1/((x+i/2)*(y+1)); x/((x+i/2)*(y+1))^2; 0",
+                              "y/(x+i/2)^3"),
+    "commuting forms": (("x1", "y1", "x2", "y2"), 2, "y1*y2/((x1+1)*(x2+i)^2)", "y1 + y2^2"),
+    "pairing forms": (("x1", "y1", "x2", "y2"), 1, "x2/((x1+y2)*(x2-1))", "y1/(x2-1)"),
+}
+
+
+def _associativity_operands():
+    """The operands of the slowest star of `verify associativity --seed 1 --samples 3`:
+    f and g * h of its first rational triple, whose denominators are r^1 .. r^7 for
+    r = (x + i/2)(y + 1)."""
+    ctx, f, g = _shifted(XY, 6, "-(2/3)*y^2 - (1/6)*x", "(x^2 - 1/3)/(y + 1)")
+    h = HSeries.constant(parse_rational("((1/2)*x + 1)/(x + (1/2)*i)", XY), 6)
+    return ctx, f, moyal_star(ctx, g, h)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES) + ["associativity"])
+def test_product_of_forms_star_matches_bidiff(name, monkeypatch):
+    ctx, f, g = (_associativity_operands() if name == "associativity"
+                 else _shifted(*PRODUCT_CASES[name]))
+    if name == "associativity":
+        r = parse_rational("(x + (1/2)*i)*(y + 1)", XY).num
+        assert [c.den for c in g.coeffs] == [r ** k for k in range(1, 8)]
+    widths = _kernel_widths(monkeypatch)
+    monkeypatch.setattr(moyal, "_bidiff", lambda *args: pytest.fail("derivatives taken"))
+    product = moyal_star(ctx, f, g)
+    monkeypatch.undo()
+    assert widths == [ctx.space.dim]
+    assert product == star_by_bidiff_oracle(ctx, f, g)
+
+
+def test_three_forms_take_derivatives(monkeypatch):
+    # f's product of two forms and g's third form: no frame holds all three
+    ctx, f, g = _shifted(XY, 2, "1/((x+1/2)*(y-i/3))", "x/(y-(1+i)/4)")
+    widths = _kernel_widths(monkeypatch)
+    assert moyal_star(ctx, f, g) == star_by_bidiff_oracle(ctx, f, g)
+    assert widths == []
+
+
 def test_equal_constants_keep_the_one_form_frame(monkeypatch):
     # equal constants are one form: no second center, and the text that the one-form
     # frame printed before two centers had a frame
@@ -843,9 +886,12 @@ def test_frame_keeps_every_untouched_pair(scales):
     space = SymplecticSpace(vs, [1 if scales == "flat" else SCALES[t % len(SCALES)]
                                  for t in range(64)])
     x2, y2, x3, y3 = (RationalFunction.variable(vs, v) for v in ("x2", "y2", "x3", "y3"))
-    frame_space, into, back = moyal._affine_frame(space, [x2 * y2 + 1 / (x2 + y3 + 1),
-                                                             1 / (x3 - I) + y2])
+    used = [x2 * y2 + 1 / (x2 + y3 + 1), 1 / (x3 - I) + y2]
+    frame_space, into, back, dens = moyal._affine_frame(space, used)
     units = [Polynomial.variable(vs, v) for v in vs]
+    # the forms are the frame pair of slots 2, 3, and each denominator its monomial there
+    assert [d.terms for d in dens] == [{units[a].leading_exponent(): 1} for a in (2, 3)]
+    assert [d.compose(back) for d in dens] == [c.den for c in used]
     untouched = [0, 1] + list(range(6, 128))
     assert all(into[i] == units[i] == back[i] for i in untouched)
     assert all(frame_space.scales[k] == space.scales[k] for k in (0, *range(3, 64)))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moyalquot import cli, suites
+from moyalquot import cli, moyal, suites
 from moyalquot.cli import run
 from moyalquot.suites import MAX_SAMPLES, MAX_SUITE_D, SuiteConfig, run_suite, SUITES
 from moyalquot.errors import UnknownSuite, UsageFailure
@@ -657,6 +657,42 @@ def test_suites_open_the_pinned_sample_streams(monkeypatch):
             streams[f"{suite} d={d} r={r}"] = list(opened)
     pinned = VERIFY_GOLDEN / "sample_streams_seed7_samples2.json"
     assert streams == json.loads(pinned.read_text())
+
+
+ASSOCIATIVITY_ARGV = ["verify", "associativity", "--seed", "1", "--samples", "3"]
+
+
+def test_associativity_products_of_forms_take_no_derivatives(monkeypatch, capsys):
+    # its one star over a product of forms, (x + i/2)^k (y + 1)^k, takes the frame
+    calls = []
+    real = moyal._bidiff
+    monkeypatch.setattr(moyal, "_bidiff", lambda *args: calls.append(1) or real(*args))
+    assert run(ASSOCIATIVITY_ARGV) == 0
+    assert "total: 2 passed, 0 failed" in capsys.readouterr().out
+    assert calls == []
+
+
+def test_planted_frame_fault_fails_associativity(monkeypatch, capsys):
+    # on frames of a product of forms, the way back forgets the constant of the first
+    # form that has one
+    real = moyal._affine_frame
+
+    def faulty(space, used):
+        frame = real(space, used)
+        if frame is None or all(sum(map(bool, *d.terms)) < 2 for d in frame[3]):
+            return frame
+        frame_space, into, back, dens = frame
+        zero = (0,) * space.dim
+        a = next(a for a, form in enumerate(back) if zero in form.terms)
+        back = back[:a] + [back[a] - back[a].terms[zero]] + back[a + 1:]
+        return frame_space, into, back, dens
+
+    monkeypatch.setattr(moyal, "_affine_frame", faulty)
+    assert run(ASSOCIATIVITY_ARGV) == 1
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL rational triples associate through order 6 (1 samples): sample 0: "
+        "f = -(2/3)*y^2 - (1/6)*x, g = (x^2 - 1/3)/(y + 1), h = ((1/2)*x + 1)/(x + (1/2)*i)",
+    ]
 
 
 def test_planted_moyal_fault_fails_with_exact_counterexamples(monkeypatch):
