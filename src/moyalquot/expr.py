@@ -243,7 +243,9 @@ def _binary(op: str, left: _HPoly, right: _HPoly, variables: Tuple[str, ...]) ->
             raise ZeroDenominator("division by zero")
         return [a / divisor for a in left]
     pairs = zip_longest(left, right, fillvalue=RationalFunction.zero(variables))
-    return _trimmed([a + b if op == "+" else a - b for a, b in pairs], variables)
+    if op == "+":
+        return _trimmed([a + b for a, b in pairs], variables)
+    return _trimmed([a - b for a, b in pairs], variables)
 
 
 def _power(base: _HPoly, exponent: int, variables: Tuple[str, ...]) -> _HPoly:

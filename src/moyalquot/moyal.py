@@ -44,19 +44,18 @@ paths below, and pushed forward on the same pairs.
 The product is covariant under affine symplectic changes of coordinates, so
 denominators that are products of at most two affine forms l, l' are
 monomials in a Darboux frame that holds them.  Each distinct denominator is
-split once (`_affine_factors`), and a power r^k of a split r takes r's
-forms.  Only numerators move into the frame, by affine composition; a
-denominator becomes the monomial of its split, and the kernel's result moves
-back by composition.  An automorphism keeps numerator and denominator
-coprime, so no gcd runs.  Two centers, l' = l + c with f's denominators in l
-and g's in l', take the frame pair (l, p) of l and two more variables: on
-f(l, p) and g(l', p) the operator is (d_l (x) d_p - d_p (x) d_l')/s, the one
-of the pairs (l, p) and (l', p') of scale s with f moved in as l, p' and g
-as l', p.  The kernel multiplies those, its class multinomial C(k, j)
-splitting the sum above by pair, and p' = p on the way back, where only l
-or l' can divide a numerator: each is tested on its hyperplane, then divided
-out exactly.  Forms are sparse linear polynomials, and their bracket reads
-their unit terms.  Denominators that do not split by contents, such as
+split once (`_affine_factors`).  Only numerators move into the frame, by
+affine composition; a denominator becomes the monomial of its split, and the
+kernel's result moves back by composition.  An automorphism keeps numerator
+and denominator coprime, so no gcd runs.  Two centers, l' = l + c with f's
+denominators in l and g's in l', take the frame pair (l, p) of l and two
+more variables: on f(l, p) and g(l', p) the operator is
+(d_l (x) d_p - d_p (x) d_l')/s, the one of the pairs (l, p) and (l', p')
+of scale s with f moved in as l, p' and g as l', p.  The kernel multiplies
+those, its class multinomial C(k, j) splitting the sum above by pair, and
+p' = p on the way back, where only l or l' can divide a numerator and exact
+division strips them.  Forms are sparse linear polynomials, and their
+bracket reads their unit terms.  Denominators that do not split, such as
 those of a star of a star over x + y and x - y, three forms, a coefficient
 over both centers, and frames that make the numerators much denser take the
 general path.
@@ -79,8 +78,7 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
 from .geometry import pushforward_even_pair, sigma_pullback_pair
-from .polynomial import (Polynomial, _content_in, _occurring, affine_forms, poly_divexact,
-                         poly_try_divexact, sum_terms)
+from .polynomial import Polynomial, _lead_in, _occurring, affine_forms, poly_try_divexact, sum_terms
 from .rational import RationalFunction, rf_sum
 from .series import HSeries
 
@@ -433,26 +431,27 @@ FRAME_GROWTH = 4
 
 
 def _affine_factors(den: Polynomial) -> Optional[Dict[Polynomial, int]]:
-    """{monic affine form l: m} with den = prod l^m; None if there is none.
+    """{monic affine form l: m} with monic den = prod l^m; None if there is none.
 
-    A content of den in one variable that is not constant splits den in two,
-    and each part splits again.  A part that does not split is l^m: l leads
-    with x_j^m, and (d/dx_j)^(m-1) den is proportional to l."""
+    A power l^m leads with x_j^m, and (d/dx_j)^(m-1) den is proportional to
+    l.  Otherwise, of a product of forms, the leading coefficient in one
+    variable is the product of the forms without it, up to a constant: when
+    it is not constant it splits den in two, and each part splits again."""
     if den.total_degree() < 2:  # 1, or a form
         return {den: 1} if den.total_degree() else {}
-    for idx in sorted(_occurring(den)):
-        content = _content_in(den, idx)
-        if not content.is_constant():
-            parts = [_affine_factors(part) for part in (content, poly_divexact(den, content))]
-            return None if None in parts else {**parts[0], **parts[1]}
     (j, m), *rest = [(j, e) for j, e in enumerate(den.leading_exponent()) if e]
-    if rest:
-        return None
-    form = den
-    for _ in range(m - 1):
-        form = form.derivative(den.vars[j])
-    form = form.monic()
-    return {form: m} if form ** m == den else None
+    if not rest:
+        form = den
+        for _ in range(m - 1):
+            form = form.derivative(den.vars[j])
+        if (form := form.monic()) ** m == den:
+            return {form: m}
+    for idx in sorted(_occurring(den)):
+        if not (lead := _lead_in(den, idx).monic()).is_constant():
+            other = poly_try_divexact(den, lead)
+            parts = [None] if other is None else [_affine_factors(part) for part in (lead, other)]
+            return None if None in parts else {**parts[0], **parts[1]}
+    return None
 
 
 def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
@@ -468,26 +467,15 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     module docstring), `into` holds f's forms, then g's, and `back` sends p
     and p' to p."""
     splits: Dict[Polynomial, Dict[Polynomial, int]] = {}
-    rows: Dict[Polynomial, List[Polynomial]] = {}  # powers of the dens split from scratch
-    for den in sorted(dict.fromkeys(c.den for c in used if c.num.terms), key=Polynomial.total_degree):
-        for r, row in rows.items():
-            k, rest = divmod(den.total_degree(), r.total_degree())
-            while not rest and len(row) < k:
-                row.append(row[-1] * r)
-            if not rest and row[k - 1] == den:
-                splits[den] = {form: m * k for form, m in splits[r].items()}
-                break
-        else:
-            splits[den] = split = _affine_factors(den)
-            if split is None:
-                return None
-            if split:
-                rows[den] = [den]
+    for den in dict.fromkeys(c.den for c in used if c.num.terms):
+        if (split := _affine_factors(den)) is None:
+            return None
+        splits[den] = split
     n, split_of = len(used) // 2 - 1, [splits[c.den] if c.num.terms else {} for c in used]
-    first, *pending = dict.fromkeys(form for split in split_of for form in split)
+    first, *pending = dict.fromkeys(form for split in splits.values() for form in split)
     shifted = pending if pending and (pending[0] - first).is_constant() else []
-    if len(pending) > 1 or shifted and any(
-            split.keys() - {shifted[0] if i > n else first} for i, split in enumerate(split_of)):
+    if len(pending) > 1 or shifted and any(form != (shifted[0] if i > n else first)
+                                           for i, split in enumerate(split_of) for form in split):
         return None  # three forms, or two centers not one to each operand
     vs, bracket = space.vars, space.bracket
     touched = sorted({i // 2 for r in (first, *pending) for i in _occurring(r)})
@@ -537,36 +525,27 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
                        for i, form in enumerate(into)]
         into, back = lifted, back + [shifted[0], back[q + 1]]
         frame_space = SymplecticSpace(ext, scales + [scales[q // 2]])
-    unit, dens = Polynomial.one(frame_space.vars), []
+    dens = []
     for i, split in enumerate(split_of):
         exp = [0] * len(frame_space.vars)
         for form, m in split.items():
             exp[sides[i > n][form]] = m
-        dens.append(Polynomial._raw(frame_space.vars, {tuple(exp): G_ONE}) if split else unit)
+        dens.append(Polynomial._raw(frame_space.vars, {tuple(exp): G_ONE}))
     return frame_space, into, back, dens
 
 
-def _two_centers_back(product: HSeries, back: Sequence[Polynomial]) -> HSeries:
-    """The kernel's product over the frame, w and p', its denominators u^A w^B,
-    after X_a -> back[a].  Only the coprime u and w can divide a numerator: u
-    when the frame numerator vanishes at X_u = 0, X_w = delta and p' = p (w at
-    X_u = -delta, X_w = 0), and then it is divided out while it divides exactly."""
-    m, powers = len(back) - 2, []
-    q = back.index(back[m + 1]) - 1  # p' goes to p, the partner of u
-    delta = (back[m] - back[q]).constant_value()
+def _two_centers_back(c: RationalFunction, back: Sequence[Polynomial],
+                      powers: list) -> RationalFunction:
+    """c, over the frame, w and p' with denominator u^A w^B, after X_a -> back[a].
 
-    def move(c: RationalFunction) -> RationalFunction:
-        num, shift = c.num.compose(back, powers), list(*c.den.terms)
-        for slot, other, at in ((q, m, delta), (m, q, -delta)):
-            if shift[slot] and not sum_terms(
-                    (e[:q] + (e[q + 1] + e[m + 1],) + e[q + 2:m], v * at ** e[other])
-                    for e, v in c.num.terms.items() if not e[slot]):
-                while shift[slot] and (quotient := poly_try_divexact(num, back[slot])) is not None:
-                    num, shift[slot] = quotient, shift[slot] - 1
-        den = Polynomial._raw(c.vars, {tuple(shift): G_ONE}).compose(back, powers)
-        return RationalFunction._from_coprime(num, den)
-
-    return product.map_coefficients(move)
+    Only the coprime u and w can divide the numerator, so each is divided out
+    while it divides exactly, with no gcd."""
+    num, shift = c.num.compose(back, powers), list(*c.den.terms)
+    for slot in range(len(shift)):
+        while shift[slot] and (quotient := poly_try_divexact(num, back[slot])) is not None:
+            num, shift[slot] = quotient, shift[slot] - 1
+    den = Polynomial._raw(c.vars, {tuple(shift): G_ONE}).compose(back, powers)
+    return RationalFunction._from_coprime(num, den)
 
 
 def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
@@ -615,7 +594,7 @@ def _star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
             product = _laurent_star(MoyalContext(frame_space, n), moved)
             if len(back) == dim:  # an invertible map: nothing cancels
                 return product.map_coefficients(lambda c: c.compose_linear(back, powers_back))
-            return _two_centers_back(product, back)
+            return product.map_coefficients(lambda c: _two_centers_back(c, back, powers_back))
     scalars = _star_scalars(n)
     tf = [_DerivTable(space.vars, c) for c in used[: n + 1]]
     tg = [_DerivTable(space.vars, c) for c in used[n + 1:]]

@@ -478,6 +478,13 @@ def _content_in(p: Polynomial, idx: int) -> Polynomial:
     return content
 
 
+def _primitive_in(p: Polynomial, idx: int) -> Polynomial:
+    content = _content_in(p, idx)
+    if content.is_one():
+        return p
+    return poly_divexact(p, content)
+
+
 def _eval_var(p: Polynomial, idx: int, t: GaussianRational) -> Polynomial:
     """Partial evaluation of one variable; the tuple keeps its slot at 0."""
     powers = [t ** e for e in range(p.degree_in(p.vars[idx]) + 1)]
@@ -561,8 +568,7 @@ def _modular_ppgcd(P: Polynomial, Q: Polynomial, xidx: int) -> Polynomial:
             continue
         images.append((t, image * scale))
         if len(images) == bound:
-            candidate = _interpolate(images, vidx, variables)
-            candidate = poly_divexact(candidate, _content_in(candidate, xidx))  # primitive part
+            candidate = _primitive_in(_interpolate(images, vidx, variables), xidx)
             if (
                 poly_try_divexact(P, candidate) is not None
                 and poly_try_divexact(Q, candidate) is not None

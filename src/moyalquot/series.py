@@ -154,9 +154,15 @@ def _series_term_text(coeff: RationalFunction, power: int) -> Tuple[str, str]:
             exp, c = next(iter(poly.terms.items()))
             return coeff_term_text(c, "*".join(filter(None, (poly._monomial_text(exp), h))))
         return "+", f"({poly})*{h}"
-    num = coeff.num  # a one-term numerator shows its sign before the fraction
-    sign = coeff_term_text(next(iter(num.terms.values())), "")[0] if len(num.terms) == 1 else "+"
-    frac = f"({num if sign == '+' else -num})/({coeff.den})"
+    num, den = coeff.num, coeff.den
+    sign = "+"
+    if len(num.terms) == 1:
+        c = next(iter(num.terms.values()))
+        term_sign, _ = coeff_term_text(c, "")
+        if term_sign == "-":
+            sign = "-"
+            num = -num
+    frac = f"({num})/({den})"
     return sign, frac if not h else f"{frac}*{h}"
 
 

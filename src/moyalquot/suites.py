@@ -135,7 +135,9 @@ def _case(description: str, check: Callable[[], Optional[str]]) -> CaseResult:
         counterexample = check()
     except MoyalQuotError as exc:
         counterexample = f"{type(exc).__name__}: {exc}"
-    return CaseResult(description, counterexample is None, counterexample)
+    if counterexample is None:
+        return CaseResult(description, True)
+    return CaseResult(description, False, counterexample)
 
 
 def _sampled(
@@ -511,11 +513,16 @@ def run_symmetric(cfg: SuiteConfig) -> VerificationReport:
         return None
 
     def divisor_invariance(s: SampleStream, k: int) -> Optional[str]:
-        support, covectors = [], []
-        for entries, fits in ((support, lambda v: v not in support), (covectors, bool)):
-            while len(entries) < ctx.d:
-                if fits(value := s.gaussian()):
-                    entries.append(value)
+        support = []
+        while len(support) < ctx.d:
+            value = s.gaussian()
+            if value not in support:
+                support.append(value)
+        covectors = []
+        while len(covectors) < ctx.d:
+            value = s.gaussian()
+            if not value.is_zero():
+                covectors.append(value)
         flat = tuple((s.gaussian(), s.gaussian()) for _ in range(ctx.d * (ctx.r - 1)))
         pt = QuotCellPoint(tuple(support), tuple(covectors), flat)
         perm = s.permutation(ctx.d)

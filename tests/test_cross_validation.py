@@ -341,6 +341,7 @@ def test_affine_factors_match_sympy(case):
     den, _ = case
     split = moyal._affine_factors(den)
     if split is not None:
+        assert all(form == form.monic() for form in split), split
         _, factors = sp.factor_list(poly_expr(den), X, Y, gaussian=True)
         assert split_text(split) == sorted(
             (str(sp.Poly(f, X, Y, domain=sp.QQ_I).monic()), m) for f, m in factors), den
