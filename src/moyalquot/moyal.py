@@ -455,17 +455,17 @@ def _affine_factors(den: Polynomial) -> Optional[Dict[Polynomial, int]]:
 
 
 def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
-    """(frame space, forms into the frame, forms back, denominators) for a
-    Darboux frame in which every denominator is a monomial, or None; `used`
-    holds f's coefficients, then g's, and `denominators` their monomials.
+    """(frame space, moved operands, forms back, slots to strip) for a Darboux
+    frame in which every denominator is a monomial, or None, also when moving
+    `used` (f's coefficients, then g's) in grows their numerators past FRAME_GROWTH.
 
     The forms become frame coordinates: a pair with scale 1/{l, l'}, two q's
     when they commute, or one q.  Symplectic Gram-Schmidt over the Darboux
     pairs that the forms touch completes them, projecting each candidate
     against each new pair once.  Frame pair t takes the variables of touched
     pair t; every other pair maps to itself.  With two centers u, w (see the
-    module docstring), `into` holds f's forms, then g's, and `back` sends p
-    and p' to p."""
+    module docstring), f and g move in by their own images, `back` sends p and
+    p' to p, and u and w are the slots to strip; an invertible frame has none."""
     splits: Dict[Polynomial, Dict[Polynomial, int]] = {}
     for den in dict.fromkeys(c.den for c in used if c.num.terms):
         if (split := _affine_factors(den)) is None:
@@ -512,36 +512,42 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     for i in slots:
         into[i] = sum((centered[a] * (bracket(units[i], back[a ^ 1]) / frame_space.brackets[a][2])
                        for a in slots), Polynomial.zero(vs))
-    sides = [{back[a]: a for a in slots}] * 2
+    slot_of, images, strip = [{back[a]: a for a in slots}] * 2, [into] * 2, ()
     if shifted:  # u is the q of slot q; w and p' take two new slots
         q, m, delta = slots[0], len(vs), (shifted[0] - first).constant_value()
-        sides = [{first: q}, {shifted[0]: m}]
+        slot_of, strip = [{first: q}, {shifted[0]: m}], (q, m)
         ext = vs + tuple(max(vs, key=len) + "'" * k for k in (1, 2))
-        xs, lifted = [Polynomial.variable(ext, x) for x in ext], []
+        xs, images = [Polynomial.variable(ext, x) for x in ext], []
         # f's p is p', and g's q is w - delta; an untouched slot is its own unit
-        for images in (xs[:q + 1] + [xs[m + 1]] + xs[q + 2:m], xs[:q] + [xs[m] - delta] + xs[q + 1:m]):
+        for side in (xs[:q + 1] + [xs[m + 1]] + xs[q + 2:m], xs[:q] + [xs[m] - delta] + xs[q + 1:m]):
             powers: list = []
-            lifted += [form.compose(images, powers) if i in slots else xs[i]
-                       for i, form in enumerate(into)]
-        into, back = lifted, back + [shifted[0], back[q + 1]]
+            images.append([form.compose(side, powers) if i in slots else xs[i]
+                           for i, form in enumerate(into)])
+        back = back + [shifted[0], back[q + 1]]
         frame_space = SymplecticSpace(ext, scales + [scales[q // 2]])
-    dens = []
-    for i, split in enumerate(split_of):
+    moved, caches = [], ([], [])  # one cache of powers per side
+    for i, (c, split) in enumerate(zip(used, split_of)):
         exp = [0] * len(frame_space.vars)
         for form, m in split.items():
-            exp[sides[i > n][form]] = m
-        dens.append(Polynomial._raw(frame_space.vars, {tuple(exp): G_ONE}))
-    return frame_space, into, back, dens
+            exp[slot_of[i > n][form]] = m
+        den = Polynomial._raw(frame_space.vars, {tuple(exp): G_ONE})
+        moved.append(RationalFunction._trusted(c.num.compose(images[i > n], caches[i > n]), den))
+    if sum(len(c.num.terms) for c in moved) > FRAME_GROWTH * sum(len(c.num.terms) for c in used):
+        return None
+    return frame_space, moved, back, strip
 
 
-def _two_centers_back(c: RationalFunction, back: Sequence[Polynomial],
-                      powers: list) -> RationalFunction:
-    """c, over the frame, w and p' with denominator u^A w^B, after X_a -> back[a].
+def _frame_back(c: RationalFunction, back: Sequence[Polynomial], strip: Sequence[int],
+                powers: list) -> RationalFunction:
+    """c, over the frame with a monomial denominator, after X_a -> back[a].
 
-    Only the coprime u and w can divide the numerator, so each is divided out
-    while it divides exactly, with no gcd."""
+    An invertible frame keeps numerator and denominator coprime.  With two
+    centers only the coprime u and w, the slots in `strip`, can divide the
+    numerator, so each is divided out while it divides exactly, with no gcd."""
+    if c.is_zero():
+        return RationalFunction.zero(back[0].vars)
     num, shift = c.num.compose(back, powers), list(*c.den.terms)
-    for slot in range(len(shift)):
+    for slot in strip:
         while shift[slot] and (quotient := poly_try_divexact(num, back[slot])) is not None:
             num, shift[slot] = quotient, shift[slot] - 1
     den = Polynomial._raw(c.vars, {tuple(shift): G_ONE}).compose(back, powers)
@@ -582,19 +588,11 @@ def _star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
                                              for k, s in enumerate(space.scales)])
         pulled = [on_pairs(sigma_pullback_pair)(c) for c in used]
         return _star(MoyalContext(cover, n), pulled).map_coefficients(on_pairs(pushforward_even_pair))
-    frame = _affine_frame(space, used)
-    if frame is not None:
-        frame_space, into, back, dens = frame
-        dim, powers, powers_back = space.dim, ([], []), []
-        # with two centers, g's forms follow f's; the denominators are moved already
-        nums = [c.num.compose(into[-dim:] if i > n else into[:dim], powers[i > n])
-                for i, c in enumerate(used)]
-        if sum(len(p.terms) for p in nums) <= FRAME_GROWTH * sum(len(c.num.terms) for c in used):
-            moved = [RationalFunction._trusted(num, den) for num, den in zip(nums, dens)]
-            product = _laurent_star(MoyalContext(frame_space, n), moved)
-            if len(back) == dim:  # an invertible map: nothing cancels
-                return product.map_coefficients(lambda c: c.compose_linear(back, powers_back))
-            return product.map_coefficients(lambda c: _two_centers_back(c, back, powers_back))
+    if (frame := _affine_frame(space, used)) is not None:
+        frame_space, moved, back, strip = frame
+        powers: list = []
+        return _laurent_star(MoyalContext(frame_space, n), moved).map_coefficients(
+            lambda c: _frame_back(c, back, strip, powers))
     scalars = _star_scalars(n)
     tf = [_DerivTable(space.vars, c) for c in used[: n + 1]]
     tg = [_DerivTable(space.vars, c) for c in used[n + 1:]]

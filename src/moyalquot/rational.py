@@ -8,7 +8,7 @@ equality of representations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import SubstitutionPole, VariableMismatch, ZeroDenominator
 from .gaussian import GaussianRational
@@ -205,15 +205,14 @@ class RationalFunction:
             raise SubstitutionPole("denominator is identically zero after composition")
         return num_val / den_val
 
-    def compose_linear(self, forms: Sequence[Polynomial],
-                       powers: Optional[list] = None) -> "RationalFunction":
+    def compose_linear(self, forms: Sequence[Polynomial]) -> "RationalFunction":
         """self after x_i -> forms[i], affine forms of an invertible map (see
-        `affine_forms`); `powers` is as in `Polynomial.compose`.
+        `affine_forms`).
 
         No gcd: a ring automorphism keeps numerator and denominator coprime."""
         if self.is_zero():
             return self
-        powers = [] if powers is None else powers
+        powers: list = []  # the numerator's powers of the forms serve the denominator
         return RationalFunction._from_coprime(self.num.compose(forms, powers),
                                               self.den.compose(forms, powers))
 

@@ -5,6 +5,7 @@ implementation's multiset expansion over bivector entries."""
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -618,9 +619,18 @@ def frame_star_cases(draw):
 def test_frame_star_matches_bidiff(case):
     ctx, f, g, relation = case
     used = f.coeffs[: ctx.order + 1] + g.coeffs[: ctx.order + 1]
-    if not all(len(c.den.terms) == 1 for c in used):
-        assert moyal._affine_frame(ctx.space, used) is not None
-    assert moyal_star(ctx, f, g) == star_by_bidiff_oracle(ctx, f, g)
+    monomial_dens = all(len(c.den.terms) == 1 for c in used)
+    frame = None if monomial_dens else moyal._affine_frame(ctx.space, used)
+    if not monomial_dens:
+        # every drawn denominator splits, so only the growth bound can refuse a frame
+        with patch.object(moyal, "FRAME_GROWTH", float("inf")):
+            assert moyal._affine_frame(ctx.space, used) is not None
+    taken, real = [], moyal._bidiff
+    with patch.object(moyal, "_bidiff", lambda *args: taken.append(1) or real(*args)):
+        product = moyal_star(ctx, f, g)
+    # the star takes the frame that it builds, and derivatives only without one
+    assert bool(taken) == (not monomial_dens and frame is None)
+    assert product == star_by_bidiff_oracle(ctx, f, g)
 
 
 @st.composite
@@ -667,6 +677,28 @@ def test_frame_star_takes_no_derivative(monkeypatch):
     assert product.coeffs[0] == 1 / (x * x - y * y)
 
 
+FLAT4 = ("x1", "y1", "x2", "y2")
+DENSE_FLAT4 = ("x1*y1^2*x2*y2^2/(x1 + 2*x2 + (1/3 - i)*y2)^2",
+               "x1*y1^2*x2^2*y2/(x1 - (1/2 - 3*i)*y1 - x2 + (1/2 - 3*i)*y2 + 1)")
+
+
+def _growing_pair():
+    # the frame of x1 + x2 moves the one term of g's numerator in as six
+    return HSeries.zero(FLAT4, 0), HSeries.constant(parse_rational("x1*y2^2/(x1 + x2)", FLAT4), 0)
+
+
+def test_frame_refuses_itself_when_numerators_grow():
+    space = SymplecticSpace.standard(FLAT4)
+    f, g = _growing_pair()
+    dense = [parse_rational(text, FLAT4) for text in DENSE_FLAT4]
+    zero = RationalFunction.zero(FLAT4)
+    for used in (list(f.coeffs + g.coeffs), [dense[0], zero, dense[1], zero]):
+        assert moyal._affine_frame(space, used) is None
+        # the denominators split: the growth bound alone refuses the frame
+        with patch.object(moyal, "FRAME_GROWTH", float("inf")):
+            assert moyal._affine_frame(space, used) is not None
+
+
 def test_frame_falls_back_to_bidiff(monkeypatch):
     from moyalquot.expr import parse_rational
 
@@ -674,15 +706,12 @@ def test_frame_falls_back_to_bidiff(monkeypatch):
     x, y = (RationalFunction.variable(XY, v) for v in XY)
     f, g, h = (HSeries.constant(c, 2) for c in (1 / (x + y), 1 / (x - y), 1 / (x + 2 * y + 1)))
     # two dense forms on flat4: moving into their frame makes the numerators dense
-    x4 = ("x1", "y1", "x2", "y2")
-    dense = [HSeries.constant(parse_rational(text, x4), 1) for text in (
-        "x1*y1^2*x2*y2^2/(x1 + 2*x2 + (1/3 - i)*y2)^2",
-        "x1*y1^2*x2^2*y2/(x1 - (1/2 - 3*i)*y1 - x2 + (1/2 - 3*i)*y2 + 1)",
-    )]
+    dense = [HSeries.constant(parse_rational(text, FLAT4), 1) for text in DENSE_FLAT4]
     cases = [
         (ctx, HSeries.constant(1 / (x * x + y * y), 2), f),  # not a power of an affine form
         (ctx, moyal_star(ctx, f, g), h),  # three directions: a star of a star
-        (MoyalContext(SymplecticSpace.standard(x4), 1), *dense),
+        (MoyalContext(SymplecticSpace.standard(FLAT4), 1), *dense),
+        (MoyalContext(SymplecticSpace.standard(FLAT4), 0), *_growing_pair()),
     ]
     real = moyal._bidiff
     for case in cases:
@@ -885,19 +914,28 @@ def test_frame_keeps_every_untouched_pair(scales):
     vs = tuple(v for t in range(1, 65) for v in (f"x{t}", f"y{t}"))
     space = SymplecticSpace(vs, [1 if scales == "flat" else SCALES[t % len(SCALES)]
                                  for t in range(64)])
-    x2, y2, x3, y3 = (RationalFunction.variable(vs, v) for v in ("x2", "y2", "x3", "y3"))
-    used = [x2 * y2 + 1 / (x2 + y3 + 1), 1 / (x3 - I) + y2]
-    frame_space, into, back, dens = moyal._affine_frame(space, used)
+    x1, x2, y2, x3, y3, y64 = (RationalFunction.variable(vs, v)
+                               for v in ("x1", "x2", "y2", "x3", "y3", "y64"))
+    # the numerators hold every touched variable, so moving them back checks every form
+    used = [x1 * x2 * y2 * y3 + 1 / (x2 + y3 + 1), 1 / (x3 - I) + y2 * y3 * y64]
+    frame_space, moved, back, strip = moyal._affine_frame(space, used)
     units = [Polynomial.variable(vs, v) for v in vs]
     # the forms are the frame pair of slots 2, 3, and each denominator its monomial there
-    assert [d.terms for d in dens] == [{units[a].leading_exponent(): 1} for a in (2, 3)]
-    assert [d.compose(back) for d in dens] == [c.den for c in used]
+    assert [c.den.terms for c in moved] == [{units[a].leading_exponent(): 1} for a in (2, 3)]
+    assert [c.den.compose(back) for c in moved] == [c.den for c in used]
+    assert [c.num.compose(back) for c in moved] == [c.num for c in used]
     untouched = [0, 1] + list(range(6, 128))
-    assert all(into[i] == units[i] == back[i] for i in untouched)
+    assert all(back[i] == units[i] for i in untouched)
+
+    # the untouched variables of a numerator move in as themselves
+    def untouched_parts(c):
+        return {tuple(e[i] for i in untouched) for e in c.num.terms}
+
+    assert [untouched_parts(c) for c in moved] == [untouched_parts(c) for c in used]
+    assert all(len(untouched_parts(c)) == 2 for c in used)
     assert all(frame_space.scales[k] == space.scales[k] for k in (0, *range(3, 64)))
-    assert frame_space.vars == vs and not frame_space.chart
-    # the two maps are inverse to each other, and the frame is Darboux in its scales
-    assert [form.compose(into) for form in back] == units
+    assert frame_space.vars == vs and not frame_space.chart and strip == ()
+    # the frame is Darboux in its scales
     assert all(space.bracket(back[a], back[b]) == value for a, b, value in frame_space.brackets)
     assert all(space.bracket(back[a], back[b]) == 0
                for a in range(128) for b in range(2, 6) if b != a ^ 1)

@@ -679,13 +679,13 @@ def test_planted_frame_fault_fails_associativity(monkeypatch, capsys):
 
     def faulty(space, used):
         frame = real(space, used)
-        if frame is None or all(sum(map(bool, *d.terms)) < 2 for d in frame[3]):
+        if frame is None or all(sum(map(bool, *c.den.terms)) < 2 for c in frame[1]):
             return frame
-        frame_space, into, back, dens = frame
+        frame_space, moved, back, strip = frame
         zero = (0,) * space.dim
         a = next(a for a, form in enumerate(back) if zero in form.terms)
         back = back[:a] + [back[a] - back[a].terms[zero]] + back[a + 1:]
-        return frame_space, into, back, dens
+        return frame_space, moved, back, strip
 
     monkeypatch.setattr(moyal, "_affine_frame", faulty)
     assert run(ASSOCIATIVITY_ARGV) == 1
