@@ -939,6 +939,14 @@ def test_frame_keeps_every_untouched_pair(scales):
     assert all(space.bracket(back[a], back[b]) == value for a, b, value in frame_space.brackets)
     assert all(space.bracket(back[a], back[b]) == 0
                for a in range(128) for b in range(2, 6) if b != a ^ 1)
+    # at order 63 every variable is one numerator, so the moved numerators are the
+    # images of all 128 units: untouched ones stay, and moving back inverts moving in
+    dens = [(x2 + y3 + 1).num, (x3 - I).num]
+    used = [RationalFunction(units[i], dens[i >= 64]) for i in range(128)]
+    assert [c.num for c in used] == units
+    frame_space, moved, back, strip = moyal._affine_frame(space, used)
+    assert strip == () and all(moved[i].num == units[i] for i in untouched)
+    assert [c.num.compose(back) for c in moved] == units
 
 
 def test_cover_route_visits_only_the_chart_pairs_the_operands_use(monkeypatch):
