@@ -71,14 +71,15 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from functools import lru_cache, reduce
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import add, sub
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
 from .geometry import pushforward_even_pair, sigma_pullback_pair
-from .polynomial import Polynomial, _lead_in, _occurring, affine_forms, poly_try_divexact, sum_terms
+from .polynomial import (Polynomial, _lead_in, _occurring, affine_forms, integer_terms,
+                         poly_try_divexact, sum_terms)
 from .rational import RationalFunction, rf_sum
 from .series import HSeries
 
@@ -376,11 +377,7 @@ def _laurent_star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSerie
     times K!/prod k_t!, which M builds up by C(K + k, k)."""
     space, n = ctx.space, ctx.order
     rows, kinds = _kernel_plan(space, n)
-    ints = []
-    for c in used:
-        terms = _laurent_terms(c) if c.num.terms else []
-        den = lcm(*(v.den for _, v in terms)) if terms else 1
-        ints.append((den, [(e, v.a * (den // v.den), v.b * (den // v.den)) for e, v in terms]))
+    ints = [integer_terms(_laurent_terms(c)) if c.num.terms else (1, []) for c in used]
     # (f index, g index, k per scale class, exponent) -> [real, imaginary] integers
     acc: Dict[tuple, List[int]] = {}
     for i, (_, fi) in enumerate(ints[: n + 1]):

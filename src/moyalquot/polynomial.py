@@ -7,7 +7,10 @@ printing, leading-term extraction and canonical forms is graded lexicographic
 with respect to the declared variable order.
 
 Sums of terms go through one accumulator, `sum_terms`, which drops the
-coefficients that sum to zero once, at the end.
+coefficients that sum to zero once, at the end.  Composition with polynomial
+images sums in Gaussian integers instead: `integer_terms` puts coefficients
+over their lcm, as the Laurent kernel also takes them, and each output term
+is summed over one common denominator and normalized once.
 
 The gcd has two fast paths that dominate in practice: extraction of a
 common monomial factor, and a direct exact-division test when one argument
@@ -27,7 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from math import lcm
+from operator import add, mul
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import UnknownVariable, VariableMismatch, ZeroDenominator
 from .gaussian import GaussianRational, ONE as G_ONE, ZERO as G_ZERO
@@ -50,6 +55,35 @@ def sum_terms(pairs: Iterable[Tuple[Hashable, GaussianRational]]) -> dict:
     for key, coeff in pairs:
         out[key] = out[key] + coeff if key in out else coeff
     return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def integer_terms(pairs: Iterable[Tuple[Hashable, GaussianRational]]) -> Tuple[int, list]:
+    """(den, [(key, a, b)]): the coefficients of the (key, coefficient) pairs
+    as Gaussian integers a + b*i over their lcm den."""
+    pairs = list(pairs)
+    den = lcm(*(c.den for _, c in pairs))
+    return den, [(key, c.a * (den // c.den), c.b * (den // c.den)) for key, c in pairs]
+
+
+def _add_scaled(acc: dict, terms: list, shift: Exponent, ca: int, cb: int) -> None:
+    """Add (ca + cb*i) x^shift times the integer terms (exponent, a, b) into
+    acc: exponent -> [a, b]; an empty shift adds them in place."""
+    for e, a, b in terms:
+        key = tuple(map(add, e, shift)) if shift else e
+        if key in acc:
+            cell = acc[key]
+            cell[0] += a * ca - b * cb
+            cell[1] += a * cb + b * ca
+        else:
+            acc[key] = [a * ca - b * cb, a * cb + b * ca]
+
+
+def _integer_product(x: Tuple[int, list], y: Tuple[int, list]) -> Tuple[int, list]:
+    """The product of two polynomials held as `integer_terms`."""
+    acc: Dict[Exponent, List[int]] = {}
+    for e, a, b in x[1]:
+        _add_scaled(acc, y[1], e, a, b)
+    return x[0] * y[0], [(e, a, b) for e, (a, b) in acc.items() if a or b]
 
 
 class Polynomial:
@@ -239,29 +273,42 @@ class Polynomial:
         """Put images[i] for variable i; the result has the images' kind, polynomial or rational.
 
         `powers` keeps the powers of the images built so far, for later calls
-        with the same images."""
+        with the same images.  For polynomial images its rows hold each power
+        as Gaussian integers over one denominator (see `integer_terms`), and
+        every output term is summed in integers over one common denominator
+        and normalized once, with no Gaussian product in the loop."""
         target = images[0].vars
+        polynomial = isinstance(images[0], Polynomial)
         if powers is None:
             powers = []
         if not powers:
-            powers.extend([None, image] for image in images)
-        one, monomials = type(images[0]).one(target), []
+            powers.extend([None, integer_terms(image.terms.items()) if polynomial else image]
+                          for image in images)
+        if polynomial:
+            unit, times = (1, [((0,) * len(target), 1, 0)]), _integer_product
+        else:
+            unit, times = type(images[0]).one(target), mul
+        monomials = []
         for exp, coeff in self.terms.items():
-            mono = one
-            for image, row, e in zip(images, powers, exp):
+            mono = unit
+            for row, e in zip(powers, exp):
                 if e:
                     while len(row) <= e:
-                        row.append(row[-1] * image)
-                    mono = row[e] if mono is one else mono * row[e]
+                        row.append(times(row[-1], row[1]))
+                    mono = row[e] if mono is unit else times(mono, row[e])
             monomials.append((mono, coeff))
-        if isinstance(one, Polynomial):
-            return Polynomial._raw(target, sum_terms(
-                (e, c * coeff) for mono, coeff in monomials for e, c in mono.terms.items()
-            ))
-        from .rational import rf_sum  # rational functions are built on this module
+        if not polynomial:
+            from .rational import rf_sum  # rational functions are built on this module
 
-        return rf_sum(target, ((mono.num * coeff, mono.den) for mono, coeff in monomials),
-                      reduced=True)
+            return rf_sum(target, ((mono.num * coeff, mono.den) for mono, coeff in monomials),
+                          reduced=True)
+        common = lcm(*(den * coeff.den for (den, _), coeff in monomials))
+        acc: Dict[Exponent, List[int]] = {}
+        for (den, terms), coeff in monomials:
+            scale = common // (den * coeff.den)
+            _add_scaled(acc, terms, (), coeff.a * scale, coeff.b * scale)
+        return Polynomial._raw(target, {e: GaussianRational._make(a, b, common)
+                                        for e, (a, b) in acc.items() if a or b})
 
     # -- variable plumbing -----------------------------------------------------
 

@@ -21,7 +21,11 @@ with the series, where the library sums orbits of Laurent exponents and checks
 invariance term by term.  The Laurent oracle is the kernel's earlier loop: a
 Gaussian-rational coefficient per pair state, each series row scaled per pair,
 where the library carries integers and normalizes once per output term.
-`padded` and `laurent` build test inputs.
+The compose oracle is `Polynomial.compose`'s earlier loop for polynomial
+images: each power of an image and each monomial a polynomial product, and
+every term summed in Gaussian rationals with a gcd per step, where the
+library keeps the powers as Gaussian integers over one denominator and
+normalizes each output term once.  `padded` and `laurent` build test inputs.
 """
 
 from fractions import Fraction
@@ -41,7 +45,7 @@ from moyalquot.moyal import (
     _star_scalars,
     bidiff_power,
 )
-from moyalquot.polynomial import Polynomial
+from moyalquot.polynomial import Polynomial, sum_terms
 from moyalquot.quot import ProductContext, permute
 from moyalquot.rational import RationalFunction, rf_normalize
 from moyalquot.series import HSeries
@@ -150,6 +154,22 @@ def laurent_star_oracle(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
                     for h, e, coeff in states:
                         out[i + j + h].append((e, coeff))
     return HSeries(tuple(_from_laurent(space.vars, pairs) for pairs in out))
+
+
+def compose_oracle(p: Polynomial, images) -> Polynomial:
+    """p after x_i -> images[i], polynomials: powers and monomials as polynomial
+    products, summed in Gaussian rationals."""
+    one, rows, monomials = Polynomial.one(images[0].vars), [[None, image] for image in images], []
+    for exp, coeff in p.terms.items():
+        mono = one
+        for image, row, e in zip(images, rows, exp):
+            if e:
+                while len(row) <= e:
+                    row.append(row[-1] * image)
+                mono = row[e] if mono is one else mono * row[e]
+        monomials.append((mono, coeff))
+    return Polynomial._raw(images[0].vars, sum_terms(
+        (e, c * coeff) for mono, coeff in monomials for e, c in mono.terms.items()))
 
 
 def pullback_pair_oracle(

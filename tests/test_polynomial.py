@@ -13,6 +13,8 @@ from moyalquot.polynomial import (
     poly_try_divexact,
 )
 
+from oracles import compose_oracle
+
 V = ("x", "y", "z")
 
 
@@ -102,6 +104,50 @@ def test_with_variables_embedding():
     # a target that lacks a variable
     with pytest.raises(UnknownVariable):
         build({(1, 0, 1): 1}).with_variables(("x", "y"))
+
+
+FOUR = ("a", "b", "c", "d")
+# Gaussian coefficients, most with denominators that powers and products keep
+fractional = st.sampled_from([
+    GaussianRational(Fraction(3, 13), Fraction(2, 13)),
+    GaussianRational(Fraction(1, 2), Fraction(-1, 2)),
+    GaussianRational(Fraction(-5, 6)),
+    GaussianRational(0, Fraction(7, 4)),
+    GaussianRational(2, -3),
+    GaussianRational(-1),
+])
+four_images = st.lists(st.dictionaries(st.tuples(*[st.integers(0, 1)] * 4), fractional, min_size=2,
+                                       max_size=3).map(lambda terms: Polynomial(FOUR, terms)),
+                       min_size=4, max_size=4)
+# one exponent up to 9, the rest up to 2
+high_exponents = st.tuples(st.lists(st.integers(0, 2), min_size=4, max_size=4),
+                           st.integers(0, 3), st.integers(0, 9)).map(
+    lambda t: tuple(t[2] if i == t[1] else e for i, e in enumerate(t[0])))
+sources = st.dictionaries(high_exponents, fractional, min_size=1, max_size=4).map(
+    lambda terms: Polynomial(("x", "y", "z", "w"), terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sources, sources, four_images, st.integers(0, 7), st.integers(0, 7), fractional)
+def test_compose_matches_gaussian_oracle(num, den, images, zero_at, constant_at, constant):
+    # in about half the examples one image is zero, and in about half one is constant
+    images = [Polynomial.zero(FOUR) if i == zero_at else
+              Polynomial.constant(FOUR, constant) if i == constant_at else image
+              for i, image in enumerate(images)]
+    # one list of powers serves a numerator and then a denominator, as in
+    # compose_linear and the frame's way back
+    powers = []
+    assert num.compose(images, powers) == compose_oracle(num, images)
+    assert den.compose(images, powers) == compose_oracle(den, images)
+    for image, row in zip(images, powers):  # the rows are the powers, as integers
+        for e, (d, terms) in enumerate(row[1:], 1):
+            coefficients = {k: GaussianRational(Fraction(a, d), Fraction(b, d)) for k, a, b in terms}
+            assert Polynomial(FOUR, coefficients) == image ** e
+    # with equal images for x and y, num minus num with x and y swapped cancels
+    swapped = Polynomial(num.vars, {(e[1], e[0]) + e[2:]: c for e, c in num.terms.items()})
+    equal = [images[0]] + images[:1] + images[2:]
+    assert (num - swapped).compose(equal) == compose_oracle(num - swapped, equal)
+    assert (num - swapped).compose(equal).is_zero()
 
 
 def test_divexact_roundtrip():
