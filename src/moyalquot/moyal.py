@@ -42,23 +42,23 @@ pulled back on the chart pairs they use, multiplied on the flat cover by the
 paths below, and pushed forward on the same pairs.
 
 The product is covariant under affine symplectic changes of coordinates, so
-denominators that are products of at most two affine forms l, l' are
-monomials in a Darboux frame that holds them.  Each distinct denominator is
-split once (`_affine_factors`).  Only numerators move into the frame, by
-affine composition; a denominator becomes the monomial of its split, and the
-kernel's result moves back by composition.  An automorphism keeps numerator
-and denominator coprime, so no gcd runs.  Two centers, l' = l + c with f's
-denominators in l and g's in l', take the frame pair (l, p) of l and two
-more variables: on f(l, p) and g(l', p) the operator is
-(d_l (x) d_p - d_p (x) d_l')/s, the one of the pairs (l, p) and (l', p')
-of scale s with f moved in as l, p' and g as l', p.  The kernel multiplies
-those, its class multinomial C(k, j) splitting the sum above by pair, and
-p' = p on the way back, where only l or l' can divide a numerator and exact
-division strips them.  Forms are sparse linear polynomials, and their
-bracket reads their unit terms.  Denominators that do not split, such as
-those of a star of a star over x + y and x - y, three forms, a coefficient
-over both centers, and frames that make the numerators much denser take the
-general path.
+denominators that are products of affine forms in at most two directions
+(linear parts) are monomials in a Darboux frame of those directions.  Each
+distinct denominator is split once (`_affine_factors`).  Only numerators
+move into the frame, by affine composition; a denominator becomes the
+monomial of its split, and the kernel's result moves back by composition.
+Each operand has one center per frame coordinate, f being a function of
+(Q + a, P + b) and g of (Q + c, P + d).  Where a != c or b != d the pair
+is doubled: on f(u, p') and g(w, p), with u = Q + a, p' = P + b,
+w = Q + c and p = P + d, the operator is (d_u (x) d_p - d_p' (x) d_w)/s,
+the one of the pairs (u, p) and (w, p') of scale s, and the kernel's class
+multinomial C(k, j) splits the sum above by pair.  An invertible frame
+keeps numerator and denominator coprime, so no gcd runs; a doubled one
+does not, and exact division strips the forms.  Forms are sparse linear
+polynomials, and their bracket reads their unit terms.  Denominators that
+do not split, such as those of a star of a star over x + y and x - y, a
+third direction, two centers in one direction of one operand, and frames
+that make the numerators much denser take the general path.
 
 Other operands take derivatives over the bracket entries of the variables
 they use, each over its known denominator; the terms of one h-power are
@@ -72,7 +72,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from functools import lru_cache, reduce
 from math import comb, factorial, prod
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NameCollision, NotSymplectic, OrderTooLarge, VariableMismatch
@@ -456,25 +456,29 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     frame in which every denominator is a monomial, or None, also when moving
     `used` (f's coefficients, then g's) in grows their numerators past FRAME_GROWTH.
 
-    The forms become frame coordinates: a pair with scale 1/{l, l'}, two q's
-    when they commute, or one q.  Symplectic Gram-Schmidt over the Darboux
-    pairs that the forms touch completes them, projecting each candidate
-    against each new pair once.  Frame pair t takes the variables of touched
-    pair t; every other pair maps to itself.  With two centers u, w (see the
-    module docstring), f and g move in by their own images, `back` sends p and
-    p' to p, and u and w are the slots to strip; an invertible frame has none."""
+    The forms' linear parts, at most two, become frame coordinates: a pair with
+    scale 1/{l, l'}, two q's when they commute, or one q.  Symplectic
+    Gram-Schmidt over the Darboux pairs that they touch completes them,
+    projecting each candidate against each new pair once.  Frame pair t takes
+    the variables of touched pair t; every other pair maps to itself.  Each
+    operand takes its own constants, or the other's where it has none; a pair
+    where they differ is doubled (see the module docstring), and then every
+    slot is one to strip.  An invertible frame has none."""
     splits: Dict[Polynomial, Dict[Polynomial, int]] = {}
     for den in dict.fromkeys(c.den for c in used if c.num.terms):
         if (split := _affine_factors(den)) is None:
             return None
         splits[den] = split
     n, split_of = len(used) // 2 - 1, [splits[c.den] if c.num.terms else {} for c in used]
-    first, *pending = dict.fromkeys(form for split in splits.values() for form in split)
-    shifted = pending if pending and (pending[0] - first).is_constant() else []
-    if len(pending) > 1 or shifted and any(form != (shifted[0] if i > n else first)
-                                           for i, split in enumerate(split_of) for form in split):
-        return None  # three forms, or two centers not one to each operand
-    vs, bracket = space.vars, space.bracket
+    vs, bracket, m = space.vars, space.bracket, len(space.vars)
+    centers: Tuple[dict, dict] = ({}, {})  # per operand, {linear part: constant}
+    for s, form in dict.fromkeys((i > n, form) for i, split in enumerate(split_of) for form in split):
+        c = form.terms.get((0,) * m, G_ZERO)
+        if centers[s].setdefault(form - c, c) != c:
+            return None  # two centers in one direction of one operand
+    first, *pending = dict.fromkeys(chain(*centers))
+    if len(pending) > 1:
+        return None  # more than two directions
     touched = sorted({i // 2 for r in (first, *pending) for i in _occurring(r)})
     slots = [i for k in touched for i in (2 * k, 2 * k + 1)]
     units = [Polynomial.variable(vs, x) for x in vs]
@@ -487,7 +491,7 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
         for j, v in enumerate(candidates if len(frame) < len(touched) else ()):  # orthogonalize
             candidates[j] = v - q * (bracket(v, p) / c) + p * (bracket(v, q) / c)
 
-    if shifted or not pending:
+    if not pending:
         pending = [first]
     elif bracket(first, pending[0]):
         add(first, pending.pop())
@@ -500,46 +504,49 @@ def _affine_frame(space: SymplecticSpace, used: Sequence[RationalFunction]):
     while len(frame) < len(touched):
         q = pending.pop() if pending else next(v for v in candidates if not v.is_constant())
         add(q, next(v for v in candidates if bracket(q, v)))
-    scales, into, back = list(space.scales), list(units), list(units)
+    scales, coords = list(space.scales), list(units)
     for k, (q, p, c) in zip(touched, frame):
-        scales[k], back[2 * k], back[2 * k + 1] = c.inverse(), q, p
-    frame_space = SymplecticSpace(vs, scales)
-    centered = {a: units[a] - back[a].terms.get((0,) * len(vs), G_ZERO) for a in slots}
+        scales[k], coords[2 * k], coords[2 * k + 1] = c.inverse(), q, p
+    center = [[own.get(coords[a], other.get(coords[a], G_ZERO)) for a in range(m)]
+              for own, other in (centers, centers[::-1])]
+    doubled = [k for k in touched if center[0][2 * k:2 * k + 2] != center[1][2 * k:2 * k + 2]]
+    # per operand, each frame coordinate's slot: a doubled pair (u, p) adds (w, p')
+    slot = [list(range(m)), list(range(m))]
+    for t, k in enumerate(doubled):
+        slot[0][2 * k + 1], slot[1][2 * k] = m + 2 * t + 1, m + 2 * t
+    ext = vs + tuple(max(vs, key=len) + "'" * j for j in range(1, 2 * len(doubled) + 1))
+    frame_space = SymplecticSpace(ext, scales + [scales[k] for k in doubled])
+    xs, back = [Polynomial.variable(ext, x) for x in ext], units + [None] * 2 * len(doubled)
     # x_i = sum over the frame slots a, b = a ^ 1, of {x_i, X_b} / {X_a, X_b} (X_a - X_a(0))
-    for i in slots:
-        into[i] = sum((centered[a] * (bracket(units[i], back[a ^ 1]) / frame_space.brackets[a][2])
-                       for a in slots), Polynomial.zero(vs))
-    slot_of, images, strip = [{back[a]: a for a in slots}] * 2, [into] * 2, ()
-    if shifted:  # u is the q of slot q; w and p' take two new slots
-        q, m, delta = slots[0], len(vs), (shifted[0] - first).constant_value()
-        slot_of, strip = [{first: q}, {shifted[0]: m}], (q, m)
-        ext = vs + tuple(max(vs, key=len) + "'" * k for k in (1, 2))
-        xs, images = [Polynomial.variable(ext, x) for x in ext], []
-        # f's p is p', and g's q is w - delta; an untouched slot is its own unit
-        for side in (xs[:q + 1] + [xs[m + 1]] + xs[q + 2:m], xs[:q] + [xs[m] - delta] + xs[q + 1:m]):
-            powers: list = []
-            images.append([form.compose(side, powers) if i in slots else xs[i]
-                           for i, form in enumerate(into)])
-        back = back + [shifted[0], back[q + 1]]
-        frame_space = SymplecticSpace(ext, scales + [scales[q // 2]])
-    moved, caches = [], ([], [])  # one cache of powers per side
+    weights = {i: [bracket(units[i], coords[a ^ 1]) / frame_space.brackets[a][2] for a in slots]
+               for i in slots}
+    sides = (0, 1) if doubled else (0, 0)  # one image list, or one per operand
+    into, caches, slot_of = {}, {s: [] for s in sides}, {}
+    for s in caches:  # operand s moves X_a in as the variable of its slot, less its center
+        centered = [xs[slot[s][a]] - center[s][a] for a in slots]
+        into[s] = [sum(map(mul, centered, weights[i]), Polynomial.zero(ext)) if i in weights
+                   else xs[i] for i in range(m)]
+        for a in slots:
+            back[slot[s][a]] = coords[a] + center[s][a]
+        slot_of[s] = {back[slot[s][a]]: slot[s][a] for a in slots}
+    moved = []
     for i, (c, split) in enumerate(zip(used, split_of)):
-        exp = [0] * len(frame_space.vars)
-        for form, m in split.items():
-            exp[slot_of[i > n][form]] = m
-        den = Polynomial._raw(frame_space.vars, {tuple(exp): G_ONE})
-        moved.append(RationalFunction._trusted(c.num.compose(images[i > n], caches[i > n]), den))
+        exp, side = [0] * len(ext), sides[i > n]
+        for form, e in split.items():
+            exp[slot_of[side][form]] = e
+        den = Polynomial._raw(ext, {tuple(exp): G_ONE})
+        moved.append(RationalFunction._trusted(c.num.compose(into[side], caches[side]), den))
     if sum(len(c.num.terms) for c in moved) > FRAME_GROWTH * sum(len(c.num.terms) for c in used):
         return None
-    return frame_space, moved, back, strip
+    return frame_space, moved, back, tuple(range(len(ext))) if doubled else ()
 
 
 def _frame_back(c: RationalFunction, back: Sequence[Polynomial], strip: Sequence[int],
                 powers: list) -> RationalFunction:
     """c, over the frame with a monomial denominator, after X_a -> back[a].
 
-    An invertible frame keeps numerator and denominator coprime.  With two
-    centers only the coprime u and w, the slots in `strip`, can divide the
+    An invertible frame keeps numerator and denominator coprime.  Otherwise
+    only the forms of the denominator's slots in `strip` can divide the
     numerator, so each is divided out while it divides exactly, with no gcd."""
     if c.is_zero():
         return RationalFunction.zero(back[0].vars)
@@ -570,6 +577,8 @@ def moyal_star(ctx: MoyalContext, f: HSeries, g: HSeries) -> HSeries:
 def _star(ctx: MoyalContext, used: Sequence[RationalFunction]) -> HSeries:
     """The star of checked operands: the coefficients of f, then of g, up to the order."""
     space, n = ctx.space, ctx.order
+    if not any(c.num.terms for c in used[: n + 1]) or not any(c.num.terms for c in used[n + 1:]):
+        return HSeries.zero(space.vars, n)  # a zero operand, before any split
     if all(len(c.den.terms) == 1 for c in used):
         return _laurent_star(ctx, used)
     if space.chart:

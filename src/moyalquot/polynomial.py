@@ -89,7 +89,7 @@ def _integer_product(x: Tuple[int, list], y: Tuple[int, list]) -> Tuple[int, lis
 class Polynomial:
     """Immutable sparse polynomial over Q(i)."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, object]):
         vs = tuple(variables)
@@ -109,6 +109,7 @@ class Polynomial:
                 cleaned[exp] = c
         self.vars = vs
         self.terms = cleaned
+        self._hash = None
 
     @classmethod
     def _raw(cls, variables: Tuple[str, ...], terms: Terms) -> "Polynomial":
@@ -116,6 +117,7 @@ class Polynomial:
         p = object.__new__(cls)
         p.vars = variables
         p.terms = terms
+        p._hash = None
         return p
 
     # -- builders ----------------------------------------------------------
@@ -326,7 +328,9 @@ class Polynomial:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        if self._hash is None:  # the terms are never changed after construction
+            self._hash = hash((self.vars, frozenset(self.terms.items())))
+        return self._hash
 
     def _monomial_text(self, exp: Exponent) -> str:
         factors = []

@@ -77,9 +77,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_one()
 

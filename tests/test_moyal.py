@@ -612,11 +612,18 @@ def frame_star_cases(draw):
                                RationalFunction.from_polynomial(v)).constant_value()
 
     first = poly(draw(linear))
-    # two forms commute only if they are proportional or n >= 4
-    relations = ("pairing", "equal", "shifted", "polynomial") + (("commuting",) if n > 2 else ())
+    # two forms commute only if they are proportional or n >= 4; "centers" puts f over
+    # both forms and g over the first direction
+    relations = ("pairing", "equal", "shifted", "polynomial", "centers") + (
+        ("commuting",) if n > 2 else ())
     relation = draw(st.sampled_from(relations))
     if relation in ("equal", "shifted", "polynomial"):  # g is a polynomial in the last
         second = first
+    elif relation == "centers":
+        # a coordinate that pairs with the first form; their product splits, since one
+        # of the two has a variable that the other has not
+        second = next(v for v in (Polynomial.variable(vs, name) for name in vs)
+                      if bracket(v, first))
     else:
         second = poly(draw(linear))
         if relation == "commuting":
@@ -631,13 +638,19 @@ def frame_star_cases(draw):
     if relation == "equal":
         constants[1] = constants[0]
     forms = [form + Polynomial.constant(vs, c) for form, c in zip((first, second), constants)]
+    if relation == "centers":  # g's center in the first direction differs from f's
+        other = draw(st.sampled_from([c for c in COEFFS if c != constants[0]]))
+        forms = [forms[0] * forms[1], first + Polynomial.constant(vs, other)]
     exponent = st.tuples(*[st.integers(0, 2)] * n)
-    numerator = st.dictionaries(exponent, st.sampled_from(COEFFS), max_size=3)
+    # no coefficient is zero, and under "centers" none is a polynomial, so both operands
+    # have centers
+    numerator = st.dictionaries(exponent, st.sampled_from(COEFFS[1:]), min_size=1, max_size=3)
+    low = int(relation == "centers")
 
     def series(form, length):
         coeffs = []
         for _ in range(length):
-            m = 0 if relation == "polynomial" and form is forms[1] else draw(st.integers(0, 3))
+            m = 0 if relation == "polynomial" and form is forms[1] else draw(st.integers(low, 3))
             coeffs.append(RationalFunction(Polynomial(vs, draw(numerator)), form ** m))
         return HSeries(coeffs)
 
@@ -715,8 +728,9 @@ DENSE_FLAT4 = ("x1*y1^2*x2*y2^2/(x1 + 2*x2 + (1/3 - i)*y2)^2",
 
 
 def _growing_pair():
-    # the frame of x1 + x2 moves the one term of g's numerator in as six
-    return HSeries.zero(FLAT4, 0), HSeries.constant(parse_rational("x1*y2^2/(x1 + x2)", FLAT4), 0)
+    # the frame of x1 + x2 moves the one term of g's numerator in as six, and f's as three
+    return tuple(HSeries.constant(parse_rational(text, FLAT4), 0)
+                 for text in ("y2^2", "x1*y2^2/(x1 + x2)"))
 
 
 def test_frame_refuses_itself_when_numerators_grow():
@@ -839,12 +853,35 @@ def test_product_of_forms_star_matches_bidiff(name, monkeypatch):
     assert product == star_by_bidiff_oracle(ctx, f, g)
 
 
-def test_three_forms_take_derivatives(monkeypatch):
-    # f's product of two forms and g's third form: no frame holds all three
-    ctx, f, g = _shifted(XY, 2, "1/((x+1/2)*(y-i/3))", "x/(y-(1+i)/4)")
+# three or four forms in two directions, at most one center per direction in each
+# operand: the frame of the linear parts, where the pair with two centers takes two
+# more variables
+PER_OPERAND_CASES = {  # the first two have the forms of two seed-1 associativity stars
+    "x,y-(1-i)|y-1": (XY, 3, "y/(x*(y-(1-i))); x^2/(y-(1-i))^2; 0; y/x", "x^2/(y-1)"),
+    "x-i/3,y+1/2|y-(1+i)/4": (XY, 3, "x*y/((x-i/3)*(y+1/2))", "x/(y-(1+i)/4)^2 + y^2"),
+    "x+1/2,y-i/3|y-(1+i)/4": (XY, 2, "1/((x+1/2)*(y-i/3))", "x/(y-(1+i)/4)"),
+    "both-slots-doubled": (XY, 2, "y/((x+1)*(y-i)); x/(x+1)^2; 0", "x*y/((x-1/2)*(y+1))"),
+    "commuting-flat4": (FLAT4, 1, "y1*y2/((x1+1)*(x2+i)^2)", "y1^2/(x1-1) + x2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_OPERAND_CASES))
+def test_per_operand_centers_star_matches_bidiff(name, monkeypatch):
+    ctx, f, g = _shifted(*PER_OPERAND_CASES[name])
     widths = _kernel_widths(monkeypatch)
-    assert moyal_star(ctx, f, g) == star_by_bidiff_oracle(ctx, f, g)
-    assert widths == []
+    monkeypatch.setattr(moyal, "_bidiff", lambda *args: pytest.fail("derivatives taken"))
+    product = moyal_star(ctx, f, g)
+    monkeypatch.undo()
+    assert widths == [ctx.space.dim + 2]
+    assert product == star_by_bidiff_oracle(ctx, f, g)
+
+
+def test_a_zero_operand_takes_no_split(monkeypatch):
+    # zero up to the order, and past it a denominator that splits
+    ctx, f, g = _shifted(XY, 2, "0; 0; 0; 1/(x+1)", "y/(x+1) + x/(y-i)")
+    monkeypatch.setattr(moyal, "_affine_factors", lambda den: pytest.fail("split"))
+    zero = HSeries.zero(XY, 2)
+    assert moyal_star(ctx, f, g) == moyal_star(ctx, g, f) == zero
 
 
 def test_equal_constants_keep_the_one_form_frame(monkeypatch):

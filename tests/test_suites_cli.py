@@ -672,6 +672,17 @@ def test_associativity_products_of_forms_take_no_derivatives(monkeypatch, capsys
     assert calls == []
 
 
+def test_associativity_routes_at_100_samples(monkeypatch, capsys):
+    # of the stars whose denominators are not all monomials, the six left to take
+    # derivatives have an operand with two centers in one direction
+    real, frames = moyal._affine_frame, []
+    monkeypatch.setattr(moyal, "_affine_frame",
+                        lambda *args: frames.append(real(*args)) or frames[-1])
+    assert run(["verify", "associativity", "--seed", "1", "--samples", "100"]) == 0
+    assert "total: 2 passed, 0 failed" in capsys.readouterr().out
+    assert (len(frames) - frames.count(None), frames.count(None)) == (60, 6)
+
+
 def test_planted_frame_fault_fails_associativity(monkeypatch, capsys):
     # on frames of a product of forms, the way back forgets the constant of the first
     # form that has one
